@@ -7,17 +7,17 @@ last write, a write must predate neither the last write nor the last read.
 Accepted logs move the stamps forward; aborted logs leave no trace.
 """
 
-from ccarena import log_from_text, registry_new, validate_commit
-from ccarena.opcot import commit_transaction, rebase_to_server_time
+from ccarena import ItemRegistry, log_from_text
+from ccarena.opcot import commit_transaction
 
 
 def show(reg, items=(0,)):
     for i in items:
         s = reg.get(i)
-        print(f"    item {i}: last_read={s.t_read} last_write={s.t_write} value={s.value!r}")
+        print(f"    item {i}: last_read={s.t_read} last_write={s.t_write}")
 
 
-reg = registry_new(4)
+reg = ItemRegistry(4)
 print("fresh registry:")
 show(reg)
 
@@ -40,11 +40,13 @@ show(reg)
 print("\nwhy accepted reads raise the read stamp with max() rather than")
 print("assigning unconditionally: an old-but-valid read must not drag the")
 print("stamp backwards and let a conflicting write slip under a newer read.")
-reg2 = registry_new(1)
+reg2 = ItemRegistry(1)
 reg2.apply_update(0, t_read=60)
-abs_log = rebase_to_server_time(log_from_text("BEGIN - 0\nR 0 3\nCOMMIT - 15\n", 4), 58)
-print(f"  registry read stamp 60; incoming read at instant 43:")
-literal = validate_commit(reg2, abs_log, max_read_stamp=False)
-kept = validate_commit(reg2, abs_log, max_read_stamp=True)
-print(f"  unconditional assignment would stage read stamp {literal.updates[0][1]}")
-print(f"  max rule keeps the stamp at {kept.updates[0][1]}")
+print("  registry read stamp 60, left by a read committed at instant 60")
+d4 = commit_transaction(reg2, log_from_text("BEGIN - 0\nR 0 3\nCOMMIT - 15\n", 4), 58)
+print(f"  T4 reads item 0 at instant 43 -> {d4.outcome.value}, "
+      f"read stamp stays {reg2.get(0).t_read}")
+d5 = commit_transaction(reg2, log_from_text("BEGIN - 0\nW 0 10\nCOMMIT - 5\n", 5), 55)
+print(f"  T5 writes item 0 at instant 50 -> {d5.outcome.value}: {d5.reason}")
+print("  (a stamp dragged down to 43 would have let that write commit behind")
+print("   the read at 60, against the commit order)")

@@ -8,7 +8,7 @@ validation looks at the operator instants instead, so overlap alone is not a
 death sentence: only conflicts that contradict the commit order abort.
 """
 
-from ccarena import OccBook, Outcome, log_from_text, occ_validate, registry_new
+from ccarena import ItemRegistry, OccBook, Outcome, log_from_text, occ_validate
 from ccarena.opcot import commit_transaction, rebase_to_server_time
 
 WRITER, OVERLAPPER, FIRST_WRITER = 1, 2, 3
@@ -22,7 +22,7 @@ for name, log, receipt in (("writer", log_writer, 12), ("reader", log_reader, 14
     instants = [(str(r.op), r.abs_ts) for r in rebase_to_server_time(log, receipt).records]
     print(f"  {name} rebased: {instants}")
 
-reg = registry_new(1)
+reg = ItemRegistry(1)
 d_writer = commit_transaction(reg, log_writer, 12)
 d_reader = commit_transaction(reg, log_reader, 14)
 print(f"\n  commit ordering: writer {d_writer.outcome.value}, "
@@ -44,7 +44,7 @@ print("and a read commit inside its lifetime, every conflict in commit order\n")
 log_first_writer = log_from_text("BEGIN - 0\nW 0 1\nCOMMIT - 2\n", FIRST_WRITER)
 log_late_reader = log_from_text("BEGIN - 0\nR 0 1\nCOMMIT - 2\n", WRITER)
 log_read_writer = log_from_text("BEGIN - 0\nR 0 4\nW 0 4\nCOMMIT - 2\n", OVERLAPPER)
-reg_b = registry_new(1)
+reg_b = ItemRegistry(1)
 d_fw = commit_transaction(reg_b, log_first_writer, 12)
 d_lr = commit_transaction(reg_b, log_late_reader, 16)
 d_rw = commit_transaction(reg_b, log_read_writer, 19)

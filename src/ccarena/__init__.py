@@ -15,8 +15,6 @@ from .baselines import (
     OccBook,
     Queued,
     occ_validate,
-    s2pl_acquire,
-    s2pl_release_all,
 )
 from .core import (
     BEGIN,
@@ -40,7 +38,6 @@ from .core import (
     log_to_text,
     log_validate,
     read,
-    registry_new,
     write,
 )
 from .harness import (

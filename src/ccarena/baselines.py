@@ -206,16 +206,6 @@ class LockTable:
                 raise AssertionError(f"conflicting grants on item {item_id}: {locks.granted}")
 
 
-def s2pl_acquire(table: LockTable, txn_id: int, item_id: int, mode: LockMode):
-    """Acquire under strict 2PL; see LockTable.acquire."""
-    return table.acquire(txn_id, item_id, mode)
-
-
-def s2pl_release_all(table: LockTable, txn_id: int) -> list[tuple[int, int, LockMode]]:
-    """Release everything at commit/abort; see LockTable.release_all."""
-    return table.release_all(txn_id)
-
-
 @dataclass
 class _ActiveTxn:
     start: int
@@ -247,9 +237,6 @@ class OccBook:
 
     def drop(self, txn_id: int) -> None:
         self.active.pop(txn_id, None)
-
-    def last_commit_instant(self) -> int | None:
-        return self._commit_instants[-1] if self._commit_instants else None
 
 
 def occ_validate(book: OccBook, txn_id: int, now: int) -> Outcome:

@@ -15,10 +15,10 @@ from .core import ConfigError, History, InvalidLogError
 from .harness import (
     MatrixConfig,
     OracleViolation,
+    gate_run,
     metrics_for_run,
     rows_to_csv,
     run_matrix,
-    verify_run,
     write_csv,
     write_gnuplot,
 )
@@ -86,11 +86,8 @@ def _cmd_run(args) -> int:
     if args.dump_history:
         with open(args.dump_history, "w", encoding="utf-8") as fh:
             fh.write(result.history.to_text())
-    violation = verify_run(result.history, cfg.protocol)
+    violation, dump = gate_run(result)
     if violation is not None:
-        dump = f"oracle_violation_{cfg.protocol}_seed{cfg.seed}.history"
-        with open(dump, "w", encoding="utf-8") as fh:
-            fh.write(result.history.to_text())
         print(f"oracle violation: {violation} (history dumped to {dump})", file=sys.stderr)
         return EXIT_ORACLE
     csv_text = rows_to_csv([metrics_for_run(result)])

@@ -1,7 +1,7 @@
 """Domain types shared by every protocol in the arena.
 
 Time is integer milliseconds on a logical clock; no wall clocks anywhere.
-Item payloads are opaque bytes that the simulator never interprets.
+Items carry no payload: only their read/write stamps matter to the protocols.
 """
 
 from dataclasses import dataclass, field
@@ -166,11 +166,10 @@ class AbsoluteLog:
 
 @dataclass
 class ItemState:
-    """Server-side state of one item: opaque value plus the instants of the
-    latest committed read and write."""
+    """Server-side state of one item: the instants of the latest committed
+    read and write."""
 
     item_id: int
-    value: bytes = b""
     t_read: int = 0
     t_write: int = 0
 
@@ -201,7 +200,7 @@ class ItemRegistry:
         return self.n_items
 
     def apply_update(self, item_id: int, t_read: int | None = None,
-                     t_write: int | None = None, value: bytes | None = None) -> None:
+                     t_write: int | None = None) -> None:
         state = self.get(item_id)
         if t_read is not None:
             if t_read < state.t_read:
@@ -213,17 +212,10 @@ class ItemRegistry:
                 raise ValueError(f"t_write of item {item_id} would move backwards "
                                  f"({state.t_write} -> {t_write})")
             state.t_write = t_write
-        if value is not None:
-            state.value = value
 
-    def stamps(self) -> dict[int, tuple[int, int, bytes]]:
-        """Snapshot of (t_read, t_write, value) per item, for audits and tests."""
-        return {i: (s.t_read, s.t_write, s.value) for i, s in self._items.items()}
-
-
-def registry_new(n_items: int) -> ItemRegistry:
-    """Fresh registry with n_items items, all stamps zero."""
-    return ItemRegistry(n_items)
+    def stamps(self) -> dict[int, tuple[int, int]]:
+        """Snapshot of (t_read, t_write) per item, for audits and tests."""
+        return {i: (s.t_read, s.t_write) for i, s in self._items.items()}
 
 
 class Outcome(Enum):

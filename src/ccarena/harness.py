@@ -168,16 +168,26 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def gate_run(result: RunResult) -> tuple[str | None, str | None]:
+    """Oracle gate for one run: (violation, dump path), both None when clean.
+
+    A failing history is written to the working directory for `ccarena check`.
+    """
+    cfg = result.config
+    violation = verify_run(result.history, cfg.protocol)
+    if violation is None:
+        return None, None
+    dump = f"oracle_violation_{cfg.protocol}_items{cfg.n_items}_txns{cfg.n_txns}_seed{cfg.seed}.history"
+    with open(dump, "w", encoding="utf-8") as fh:
+        fh.write(result.history.to_text())
+    return violation, dump
+
+
 def _run_cell(cfg: SimConfig) -> tuple[RunMetrics | None, str | None, str | None]:
     """Worker body: run, verify, summarize. Returns (metrics, violation, dump)."""
     result = run_simulation(cfg)
-    violation = verify_run(result.history, cfg.protocol)
-    if violation is not None:
-        dump = f"oracle_violation_{cfg.protocol}_items{cfg.n_items}_txns{cfg.n_txns}_seed{cfg.seed}.history"
-        with open(dump, "w", encoding="utf-8") as fh:
-            fh.write(result.history.to_text())
-        return None, violation, dump
-    return metrics_for_run(result), None, None
+    violation, dump = gate_run(result)
+    return (metrics_for_run(result) if violation is None else None), violation, dump
 
 
 def run_matrix(matrix: MatrixConfig, workers: int = 1) -> list[RunMetrics]:

@@ -104,8 +104,7 @@ class CommitDecision:
         return self.outcome is Outcome.COMMITTED
 
 
-def validate_commit(registry: ItemRegistry, abs_log: AbsoluteLog,
-                    max_read_stamp: bool = True) -> CommitDecision:
+def validate_commit(registry: ItemRegistry, abs_log: AbsoluteLog) -> CommitDecision:
     """Scan a rebased log against the registry's read/write stamps.
 
     Read(X)@t aborts when t < X.t_write; otherwise it stages
@@ -113,10 +112,6 @@ def validate_commit(registry: ItemRegistry, abs_log: AbsoluteLog,
     t < X.t_read; otherwise it stages X.t_write = max(X.t_write, t). Ties pass
     (the conditions are strict), staged values are visible to later records of
     the same log, and Begin/Commit records are no-ops.
-
-    max_read_stamp=False assigns X.t_read = t unconditionally on accepted
-    reads, which can move the read stamp backwards; it exists so the two
-    semantics can be compared and is not used by the simulator.
     """
     staged: dict[int, list[int]] = {}
 
@@ -136,7 +131,7 @@ def validate_commit(registry: ItemRegistry, abs_log: AbsoluteLog,
                 return CommitDecision(
                     Outcome.ABORTED, abort_index=index, abort_record=rec,
                     reason=f"read of item {rec.op.item_id} at {t} precedes last write {pair[1]}")
-            pair[0] = max(pair[0], t) if max_read_stamp else t
+            pair[0] = max(pair[0], t)
         else:
             if t < pair[1] or t < pair[0]:
                 bound = "write" if t < pair[1] else "read"
@@ -161,11 +156,8 @@ def commit_transaction(registry: ItemRegistry, log: OperatorLog, receipt: int,
     abs_log = rebase_to_server_time(log, receipt)
     decision = validate_commit(registry, abs_log)
     if decision.committed:
-        written = {rec.op.item_id for rec in abs_log.records
-                   if rec.op.kind is OpKind.WRITE}
         for item, t_read, t_write in decision.updates:
-            value = f"txn:{log.txn_id}".encode() if item in written else None
-            registry.apply_update(item, t_read=t_read, t_write=t_write, value=value)
+            registry.apply_update(item, t_read=t_read, t_write=t_write)
     if history is not None:
         for rec in abs_log.records:
             if rec.op.is_data:

@@ -3,8 +3,18 @@
 One logical millisecond clock drives everything. Transactions are generator
 processes that sleep for service times and message latencies, park while
 blocked on locks, and talk to the single simulated server at their commit
-point. Client mobility is abstracted into per-operation disconnect rolls plus
-a reconnect delay that is paid only when a server exchange is actually needed.
+point.
+
+Every protocol runs the same client loop: per operator a disconnect roll, an
+optional read refresh and the service time, then one commit request and its
+reply, with retries as fresh attempts. Protocols differ only on the server,
+in a small policy object per attempt: opcot logs operators with relative
+timestamps and validates the log at commit, occ buffers writes and validates
+backwards, and s2pl adds a lock round-trip before each operator, which may
+park the client or pick it as a deadlock victim.
+
+Client mobility is abstracted into per-operation disconnect rolls plus a
+reconnect delay that is paid only when a server exchange is actually needed.
 Client clocks carry large fixed offsets from the server clock; only relative
 operator timestamps ever cross the wire, so those offsets are harmless by
 construction and the simulation exercises exactly that.
@@ -18,6 +28,7 @@ the draws.
 import math
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
+from itertools import count
 
 from . import core
 from .baselines import (
@@ -31,11 +42,11 @@ from .baselines import (
 from .core import (
     ConfigError,
     History,
+    ItemRegistry,
     Operation,
     OperatorLog,
     OpKind,
     Outcome,
-    registry_new,
 )
 from .opcot import client_record_op, commit_transaction
 from .rng import DetRng
@@ -248,12 +259,12 @@ class _Sim:
         self.cfg = cfg
         self.queue = EventQueue()
         self.history = History()
-        self.registry = registry_new(cfg.n_items)
+        self.registry = ItemRegistry(cfg.n_items)
         self.table = LockTable()
         self.book = OccBook()
         self.parked: dict[int, object] = {}
         self._last_stamp = -1
-        self._next_attempt_id = cfg.n_txns
+        self.attempt_ids = count(cfg.n_txns)  # ids for retries, past every first attempt
 
     @property
     def now(self) -> int:
@@ -266,28 +277,13 @@ class _Sim:
         self._last_stamp = s
         return s
 
-    def alloc_attempt_id(self) -> int:
-        aid = self._next_attempt_id
-        self._next_attempt_id += 1
-        return aid
-
-    def spawn(self, gen, at: int) -> None:
-        self.queue.push(at, (_SEND, gen, None))
-
-    def wake_granted(self, granted: list[tuple[int, int, LockMode]]) -> None:
-        for txn_id, _item, _mode in granted:
+    def s2pl_end(self, aid: int, outcome: Outcome, instant: int) -> None:
+        """Record aid's terminal, drop its locks, wake the new grantees."""
+        self.history.record_terminal(aid, outcome, instant)
+        for txn_id, _item, _mode in self.table.release_all(aid):
             gen = self.parked.pop(txn_id, None)
             if gen is not None:
                 self.queue.push(self.now, (_SEND, gen, None))
-
-    def s2pl_server_abort(self, aid: int) -> None:
-        """Record the victim's abort, drop its locks, cascade grants."""
-        self.history.record_terminal(aid, Outcome.ABORTED, self.now)
-        self.wake_granted(self.table.release_all(aid))
-
-    def throw_parked(self, aid: int) -> None:
-        gen = self.parked.pop(aid)
-        self.queue.push(self.now, (_THROW, gen, _VictimSignal()))
 
     def run_loop(self) -> None:
         while self.queue:
@@ -302,151 +298,144 @@ class _Sim:
             self.queue.push(self.now + cmd, (_SEND, gen, None))
 
 
-def _roll_disconnect(cfg: SimConfig, rng: DetRng, connected: bool) -> bool:
-    """One per-operation disconnect roll; the stream is consumed either way."""
-    dropped = rng.random() < cfg.disconnect_prob
-    return connected and not dropped
-
-
 def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: int):
+    """The one client loop; a fresh policy per attempt plays the server."""
     cfg = sim.cfg
+    new_policy = _POLICIES[cfg.protocol]
     outcome = Outcome.ABORTED
     for attempt in range(cfg.retries + 1):
-        aid = spec.txn_id if attempt == 0 else sim.alloc_attempt_id()
+        aid = spec.txn_id if attempt == 0 else next(sim.attempt_ids)
         run.attempts += 1
-        if cfg.protocol == "s2pl":
-            outcome = yield from _s2pl_attempt(sim, spec, aid, run, rng)
-        elif cfg.protocol == "occ":
-            outcome = yield from _occ_attempt(sim, spec, aid, run, rng)
-        else:
-            outcome = yield from _opcot_attempt(sim, spec, aid, run, rng, offset)
+        policy = new_policy(sim, aid, offset)
+        connected = True
+        try:
+            for op in spec.data_ops:
+                if rng.random() < cfg.disconnect_prob:  # rolled even when offline
+                    connected = False
+                if policy.lock:
+                    if not connected:
+                        yield rng.uniform_ms(cfg.reconnect_delay_ms)
+                        connected = True
+                    run.messages += 1
+                    yield rng.uniform_ms(cfg.uplink_latency_ms)
+                    yield from policy.lock(op)
+                    run.messages += 1
+                    yield rng.uniform_ms(cfg.downlink_latency_ms)
+                elif cfg.mid_txn_reads and op.kind is OpKind.READ and connected:
+                    run.messages += 1  # opportunistic refresh of the local copy
+                    yield rng.uniform_ms(cfg.uplink_latency_ms) + rng.uniform_ms(cfg.downlink_latency_ms)
+                yield cfg.op_service_ms
+                run.service_ms += cfg.op_service_ms
+                policy.record(op)
+            policy.record(core.COMMIT)
+            if not connected:
+                yield rng.uniform_ms(cfg.reconnect_delay_ms)
+            run.messages += 1
+            yield rng.uniform_ms(cfg.uplink_latency_ms)
+            outcome = policy.commit(sim.stamp(sim.now))
+        except _VictimSignal:
+            outcome = Outcome.ABORTED  # the server recorded it and released the locks
+        run.messages += 1
+        yield rng.uniform_ms(cfg.downlink_latency_ms)
         if outcome is Outcome.COMMITTED:
             break
     run.outcome = outcome
     run.terminal_ms = sim.now
 
 
-def _opcot_attempt(sim: _Sim, spec: TxnSpec, aid: int, run: TxnTiming,
-                   rng: DetRng, offset: int):
-    cfg = sim.cfg
-    log = OperatorLog(aid)
-    prev = sim.now + offset
-    _, prev = client_record_op(log, core.BEGIN, sim.now + offset, prev)
-    connected = True
-    for op in spec.data_ops:
-        connected = _roll_disconnect(cfg, rng, connected)
-        if cfg.mid_txn_reads and op.kind is OpKind.READ and connected:
-            run.messages += 1  # opportunistic refresh of the local copy
-            yield rng.uniform_ms(cfg.uplink_latency_ms) + rng.uniform_ms(cfg.downlink_latency_ms)
-        yield cfg.op_service_ms
-        run.service_ms += cfg.op_service_ms
-        _, prev = client_record_op(log, op, sim.now + offset, prev)
-    _, prev = client_record_op(log, core.COMMIT, sim.now + offset, prev)
-    if not connected:
-        yield rng.uniform_ms(cfg.reconnect_delay_ms)
-    run.messages += 1
-    yield rng.uniform_ms(cfg.uplink_latency_ms)
-    receipt = sim.stamp(sim.now)
-    decision = commit_transaction(sim.registry, log, receipt, sim.history)
-    run.messages += 1
-    yield rng.uniform_ms(cfg.downlink_latency_ms)
-    return decision.outcome
+# Server policies, one per protocol and attempt. record(op) takes the local
+# effect of each executed operator, then of COMMIT just before the commit
+# exchange; commit(instant) decides at the server's receipt instant. A policy
+# with a lock(op) generator costs the client a round-trip per operator.
+
+class _Opcot:
+    """Log operators with relative timestamps off the skewed client clock;
+    the server rebases and validates the whole log at commit."""
+
+    lock = None
+
+    def __init__(self, sim: _Sim, aid: int, offset: int):
+        self.sim, self.offset = sim, offset
+        self.log = OperatorLog(aid)
+        self.prev = sim.now + offset
+        self.record(core.BEGIN)
+
+    def record(self, op: Operation) -> None:
+        _, self.prev = client_record_op(self.log, op, self.sim.now + self.offset, self.prev)
+
+    def commit(self, instant: int) -> Outcome:
+        sim = self.sim
+        return commit_transaction(sim.registry, self.log, instant, sim.history).outcome
 
 
-def _occ_attempt(sim: _Sim, spec: TxnSpec, aid: int, run: TxnTiming, rng: DetRng):
-    cfg = sim.cfg
-    sim.book.begin(aid, sim.now)
-    connected = True
-    for op in spec.data_ops:
-        connected = _roll_disconnect(cfg, rng, connected)
-        if cfg.mid_txn_reads and op.kind is OpKind.READ and connected:
-            run.messages += 1
-            yield rng.uniform_ms(cfg.uplink_latency_ms) + rng.uniform_ms(cfg.downlink_latency_ms)
-        yield cfg.op_service_ms
-        run.service_ms += cfg.op_service_ms
+class _Occ:
+    """Reads run now; writes are buffered and installed at the commit
+    instant if backward validation passes."""
+
+    lock = None
+
+    def __init__(self, sim: _Sim, aid: int, offset: int):
+        self.sim, self.aid = sim, aid
+        self.writes: list[Operation] = []
+        sim.book.begin(aid, sim.now)
+
+    def record(self, op: Operation) -> None:
         if op.kind is OpKind.READ:
-            sim.book.note_read(aid, op.item_id)
-            sim.history.record_op(aid, op, sim.now)
-        else:
-            # buffered locally; the server sees the write at commit time
-            sim.book.note_write(aid, op.item_id)
-    if not connected:
-        yield rng.uniform_ms(cfg.reconnect_delay_ms)
-    run.messages += 1
-    yield rng.uniform_ms(cfg.uplink_latency_ms)
-    instant = sim.stamp(sim.now)
-    outcome = occ_validate(sim.book, aid, instant)
-    if outcome is Outcome.COMMITTED:
-        for op in spec.data_ops:
-            if op.kind is OpKind.WRITE:
-                sim.history.record_op(aid, op, instant)
-                sim.registry.apply_update(op.item_id, value=f"txn:{aid}".encode())
-    sim.history.record_terminal(aid, outcome, instant)
-    run.messages += 1
-    yield rng.uniform_ms(cfg.downlink_latency_ms)
-    return outcome
+            self.sim.book.note_read(self.aid, op.item_id)
+            self.sim.history.record_op(self.aid, op, self.sim.now)
+        elif op.kind is OpKind.WRITE:
+            self.sim.book.note_write(self.aid, op.item_id)
+            self.writes.append(op)
+
+    def commit(self, instant: int) -> Outcome:
+        history = self.sim.history
+        outcome = occ_validate(self.sim.book, self.aid, instant)
+        if outcome is Outcome.COMMITTED:
+            for op in self.writes:
+                history.record_op(self.aid, op, instant)
+        history.record_terminal(self.aid, outcome, instant)
+        return outcome
 
 
-def _s2pl_attempt(sim: _Sim, spec: TxnSpec, aid: int, run: TxnTiming, rng: DetRng):
-    cfg = sim.cfg
-    sim.table.register_txn(aid, sim.now)
-    connected = True
-    try:
-        for op in spec.data_ops:
-            connected = _roll_disconnect(cfg, rng, connected)
-            if not connected:
-                yield rng.uniform_ms(cfg.reconnect_delay_ms)
-                connected = True
-            run.messages += 1
-            yield rng.uniform_ms(cfg.uplink_latency_ms)
-            mode = LockMode.SHARED if op.kind is OpKind.READ else LockMode.EXCLUSIVE
-            granted_at = yield from _s2pl_lock_flow(sim, aid, op.item_id, mode)
-            sim.history.record_op(aid, op, granted_at)
-            run.messages += 1
-            yield rng.uniform_ms(cfg.downlink_latency_ms)
-            yield cfg.op_service_ms
-            run.service_ms += cfg.op_service_ms
-        run.messages += 1
-        yield rng.uniform_ms(cfg.uplink_latency_ms)
-        commit_instant = sim.stamp(sim.now)
-        sim.history.record_terminal(aid, Outcome.COMMITTED, commit_instant)
-        for op in spec.data_ops:
-            if op.kind is OpKind.WRITE:
-                sim.registry.apply_update(op.item_id, value=f"txn:{aid}".encode())
-        sim.wake_granted(sim.table.release_all(aid))
-        run.messages += 1
-        yield rng.uniform_ms(cfg.downlink_latency_ms)
-        return Outcome.COMMITTED
-    except _VictimSignal:
-        # server side already recorded the abort and released the locks
-        run.messages += 1
-        yield rng.uniform_ms(cfg.downlink_latency_ms)
-        return Outcome.ABORTED
+class _S2pl:
+    """Strict 2PL: each operator runs at its lock grant instant; every lock
+    is held until the terminal."""
 
+    def __init__(self, sim: _Sim, aid: int, offset: int):
+        self.sim, self.aid = sim, aid
+        sim.table.register_txn(aid, sim.now)
 
-def _s2pl_lock_flow(sim: _Sim, aid: int, item_id: int, mode: LockMode):
-    """Acquire one lock; parks while blocked, returns the grant instant,
-    raises _VictimSignal when this transaction itself is chosen as victim
-    (its server-side abort is recorded before the raise)."""
-    res = sim.table.acquire(aid, item_id, mode)
-    while not isinstance(res, Granted):
-        if isinstance(res, DeadlockVictim):
+    def record(self, op: Operation) -> None:
+        pass  # lock() records each operator at its grant
+
+    def lock(self, op: Operation):
+        """Acquire op's lock, parking while blocked, and record op at the
+        grant. Breaks each deadlock by aborting its youngest member; raises
+        _VictimSignal when that is this attempt."""
+        sim, table, aid = self.sim, self.sim.table, self.aid
+        mode = LockMode.SHARED if op.kind is OpKind.READ else LockMode.EXCLUSIVE
+        res = table.acquire(aid, op.item_id, mode)
+        while isinstance(res, DeadlockVictim):
             victim = res.txn_id
+            sim.s2pl_end(victim, Outcome.ABORTED, sim.now)
             if victim == aid:
-                sim.history.record_terminal(aid, Outcome.ABORTED, sim.now)
-                sim.wake_granted(sim.table.release_all(aid))
                 raise _VictimSignal()
-            sim.s2pl_server_abort(victim)
-            sim.throw_parked(victim)
-            if sim.table.holds(aid, item_id, mode):
-                return sim.now  # the victim's release granted this request
-            cycle = sim.table.find_cycle(aid)
-            if cycle:
-                res = DeadlockVictim(sim.table.youngest_of(cycle))
-                continue
-        yield ("park", aid)
-        return sim.now
-    return sim.now
+            sim.queue.push(sim.now, (_THROW, sim.parked.pop(victim), _VictimSignal()))
+            if table.holds(aid, op.item_id, mode):
+                res = Granted()  # the victim's release granted this request
+            else:
+                cycle = table.find_cycle(aid)
+                res = DeadlockVictim(table.youngest_of(cycle)) if cycle else None
+        if not isinstance(res, Granted):
+            yield ("park", aid)
+        sim.history.record_op(aid, op, sim.now)
+
+    def commit(self, instant: int) -> Outcome:
+        self.sim.s2pl_end(self.aid, Outcome.COMMITTED, instant)
+        return Outcome.COMMITTED
+
+
+_POLICIES = {"opcot": _Opcot, "occ": _Occ, "s2pl": _S2pl}
 
 
 def run_simulation(cfg: SimConfig) -> RunResult:
@@ -472,7 +461,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         timings.append(run)
         gen = _txn_process(sim, spec, run, master.spawn(1000 + spec.txn_id),
                            offsets[spec.client_id])
-        sim.spawn(gen, submit)
+        sim.queue.push(submit, (_SEND, gen, None))
     sim.run_loop()
 
     committed = sum(1 for t in timings if t.outcome is Outcome.COMMITTED)

@@ -17,6 +17,7 @@ from ccarena import (
     BEGIN,
     COMMIT,
     History,
+    ItemRegistry,
     LogRecord,
     MatrixConfig,
     OccBook,
@@ -34,7 +35,6 @@ from ccarena import (
     occ_validate,
     read,
     rebase_to_server_time,
-    registry_new,
     run_matrix,
     run_simulation,
     write,
@@ -198,7 +198,7 @@ def test_criterion_4_differential_motivating_schedules():
     # schedule A: overlapping writer commits first, reader's read lands after
     log_w, rc_w = _load_fixture("schedule_a_writer.log", writer)
     log_r, rc_r = _load_fixture("schedule_a_reader.log", overlapper)
-    reg = registry_new(1)
+    reg = ItemRegistry(1)
     assert commit_transaction(reg, log_w, rc_w).committed
     decision_a = commit_transaction(reg, log_r, rc_r)
     assert decision_a.committed, "commitment ordering must accept schedule A"
@@ -214,7 +214,7 @@ def test_criterion_4_differential_motivating_schedules():
     log_fw, rc_fw = _load_fixture("schedule_b_first_writer.log", first_writer)
     log_lr, rc_lr = _load_fixture("schedule_b_late_reader.log", writer)
     log_rw, rc_rw = _load_fixture("schedule_b_read_writer.log", overlapper)
-    reg_b = registry_new(1)
+    reg_b = ItemRegistry(1)
     assert commit_transaction(reg_b, log_fw, rc_fw).committed
     assert commit_transaction(reg_b, log_lr, rc_lr).committed
     decision_b = commit_transaction(reg_b, log_rw, rc_rw)

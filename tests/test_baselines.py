@@ -9,8 +9,6 @@ from ccarena import (
     Outcome,
     Queued,
     occ_validate,
-    s2pl_acquire,
-    s2pl_release_all,
 )
 from ccarena.rng import DetRng
 
@@ -27,100 +25,100 @@ def table_with(*txns):
 class TestAcquire:
     def test_free_item_grants_shared(self):
         table = table_with((1, 0))
-        assert s2pl_acquire(table, 1, 0, S) == Granted()
+        assert table.acquire(1, 0, S) == Granted()
 
     def test_conflicting_request_queues(self):
         table = table_with((1, 0), (2, 1))
-        assert s2pl_acquire(table, 1, 0, X) == Granted()
-        assert s2pl_acquire(table, 2, 0, S) == Queued()
+        assert table.acquire(1, 0, X) == Granted()
+        assert table.acquire(2, 0, S) == Queued()
 
     def test_two_party_deadlock_aborts_the_youngest(self):
         # T1 holds X, waits on Y; T2 holds Y, requests X -> cycle {T1, T2},
         # T2 is younger
         table = table_with((1, 0), (2, 5))
-        assert s2pl_acquire(table, 1, 0, X) == Granted()
-        assert s2pl_acquire(table, 2, 1, X) == Granted()
-        assert s2pl_acquire(table, 1, 1, X) == Queued()
-        assert s2pl_acquire(table, 2, 0, X) == DeadlockVictim(2)
+        assert table.acquire(1, 0, X) == Granted()
+        assert table.acquire(2, 1, X) == Granted()
+        assert table.acquire(1, 1, X) == Queued()
+        assert table.acquire(2, 0, X) == DeadlockVictim(2)
 
     def test_shared_locks_coexist(self):
         table = table_with((1, 0), (2, 0), (3, 0))
         for txn in (1, 2, 3):
-            assert s2pl_acquire(table, txn, 0, S) == Granted()
+            assert table.acquire(txn, 0, S) == Granted()
         table.assert_safety()
 
     def test_reacquire_is_idempotent(self):
         table = table_with((1, 0))
-        assert s2pl_acquire(table, 1, 0, X) == Granted()
-        assert s2pl_acquire(table, 1, 0, S) == Granted()
-        assert s2pl_acquire(table, 1, 0, X) == Granted()
+        assert table.acquire(1, 0, X) == Granted()
+        assert table.acquire(1, 0, S) == Granted()
+        assert table.acquire(1, 0, X) == Granted()
 
     def test_sole_holder_upgrades_in_place(self):
         table = table_with((1, 0))
-        assert s2pl_acquire(table, 1, 0, S) == Granted()
-        assert s2pl_acquire(table, 1, 0, X) == Granted()
+        assert table.acquire(1, 0, S) == Granted()
+        assert table.acquire(1, 0, X) == Granted()
         assert table.holds(1, 0, X)
 
     def test_upgrade_with_other_holders_queues(self):
         table = table_with((1, 0), (2, 1))
-        assert s2pl_acquire(table, 1, 0, S) == Granted()
-        assert s2pl_acquire(table, 2, 0, S) == Granted()
-        assert s2pl_acquire(table, 1, 0, X) == Queued()
+        assert table.acquire(1, 0, S) == Granted()
+        assert table.acquire(2, 0, S) == Granted()
+        assert table.acquire(1, 0, X) == Queued()
 
     def test_upgrade_deadlock(self):
         # both shared holders want exclusive: classic upgrade cycle
         table = table_with((1, 0), (2, 3))
-        s2pl_acquire(table, 1, 0, S)
-        s2pl_acquire(table, 2, 0, S)
-        assert s2pl_acquire(table, 1, 0, X) == Queued()
-        assert s2pl_acquire(table, 2, 0, X) == DeadlockVictim(2)
+        table.acquire(1, 0, S)
+        table.acquire(2, 0, S)
+        assert table.acquire(1, 0, X) == Queued()
+        assert table.acquire(2, 0, X) == DeadlockVictim(2)
 
     def test_no_barging_past_a_queue(self):
         table = table_with((1, 0), (2, 1), (3, 2))
-        s2pl_acquire(table, 1, 0, X)
-        s2pl_acquire(table, 2, 0, X)          # queued
-        assert s2pl_acquire(table, 3, 0, S) == Queued()  # S waits behind X
+        table.acquire(1, 0, X)
+        table.acquire(2, 0, X)          # queued
+        assert table.acquire(3, 0, S) == Queued()  # S waits behind X
 
 
 class TestReleaseAll:
     def test_shared_waiters_granted_together(self):
         table = table_with((1, 0), (2, 1), (3, 2))
-        s2pl_acquire(table, 1, 0, X)
-        s2pl_acquire(table, 2, 0, S)
-        s2pl_acquire(table, 3, 0, S)
-        granted = s2pl_release_all(table, 1)
+        table.acquire(1, 0, X)
+        table.acquire(2, 0, S)
+        table.acquire(3, 0, S)
+        granted = table.release_all(1)
         assert granted == [(2, 0, S), (3, 0, S)]
         table.assert_safety()
 
     def test_empty_queue_grants_nothing(self):
         table = table_with((1, 0))
-        s2pl_acquire(table, 1, 0, X)
-        assert s2pl_release_all(table, 1) == []
+        table.acquire(1, 0, X)
+        assert table.release_all(1) == []
 
     def test_fifo_blocks_shared_behind_exclusive(self):
         table = table_with((1, 0), (2, 1), (3, 2))
-        s2pl_acquire(table, 1, 0, X)
-        s2pl_acquire(table, 2, 0, X)
-        s2pl_acquire(table, 3, 0, S)
-        granted = s2pl_release_all(table, 1)
+        table.acquire(1, 0, X)
+        table.acquire(2, 0, X)
+        table.acquire(3, 0, S)
+        granted = table.release_all(1)
         assert granted == [(2, 0, X)]
         assert not table.holds(3, 0, S)
 
     def test_release_unblocks_waiting_upgrade(self):
         table = table_with((1, 0), (2, 1))
-        s2pl_acquire(table, 1, 0, S)
-        s2pl_acquire(table, 2, 0, S)
-        s2pl_acquire(table, 2, 0, X)  # queued upgrade
-        granted = s2pl_release_all(table, 1)
+        table.acquire(1, 0, S)
+        table.acquire(2, 0, S)
+        table.acquire(2, 0, X)  # queued upgrade
+        granted = table.release_all(1)
         assert granted == [(2, 0, X)]
         assert table.holds(2, 0, X)
 
     def test_strictness_until_release(self):
         table = table_with((1, 0), (2, 1))
-        s2pl_acquire(table, 1, 0, X)
-        s2pl_acquire(table, 2, 0, S)
+        table.acquire(1, 0, X)
+        table.acquire(2, 0, S)
         assert not table.holds(2, 0, S)
-        s2pl_release_all(table, 1)
+        table.release_all(1)
         assert table.holds(2, 0, S)
 
 
@@ -137,7 +135,7 @@ class TestLockInvariants:
         for step in range(600):
             if active and rng.random() < 0.25:
                 txn = sorted(active)[rng.randrange(len(active))]
-                s2pl_release_all(table, txn)
+                table.release_all(txn)
                 del active[txn]
                 table.assert_safety()
                 continue
@@ -150,7 +148,7 @@ class TestLockInvariants:
             res = table.acquire(txn, rng.randrange(8), mode)
             while isinstance(res, DeadlockVictim):
                 victim = res.txn_id
-                s2pl_release_all(table, victim)
+                table.release_all(victim)
                 active.pop(victim, None)
                 if victim == txn:
                     break

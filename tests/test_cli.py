@@ -61,6 +61,17 @@ class TestRunCommand:
         cfg.write_text("bogus = 1\n", encoding="utf-8")
         assert run_cli("run", "--config", str(cfg)) == 1
 
+    def test_run_oracle_violation_exits_2_and_dumps(self, tmp_path, monkeypatch):
+        import ccarena.harness as harness
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "verify_run", lambda h, p: "injected failure")
+        out = tmp_path / "row.csv"
+        assert run_cli("run", "--protocol", "occ", "--clients", "2", "--items", "5",
+                       "--txns", "6", "--seed", "4", "--out", str(out)) == 2
+        assert not out.exists()  # no CSV row for a failed run
+        dump = tmp_path / "oracle_violation_occ_items5_txns6_seed4.history"
+        assert dump.read_text(encoding="utf-8") != ""
+
 
 class TestMatrixCommand:
     def test_matrix_end_to_end(self, tmp_path):

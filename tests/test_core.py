@@ -6,6 +6,7 @@ from ccarena import (
     ConfigError,
     History,
     InvalidLogError,
+    ItemRegistry,
     LogRecord,
     Operation,
     OperatorLog,
@@ -16,7 +17,6 @@ from ccarena import (
     log_to_text,
     log_validate,
     read,
-    registry_new,
     write,
 )
 from ccarena.rng import DetRng
@@ -101,7 +101,7 @@ class TestLogText:
 
 class TestRegistry:
     def test_initial_state(self):
-        reg = registry_new(3)
+        reg = ItemRegistry(3)
         assert len(reg) == 3
         for item in range(3):
             state = reg.get(item)
@@ -109,18 +109,18 @@ class TestRegistry:
 
     @pytest.mark.parametrize("n", [1000, 10000])
     def test_table_sizes(self, n):
-        assert len(registry_new(n)) == n
+        assert len(ItemRegistry(n)) == n
 
     def test_zero_items_invalid(self):
         with pytest.raises(ConfigError):
-            registry_new(0)
+            ItemRegistry(0)
 
     def test_unknown_item(self):
         with pytest.raises(UnknownItemError):
-            registry_new(2).get(5)
+            ItemRegistry(2).get(5)
 
     def test_stamps_never_move_backwards(self):
-        reg = registry_new(1)
+        reg = ItemRegistry(1)
         reg.apply_update(0, t_read=10, t_write=20)
         with pytest.raises(ValueError):
             reg.apply_update(0, t_read=5)

@@ -6,6 +6,7 @@ from ccarena import (
     ClockRegressionError,
     History,
     InvalidLogError,
+    ItemRegistry,
     LogRecord,
     OperatorLog,
     Outcome,
@@ -16,7 +17,6 @@ from ccarena import (
     log_from_text,
     read,
     rebase_to_server_time,
-    registry_new,
     validate_commit,
     write,
 )
@@ -108,7 +108,7 @@ class TestRebase:
 
 
 def registry_with(item, t_read=0, t_write=0):
-    reg = registry_new(item + 1)
+    reg = ItemRegistry(item + 1)
     reg.apply_update(item, t_read=t_read, t_write=t_write)
     return reg
 
@@ -169,23 +169,13 @@ class TestValidateCommit:
             log_of("BEGIN - 0\nW 0 0\nR 0 3\nCOMMIT - 2\n"), 80))
         assert dec.committed
         assert dec.updates == [(0, 78, 75)]
-        assert reg.stamps()[0] == (0, 0, b"")
+        assert reg.stamps()[0] == (0, 0)
 
     def test_unknown_item_is_an_error_not_an_abort(self):
-        reg = registry_new(1)
+        reg = ItemRegistry(1)
         with pytest.raises(UnknownItemError):
             validate_commit(reg, rebase_to_server_time(
                 log_of("BEGIN - 0\nR 9 1\nCOMMIT - 1\n"), 10))
-
-    def test_literal_read_stamp_can_regress(self):
-        # with the unconditional assignment the accepted read drags the stamp
-        # down; the max rule keeps it
-        reg = registry_with(0, t_read=60)
-        abs_log = rebase_to_server_time(log_of("BEGIN - 0\nR 0 3\nCOMMIT - 15\n"), 58)
-        literal = validate_commit(reg, abs_log, max_read_stamp=False)
-        assert literal.committed and literal.updates == [(0, 43, 0)]
-        kept = validate_commit(reg, abs_log, max_read_stamp=True)
-        assert kept.committed and kept.updates == [(0, 60, 0)]
 
     def test_why_the_read_stamp_keeps_its_maximum(self):
         # the regressed stamp would admit a write at 50 behind an already
@@ -215,16 +205,14 @@ class TestValidateCommit:
 
 class TestCommitTransaction:
     def test_fresh_registry_commits_anything(self):
-        reg = registry_new(4)
+        reg = ItemRegistry(4)
         dec = commit_transaction(reg, log_of("BEGIN - 0\nR 1 5\nW 2 4\nCOMMIT - 3\n"), 50)
         assert dec.committed
-        assert reg.get(2).value == b"txn:0"
-        assert reg.get(1).value == b""  # reads do not touch values
 
     def test_motivating_schedule_read_write(self):
         # two overlapping transactions; the conflict order matches the commit
         # order, so both commit even though they overlap in time
-        reg = registry_new(1)
+        reg = ItemRegistry(1)
         hist = History()
         d1 = commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nCOMMIT - 2\n", 1), 12, hist)
         d2 = commit_transaction(reg, log_of("BEGIN - 0\nR 0 2\nCOMMIT - 3\n", 2), 14, hist)
@@ -232,7 +220,7 @@ class TestCommitTransaction:
         assert check_commitment_ordering(hist).ok
 
     def test_motivating_schedule_inverted_read_aborts(self):
-        reg = registry_new(1)
+        reg = ItemRegistry(1)
         d1 = commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nCOMMIT - 2\n", 1), 12)
         d2 = commit_transaction(reg, log_of("BEGIN - 0\nR 0 2\nCOMMIT - 3\n", 2), 12)
         assert d1.committed
@@ -240,7 +228,7 @@ class TestCommitTransaction:
         assert d2.abort_record.abs_ts == 9
 
     def test_abort_leaves_registry_bit_identical(self):
-        reg = registry_new(3)
+        reg = ItemRegistry(3)
         commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nW 1 2\nCOMMIT - 2\n", 1), 40)
         before = reg.stamps()
         dec = commit_transaction(reg, log_of("BEGIN - 0\nR 0 1\nW 2 1\nCOMMIT - 1\n", 2), 20)
@@ -249,7 +237,7 @@ class TestCommitTransaction:
         assert reg.stamps() == before
 
     def test_history_events_use_rebased_instants(self):
-        reg = registry_new(1)
+        reg = ItemRegistry(1)
         hist = History()
         commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nCOMMIT - 2\n", 5), 12, hist)
         op_events = [e for e in hist if hasattr(e, "op")]
@@ -259,7 +247,7 @@ class TestCommitTransaction:
 
     def test_registry_stamps_monotone_across_commits(self):
         rng = DetRng(7)
-        reg = registry_new(5)
+        reg = ItemRegistry(5)
         low_water = {i: (0, 0) for i in range(5)}
         receipt = 0
         for txn in range(200):
@@ -271,7 +259,7 @@ class TestCommitTransaction:
             log = OperatorLog(txn, records)
             receipt = max(receipt + 1, log.total_span() + rng.randrange(50))
             commit_transaction(reg, log, receipt)
-            for item, (t_r, t_w, _v) in reg.stamps().items():
+            for item, (t_r, t_w) in reg.stamps().items():
                 old_r, old_w = low_water[item]
                 assert t_r >= old_r and t_w >= old_w
                 low_water[item] = (t_r, t_w)

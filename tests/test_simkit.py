@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -239,3 +240,58 @@ class TestHistoriesPassOracles:
         assert result.aborted > 0
         assert check_commitment_ordering(result.history).ok
         assert is_acyclic(conflict_skeleton(result.history))
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_NOISY = dict(n_items=4, n_txns=40, mean_len=4, retries=2, disconnect_prob=0.3,
+              reconnect_delay_ms=(10, 40), uplink_latency_ms=(1, 8),
+              downlink_latency_ms=(1, 8), arrival_mean_ms=10, seed=2)
+_GOLDEN_SHAPES = {
+    "disconnects": _NOISY,
+    "mid_txn_reads": dict(_NOISY, mid_txn_reads=True),
+    # zero latencies put many events on the same instant, so tie order counts
+    "zero_latency": dict(n_items=3, n_txns=40, mean_len=3, retries=2,
+                         disconnect_prob=0.1, arrival_mean_ms=5, seed=2),
+}
+
+# sha256 prefixes of (history.to_text(), repr(timings)) per (shape, protocol).
+# Every s2pl shape breaks deadlocks with both self- and parked victims. Any
+# change to event order, tie breaking, message or service accounting shows.
+_GOLDEN = {
+    ("disconnects", "opcot"): ("79898b733e5375f9", "d777f5585707e5dd"),
+    ("disconnects", "occ"): ("3eebbb9d2bef7820", "8252c3f722dd7f18"),
+    ("disconnects", "s2pl"): ("54c9cfb76b42f087", "7ebd749e3f61377d"),
+    ("mid_txn_reads", "opcot"): ("6460ee812c911cde", "acf073eea510387a"),
+    ("mid_txn_reads", "occ"): ("f50d4b441c775782", "0e267d77bcb3dbc3"),
+    ("mid_txn_reads", "s2pl"): ("54c9cfb76b42f087", "7ebd749e3f61377d"),
+    ("zero_latency", "opcot"): ("334472d5af73fe01", "2b09cafb99f7951d"),
+    ("zero_latency", "occ"): ("39d6ffe18c7c8575", "e2f990b76fe86f64"),
+    ("zero_latency", "s2pl"): ("617526f6de517266", "4c022fcb8744d37f"),
+}
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("shape,protocol", sorted(_GOLDEN))
+    def test_history_and_timings_digests(self, shape, protocol):
+        result = run_simulation(quiet_cfg(protocol=protocol, **_GOLDEN_SHAPES[shape]))
+        got = (_digest(result.history.to_text()), _digest(repr(result.timings)))
+        assert got == _GOLDEN[shape, protocol]
+
+
+class TestClockSkewInvariance:
+    @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+    def test_skew_never_changes_a_run(self, protocol, monkeypatch):
+        # client clocks only ever yield relative timestamps, so how far they
+        # sit from the server clock cannot matter
+        import ccarena.simkit as simkit
+
+        cfg = quiet_cfg(protocol=protocol, **dict(_NOISY, mid_txn_reads=True))
+        runs = []
+        for skew in (0, 10**6, 10**9):
+            monkeypatch.setattr(simkit, "_CLIENT_CLOCK_SKEW_MS", skew)
+            result = run_simulation(cfg)
+            runs.append((result.history.to_text(), result.timings))
+        assert runs[0] == runs[1] == runs[2]
