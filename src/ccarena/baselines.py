@@ -11,6 +11,7 @@ validator's lifetime wrote an item the validator read.
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 from .core import Outcome
 
@@ -56,7 +57,8 @@ class LockTable:
 
     Transactions never release before their terminal event; release_all drops
     everything at commit/abort and re-grants compatible queue heads. The
-    waits-for graph is derived from the queues: a waiter points at every
+    waits-for graph is never stored: waits_on derives one waiter's out-edges
+    on demand from the queues it sits in. A waiter points at every
     conflicting granted holder and at every conflicting request queued ahead
     of it.
     """
@@ -65,7 +67,6 @@ class LockTable:
         self._items: dict[int, _ItemLocks] = {}
         self._begin: dict[int, int] = {}
         self._presence: dict[int, set[int]] = {}   # txn -> items it is granted/queued on
-        self._contended: set[int] = set()          # items with a nonempty queue
 
     def register_txn(self, txn_id: int, begin_instant: int) -> None:
         self._begin[txn_id] = begin_instant
@@ -107,7 +108,6 @@ class LockTable:
             return Granted()
         locks.queue.append(_Request(txn_id, mode))
         self._note_presence(txn_id, item_id)
-        self._contended.add(item_id)
         cycle = self.find_cycle(txn_id)
         if cycle:
             return DeadlockVictim(self.youngest_of(cycle))
@@ -129,8 +129,6 @@ class LockTable:
             if any(r.txn_id == txn_id for r in locks.queue):
                 locks.queue = [r for r in locks.queue if r.txn_id != txn_id]
             granted.extend((t, item_id, m) for t, m in self._grant_heads(item_id))
-            if not locks.queue:
-                self._contended.discard(item_id)
         return granted
 
     def _grant_heads(self, item_id: int) -> list[tuple[int, LockMode]]:
@@ -149,35 +147,35 @@ class LockTable:
                 locks.granted.setdefault(head.txn_id, LockMode.SHARED)
             locks.queue.pop(0)
             newly.append((head.txn_id, head.mode))
-        if not locks.queue:
-            self._contended.discard(item_id)
         return newly
 
-    def waits_for_edges(self) -> dict[int, set[int]]:
-        """waiter -> the transactions it waits on (holders and queue-ahead)."""
-        edges: dict[int, set[int]] = {}
-        for item_id in self._contended:
+    def waits_on(self, txn_id: int) -> set[int]:
+        """The transactions txn_id waits on: for each request it has queued,
+        the other holders and the other requests ahead of it in that queue
+        whose mode conflicts with its own."""
+        blockers: set[int] = set()
+        for item_id in self._presence.get(txn_id, ()):
             locks = self._items[item_id]
             for pos, req in enumerate(locks.queue):
-                blockers = {t for t, h in locks.granted.items()
-                            if t != req.txn_id and not compatible(h, req.mode)}
-                for ahead in locks.queue[:pos]:
-                    if ahead.txn_id != req.txn_id and not compatible(ahead.mode, req.mode):
-                        blockers.add(ahead.txn_id)
-                if blockers:
-                    edges.setdefault(req.txn_id, set()).update(blockers)
-        return edges
+                if req.txn_id == txn_id:
+                    x = req.mode is LockMode.EXCLUSIVE
+                    blockers.update(t for t, h in locks.granted.items()
+                                    if t != txn_id and (x or h is LockMode.EXCLUSIVE))
+                    blockers.update(r.txn_id for r in islice(locks.queue, pos)
+                                    if r.txn_id != txn_id and (x or r.mode is LockMode.EXCLUSIVE))
+        return blockers
 
     def find_cycle(self, start: int | None = None) -> list[int] | None:
         """Return one waits-for cycle as a transaction list, or None.
 
         When start is given only cycles through it are searched, which is all
-        an acquire can create when the graph was acyclic beforehand.
+        an acquire can create when the graph was acyclic beforehand. Out-edges
+        are derived per visited node, so the cost scales with the waiters
+        reachable from start, not with the whole table.
         """
-        edges = self.waits_for_edges()
-        roots = [start] if start is not None else sorted(edges)
+        roots = [start] if start is not None else sorted(self._presence)
         for root in roots:
-            stack = [(root, iter(sorted(edges.get(root, ()))))]
+            stack = [(root, iter(sorted(self.waits_on(root))))]
             on_path = [root]
             seen = {root}
             while stack:
@@ -190,7 +188,7 @@ class LockTable:
                         continue
                     seen.add(nxt)
                     on_path.append(nxt)
-                    stack.append((nxt, iter(sorted(edges.get(nxt, ())))))
+                    stack.append((nxt, iter(sorted(self.waits_on(nxt)))))
                     advanced = True
                     break
                 if not advanced:

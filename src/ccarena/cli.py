@@ -4,7 +4,8 @@
     ccarena matrix --config matrix.cfg --out results.csv [--gnuplot]
     ccarena check --history dump.history
 
-Exit codes: 0 all runs clean, 1 configuration error, 2 oracle violation.
+Exit codes: 0 all runs clean, 1 configuration error (including an input or
+output path that cannot be read or written as text), 2 oracle violation.
 """
 
 import argparse
@@ -139,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "matrix":
             return _cmd_matrix(args)
         return _cmd_check(args)
-    except (ConfigError, InvalidLogError, FileNotFoundError) as exc:
+    except (ConfigError, InvalidLogError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OracleViolation as exc:

@@ -10,9 +10,53 @@ from ccarena import (
     Queued,
     occ_validate,
 )
+from ccarena.baselines import compatible
 from ccarena.rng import DetRng
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
+
+
+def reference_waits_for_edges(table):
+    """waiter -> the transactions it waits on, rebuilt over every queue.
+
+    The global graph build the lazy search in LockTable replaced, kept as the
+    reference it is compared against.
+    """
+    edges: dict[int, set[int]] = {}
+    for locks in table._items.values():
+        for pos, req in enumerate(locks.queue):
+            blockers = {t for t, h in locks.granted.items()
+                        if t != req.txn_id and not compatible(h, req.mode)}
+            for ahead in locks.queue[:pos]:
+                if ahead.txn_id != req.txn_id and not compatible(ahead.mode, req.mode):
+                    blockers.add(ahead.txn_id)
+            if blockers:
+                edges.setdefault(req.txn_id, set()).update(blockers)
+    return edges
+
+
+def reference_find_cycle(edges, start=None):
+    """The DFS find_cycle ran over a prebuilt edge map."""
+    roots = [start] if start is not None else sorted(edges)
+    for root in roots:
+        stack = [(root, iter(sorted(edges.get(root, ()))))]
+        on_path = [root]
+        seen = {root}
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if nxt == root:
+                    return list(on_path)
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                on_path.append(nxt)
+                stack.append((nxt, iter(sorted(edges.get(nxt, ())))))
+                break
+            else:
+                stack.pop()
+                on_path.pop()
+    return None
 
 
 def table_with(*txns):
@@ -156,6 +200,33 @@ class TestLockInvariants:
                 res = DeadlockVictim(table.youngest_of(cycle)) if cycle else Queued()
             table.assert_safety()
             assert table.find_cycle() is None
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_lazy_search_matches_the_global_graph(self, seed):
+        # random traffic in which blocked transactions issue further requests
+        # (possibly a second one in the same queue) and victims are released
+        # only half of the time, so cycles stay in the table; after every
+        # step the per-waiter edges and every search agree with the reference
+        rng = DetRng(seed)
+        table = LockTable()
+        active: list[int] = []
+        for step in range(400):
+            if active and rng.random() < 0.2:
+                table.release_all(active.pop(rng.randrange(len(active))))
+            else:
+                if not active or rng.random() < 0.3:
+                    table.register_txn(step, rng.randrange(50))
+                    active.append(step)
+                txn = active[rng.randrange(len(active))]
+                res = table.acquire(txn, rng.randrange(6), S if rng.random() < 0.5 else X)
+                if isinstance(res, DeadlockVictim) and rng.random() < 0.5:
+                    table.release_all(res.txn_id)
+                    active.remove(res.txn_id)
+            edges = reference_waits_for_edges(table)
+            for t in range(step + 1):
+                assert table.waits_on(t) == edges.get(t, set())
+                assert table.find_cycle(t) == reference_find_cycle(edges, t)
+            assert table.find_cycle() == reference_find_cycle(edges)
 
 
 class TestOccValidate:

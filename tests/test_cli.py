@@ -1,3 +1,5 @@
+import pytest
+
 from ccarena.cli import main
 from ccarena.harness import CSV_HEADER
 
@@ -136,3 +138,17 @@ class TestCheckCommand:
         path = tmp_path / "bad.history"
         path.write_text("OP nope\n", encoding="utf-8")
         assert run_cli("check", "--history", str(path)) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--history", "{dir}"),
+    ("check", "--history", "{latin1}"),
+    ("run", "--protocol", "occ", "--clients", "2", "--items", "5",
+     "--txns", "5", "--seed", "1", "--out", "{dir}"),
+], ids=["check-directory", "check-non-utf8", "run-out-directory"])
+def test_unreadable_path_exits_1(tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.history"
+    latin1.write_bytes("OP 1 W 0 10 \u00e9\n".encode("latin-1"))
+    paths = {"dir": str(tmp_path), "latin1": str(latin1)}
+    assert run_cli(*(a.format(**paths) for a in argv)) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
