@@ -3,8 +3,8 @@
 Three protocols behind one simulator: commitment-ordering validation over
 relative operator timestamps (clients talk to the server only at begin and
 commit), strict two-phase locking, and classic backward-validation optimistic
-CC. Every run's history is machine-checked for conflict-serializability, and
-commitment-ordering runs additionally for the commit-order property.
+CC. Every run's history is machine-checked for conflict-serializability and
+for the commit-order property, whichever protocol produced it.
 """
 
 from .baselines import (

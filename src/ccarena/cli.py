@@ -6,9 +6,11 @@
 
 Exit codes: 0 all runs clean, 1 configuration error (including an input or
 output path that cannot be read or written as text), 2 oracle violation.
+Output paths are checked before the first simulation runs.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -66,6 +68,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(*paths: str) -> None:
+    """Raise OSError now, before any cell runs, for an output that cannot be
+    opened for writing. An existing file keeps its contents; a probe file
+    made here is removed again."""
+    for path in paths:
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+
+
 def _cmd_run(args) -> int:
     cfg = SimConfig.from_file(args.config) if args.config else SimConfig()
     overrides = {}
@@ -83,6 +96,7 @@ def _cmd_run(args) -> int:
         overrides["retries"] = args.retries
     cfg = replace(cfg, **overrides)
     cfg.validate()
+    _check_writable(*filter(None, (args.out, args.dump_history)))
     result = run_simulation(cfg)
     if args.dump_history:
         with open(args.dump_history, "w", encoding="utf-8") as fh:
@@ -102,6 +116,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_matrix(args) -> int:
     matrix = MatrixConfig.from_file(args.config)
+    _check_writable(args.out, *([args.out + ".dat"] if args.gnuplot else []))
     rows = run_matrix(matrix, workers=max(1, args.workers))
     write_csv(rows, args.out)
     if args.gnuplot:

@@ -1,8 +1,8 @@
 """Experiment harness: metrics, matrix runs, CSV emission, oracle gate.
 
 Every simulation run is checked before its metrics row is emitted: the
-committed history must be conflict-serializable, and commitment-ordering runs
-must additionally satisfy the commit-order property. A violation dumps the
+committed history must be conflict-serializable and must satisfy the
+commit-order property, whichever protocol produced it. A violation dumps the
 offending history to a fixture file and aborts the whole matrix.
 """
 
@@ -93,16 +93,17 @@ def metrics_for_run(result: RunResult) -> RunMetrics:
 def verify_run(history: History, protocol: str) -> str | None:
     """Oracle-in-the-loop check; returns a violation description or None.
 
-    Serializability is required of every protocol; the commit-order property
-    is additionally required of commitment-ordering runs.
+    Every protocol must produce a serializable, commit-ordered history: opcot
+    validates commit order directly, rigorous 2PL holds every lock until
+    commit, and backward-validation OCC installs its writes at commit. The
+    protocol does not change which checks run.
     """
     check = is_acyclic(conflict_skeleton(history))
     if not check:
         return f"serialization graph has a cycle: {check.cycle}"
-    if protocol == "opcot":
-        co = check_commitment_ordering(history)
-        if not co:
-            return f"commitment ordering violated: {co.violation}"
+    co = check_commitment_ordering(history)
+    if not co:
+        return f"commitment ordering violated: {co.violation}"
     return None
 
 

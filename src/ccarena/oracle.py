@@ -5,15 +5,18 @@ conflict when they touch the same item from different transactions and at
 least one is a write; the conflict is directed by operation instants, and by
 commit order when the instants tie (ties are reported for audit).
 
-build_serialization_graph materializes every conflicting pair and is meant
-for small histories; conflict_skeleton builds a reduced edge set that is
-cycle-equivalent (omitted edges are transitively implied through the per-item
-write chain) and scales to large simulation runs. check_commitment_ordering
+build_serialization_graph materializes every conflicting pair, each edge
+labeled with its inducing operations, and is meant for small histories;
+conflict_skeleton builds a reduced edge set that is cycle-equivalent (omitted
+edges are transitively implied through the per-item write chain), carries no
+labels, and scales to large simulation runs. check_commitment_ordering
 streams over per-item scans and is exact at any scale.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import itemgetter
 
 from .core import History, OpEvent, OpKind
 
@@ -34,7 +37,12 @@ class EdgeLabel:
 
 @dataclass
 class SerializationGraph:
-    """Directed graph over committed transactions."""
+    """Directed graph over committed transactions.
+
+    edges maps each (src, dst) pair to the labels of the operation pairs
+    inducing it. Only build_serialization_graph fills the labels; the edges
+    of a conflict_skeleton map to an empty tuple.
+    """
 
     nodes: set[int] = field(default_factory=set)
     edges: dict[tuple[int, int], list[EdgeLabel]] = field(default_factory=dict)
@@ -52,21 +60,26 @@ class SerializationGraph:
         return adj
 
 
+_KIND = (OpKind.READ, OpKind.WRITE)  # indexed by an op's is_write flag
+
+
 def _committed_ops_by_item(history: History,
-                           commits: dict[int, int]) -> dict[int, list[tuple[int, int, int, OpKind]]]:
-    """item -> [(instant, commit_instant, txn, kind)] sorted by (instant, commit)."""
-    per_item: dict[int, list[tuple[int, int, int, OpKind]]] = {}
+                           commits: dict[int, int]) -> dict[int, list[tuple[int, int, int, bool]]]:
+    """item -> [(instant, commit_instant, txn, is_write)] sorted by (instant,
+    commit, txn); the sort is stable, so a transaction's repeated operations
+    on one item at one instant keep their history order."""
+    per_item: defaultdict[int, list[tuple[int, int, int, bool]]] = defaultdict(list)
+    commit_of = commits.get
+    write_kind = OpKind.WRITE
     for ev in history.events:
-        if isinstance(ev, OpEvent) and ev.txn_id in commits:
-            per_item.setdefault(ev.op.item_id, []).append(
-                (ev.instant, commits[ev.txn_id], ev.txn_id, ev.op.kind))
+        c = commit_of(ev.txn_id)
+        if c is not None and type(ev) is OpEvent:
+            op = ev.op
+            per_item[op.item_id].append((ev.instant, c, ev.txn_id, op.kind is write_kind))
+    by_order = itemgetter(0, 1, 2)
     for ops in per_item.values():
-        ops.sort(key=lambda o: (o[0], o[1], o[2]))
+        ops.sort(key=by_order)
     return per_item
-
-
-def _conflicts(kind_a: OpKind, kind_b: OpKind) -> bool:
-    return kind_a is OpKind.WRITE or kind_b is OpKind.WRITE
 
 
 def build_serialization_graph(history: History) -> SerializationGraph:
@@ -82,17 +95,17 @@ def build_serialization_graph(history: History) -> SerializationGraph:
     per_item = _committed_ops_by_item(history, commits)
     for item_id, ops in sorted(per_item.items()):
         for a in range(len(ops)):
-            t_a, c_a, txn_a, kind_a = ops[a]
+            t_a, c_a, txn_a, w_a = ops[a]
             for b in range(a + 1, len(ops)):
-                t_b, c_b, txn_b, kind_b = ops[b]
-                if txn_a == txn_b or not _conflicts(kind_a, kind_b):
+                t_b, c_b, txn_b, w_b = ops[b]
+                if txn_a == txn_b or not (w_a or w_b):
                     continue
                 if t_a == t_b:
                     # tie: direction follows commit order (the sort already
                     # placed the earlier committer first)
                     graph.ties.append((item_id, txn_a, txn_b, t_a))
                 graph.add_edge(txn_a, txn_b,
-                               EdgeLabel(item_id, (kind_a, kind_b), (t_a, t_b)))
+                               EdgeLabel(item_id, (_KIND[w_a], _KIND[w_b]), (t_a, t_b)))
     return graph
 
 
@@ -103,34 +116,27 @@ def conflict_skeleton(history: History) -> SerializationGraph:
     are linked, and each read is linked from the write just before it and to
     the write just after it. Every omitted conflict edge is implied by a path
     through the write chain, so a cycle exists here iff one exists in the full
-    graph.
+    graph. Each (src, dst) pair is recorded once, without labels.
     """
     commits = history.committed()
     graph = SerializationGraph(nodes=set(commits))
-    per_item = _committed_ops_by_item(history, commits)
-    for item_id, ops in sorted(per_item.items()):
-        last_write: tuple[int, int, int, OpKind] | None = None
-        pending_reads: list[tuple[int, int, int, OpKind]] = []
-        for op in ops:
-            t, c, txn, kind = op
-            if kind is OpKind.WRITE:
-                if last_write is not None and last_write[2] != txn:
-                    graph.add_edge(last_write[2], txn,
-                                   EdgeLabel(item_id, (OpKind.WRITE, OpKind.WRITE),
-                                             (last_write[0], t)))
-                for r in pending_reads:
-                    if r[2] != txn:
-                        graph.add_edge(r[2], txn,
-                                       EdgeLabel(item_id, (OpKind.READ, OpKind.WRITE),
-                                                 (r[0], t)))
-                last_write = op
-                pending_reads = []
+    edges = graph.edges
+    for ops in _committed_ops_by_item(history, commits).values():
+        last_writer = None
+        pending_readers: list[int] = []
+        for _, _, txn, is_write in ops:
+            if is_write:
+                if last_writer is not None and last_writer != txn:
+                    edges[last_writer, txn] = ()
+                for reader in pending_readers:
+                    if reader != txn:
+                        edges[reader, txn] = ()
+                last_writer = txn
+                pending_readers = []
             else:
-                if last_write is not None and last_write[2] != txn:
-                    graph.add_edge(last_write[2], txn,
-                                   EdgeLabel(item_id, (OpKind.WRITE, OpKind.READ),
-                                             (last_write[0], t)))
-                pending_reads.append(op)
+                if last_writer is not None and last_writer != txn:
+                    edges[last_writer, txn] = ()
+                pending_readers.append(txn)
     return graph
 
 
@@ -217,33 +223,32 @@ def check_commitment_ordering(history: History) -> CoCheck:
         i = 0
         n = len(ops)
         while i < n:
-            j = i
-            while j < n and ops[j][0] == ops[i][0]:
+            t = ops[i][0]
+            j = i + 1
+            while j < n and ops[j][0] == t:
                 j += 1
             group = ops[i:j]
-            if len(group) > 1:
-                for x in range(len(group)):
-                    for y in range(x + 1, len(group)):
-                        gx, gy = group[x], group[y]
-                        if gx[2] != gy[2] and _conflicts(gx[3], gy[3]):
-                            if gx[1] == gy[1]:
-                                return CoCheck(False,
-                                               violation=(gx[2], gy[2], item_id, (gx[0], gy[0])),
+            if j - i > 1:
+                for x, (_, c_x, txn_x, w_x) in enumerate(group):
+                    for _, c_y, txn_y, w_y in group[x + 1:]:
+                        if txn_x != txn_y and (w_x or w_y):
+                            if c_x == c_y:
+                                return CoCheck(False, violation=(txn_x, txn_y, item_id, (t, t)),
                                                ties=ties)
-                            ties.append((item_id, gx[2], gy[2], gx[0]))
-            for t, c, txn, kind in group:
-                if kind is OpKind.READ:
-                    bound = w1 if (w1 is not None and w1[2] != txn) else w2
-                else:
+                            ties.append((item_id, txn_x, txn_y, t))
+            for _, c, txn, is_write in group:
+                if is_write:
                     bound = a1 if (a1 is not None and a1[2] != txn) else a2
+                else:
+                    bound = w1 if (w1 is not None and w1[2] != txn) else w2
                 if bound is not None and bound[0] >= c:
                     return CoCheck(False,
                                    violation=(bound[2], txn, item_id, (bound[1], t)),
                                    ties=ties)
-            for t, c, txn, kind in group:
+            for _, c, txn, is_write in group:
                 entry = (c, t, txn)
                 a1, a2 = _push_max(a1, a2, entry)
-                if kind is OpKind.WRITE:
+                if is_write:
                     w1, w2 = _push_max(w1, w2, entry)
             i = j
     return CoCheck(True, ties=ties)

@@ -152,3 +152,53 @@ def test_unreadable_path_exits_1(tmp_path, capsys, argv):
     paths = {"dir": str(tmp_path), "latin1": str(latin1)}
     assert run_cli(*(a.format(**paths) for a in argv)) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+MATRIX_CFG = ("protocols = occ\ntxns = 5\nitems = 5\nseeds = 1\n"
+              "n_clients = 2\nmean_len = 3\nsd_len = 1\n")
+RUN_ARGS = ("run", "--protocol", "occ", "--clients", "2", "--items", "5",
+            "--txns", "5", "--seed", "1")
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a cell ran before the output path was checked")
+
+
+class TestOutputCheckedFirst:
+    @pytest.mark.parametrize("gnuplot", [False, True], ids=["csv", "dat"])
+    def test_matrix_unwritable_output_fails_before_any_cell(self, tmp_path, capsys,
+                                                            monkeypatch, gnuplot):
+        import ccarena.cli as cli
+        monkeypatch.setattr(cli, "run_matrix", _no_simulation)
+        cfg = tmp_path / "matrix.cfg"
+        cfg.write_text(MATRIX_CFG, encoding="utf-8")
+        if gnuplot:   # the CSV is writable, its .dat companion is not
+            out = tmp_path / "results.csv"
+            (tmp_path / "results.csv.dat").mkdir()
+            argv = ("matrix", "--config", str(cfg), "--out", str(out), "--gnuplot")
+        else:
+            out = tmp_path
+            argv = ("matrix", "--config", str(cfg), "--out", str(out))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        if gnuplot:
+            assert not out.exists()  # the probe leaves no file behind
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-history"])
+    def test_run_unwritable_output_fails_before_simulating(self, tmp_path, capsys,
+                                                           monkeypatch, flag):
+        import ccarena.cli as cli
+        monkeypatch.setattr(cli, "run_simulation", _no_simulation)
+        assert run_cli(*RUN_ARGS, flag, str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_existing_output_survives_an_oracle_violation(self, tmp_path, monkeypatch):
+        import ccarena.harness as harness
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "verify_run", lambda h, p: "injected failure")
+        cfg = tmp_path / "matrix.cfg"
+        cfg.write_text(MATRIX_CFG, encoding="utf-8")
+        out = tmp_path / "results.csv"
+        out.write_text("earlier results\n", encoding="utf-8")
+        assert run_cli("matrix", "--config", str(cfg), "--out", str(out)) == 2
+        assert out.read_text(encoding="utf-8") == "earlier results\n"

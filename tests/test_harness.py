@@ -11,6 +11,7 @@ from ccarena import (
     compute_waiting_time,
     read,
     run_matrix,
+    run_simulation,
     verify_run,
     write,
 )
@@ -126,13 +127,14 @@ class TestRunMatrix:
 
 class TestOracleGate:
     def test_violating_history_fails_loudly(self, tmp_path, monkeypatch):
-        # verify_run itself: a hand-built commit-order violation under opcot
+        # verify_run itself: a hand-built commit-order violation, acyclic
+        # but rejected under every protocol
         h = History()
         h.record_op(1, write(0), 10)
         h.record_op(2, read(0), 15)
         h.record_terminal(2, Outcome.COMMITTED, 18)
         h.record_terminal(1, Outcome.COMMITTED, 25)
-        assert verify_run(h, "occ") is None          # acyclic, so fine for occ
+        assert "commitment ordering" in verify_run(h, "occ")
         assert "commitment ordering" in verify_run(h, "opcot")
 
         # a cyclic history fails every protocol
@@ -144,6 +146,21 @@ class TestOracleGate:
         cyc.record_terminal(1, Outcome.COMMITTED, 30)
         cyc.record_terminal(2, Outcome.COMMITTED, 31)
         assert "cycle" in verify_run(cyc, "s2pl")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("protocol", ["occ", "s2pl"])
+    def test_baseline_runs_pass_the_whole_gate(self, protocol, seed):
+        # disconnects, retries and real contention; the gate includes the
+        # commit-order check for these protocols too
+        cfg = SimConfig(protocol=protocol, n_clients=6, n_items=6, n_txns=40,
+                        mean_len=4, sd_len=1, disconnect_prob=0.3,
+                        reconnect_delay_ms=(20, 60), uplink_latency_ms=(2, 10),
+                        downlink_latency_ms=(2, 10), arrival_mean_ms=15,
+                        retries=2, seed=seed)
+        result = run_simulation(cfg)
+        assert result.aborted > 0
+        assert sum(t.attempts for t in result.timings) > cfg.n_txns  # retried
+        assert verify_run(result.history, protocol) is None
 
     def test_matrix_aborts_and_dumps_on_violation(self, tmp_path, monkeypatch):
         import ccarena.harness as harness

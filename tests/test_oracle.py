@@ -2,8 +2,11 @@ import pytest
 
 from ccarena import (
     History,
+    OpEvent,
+    OpKind,
     OracleScaleError,
     Outcome,
+    SerializationGraph,
     brute_force_serializable,
     build_serialization_graph,
     check_commitment_ordering,
@@ -12,6 +15,7 @@ from ccarena import (
     read,
     write,
 )
+from ccarena.oracle import CoCheck, EdgeLabel
 from ccarena.rng import DetRng
 
 
@@ -210,3 +214,185 @@ class TestOracleAgreement:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 assert (a, b) in g.edges, f"witness step {a}->{b} is not an edge"
         assert witnessed > 50
+
+
+# --- reference oracle -------------------------------------------------------
+#
+# Plain versions of the per-item scan, full graph, skeleton and commit-order
+# check: OpKind in every tuple, a label on every skeleton edge, a sort key
+# built per operation. They define the results the optimized oracle must
+# reproduce exactly: skeleton edge keys, cycle witness, full-graph labels in
+# order, and the commit-order verdict, violation and ties.
+
+def reference_ops_by_item(history, commits):
+    per_item = {}
+    for ev in history.events:
+        if isinstance(ev, OpEvent) and ev.txn_id in commits:
+            per_item.setdefault(ev.op.item_id, []).append(
+                (ev.instant, commits[ev.txn_id], ev.txn_id, ev.op.kind))
+    for ops in per_item.values():
+        ops.sort(key=lambda o: (o[0], o[1], o[2]))
+    return per_item
+
+
+def reference_conflicts(kind_a, kind_b):
+    return kind_a is OpKind.WRITE or kind_b is OpKind.WRITE
+
+
+def reference_serialization_graph(history):
+    commits = history.committed()
+    graph = SerializationGraph(nodes=set(commits))
+    for item_id, ops in sorted(reference_ops_by_item(history, commits).items()):
+        for a in range(len(ops)):
+            t_a, c_a, txn_a, kind_a = ops[a]
+            for b in range(a + 1, len(ops)):
+                t_b, c_b, txn_b, kind_b = ops[b]
+                if txn_a == txn_b or not reference_conflicts(kind_a, kind_b):
+                    continue
+                if t_a == t_b:
+                    graph.ties.append((item_id, txn_a, txn_b, t_a))
+                graph.add_edge(txn_a, txn_b,
+                               EdgeLabel(item_id, (kind_a, kind_b), (t_a, t_b)))
+    return graph
+
+
+def reference_conflict_skeleton(history):
+    commits = history.committed()
+    graph = SerializationGraph(nodes=set(commits))
+    for item_id, ops in sorted(reference_ops_by_item(history, commits).items()):
+        last_write = None
+        pending_reads = []
+        for op in ops:
+            t, c, txn, kind = op
+            if kind is OpKind.WRITE:
+                if last_write is not None and last_write[2] != txn:
+                    graph.add_edge(last_write[2], txn,
+                                   EdgeLabel(item_id, (OpKind.WRITE, OpKind.WRITE),
+                                             (last_write[0], t)))
+                for r in pending_reads:
+                    if r[2] != txn:
+                        graph.add_edge(r[2], txn,
+                                       EdgeLabel(item_id, (OpKind.READ, OpKind.WRITE),
+                                                 (r[0], t)))
+                last_write = op
+                pending_reads = []
+            else:
+                if last_write is not None and last_write[2] != txn:
+                    graph.add_edge(last_write[2], txn,
+                                   EdgeLabel(item_id, (OpKind.WRITE, OpKind.READ),
+                                             (last_write[0], t)))
+                pending_reads.append(op)
+    return graph
+
+
+def reference_push_max(best, second, entry):
+    if best is None:
+        return entry, None
+    if entry[2] == best[2]:
+        return (entry, second) if entry > best else (best, second)
+    if entry > best:
+        return entry, best
+    if second is None or entry > second:
+        return best, entry
+    return best, second
+
+
+def reference_commitment_ordering(history):
+    commits = history.committed()
+    ties = []
+    for item_id, ops in sorted(reference_ops_by_item(history, commits).items()):
+        w1 = w2 = None
+        a1 = a2 = None
+        i = 0
+        n = len(ops)
+        while i < n:
+            j = i
+            while j < n and ops[j][0] == ops[i][0]:
+                j += 1
+            group = ops[i:j]
+            if len(group) > 1:
+                for x in range(len(group)):
+                    for y in range(x + 1, len(group)):
+                        gx, gy = group[x], group[y]
+                        if gx[2] != gy[2] and reference_conflicts(gx[3], gy[3]):
+                            if gx[1] == gy[1]:
+                                return CoCheck(False,
+                                               violation=(gx[2], gy[2], item_id, (gx[0], gy[0])),
+                                               ties=ties)
+                            ties.append((item_id, gx[2], gy[2], gx[0]))
+            for t, c, txn, kind in group:
+                if kind is OpKind.READ:
+                    bound = w1 if (w1 is not None and w1[2] != txn) else w2
+                else:
+                    bound = a1 if (a1 is not None and a1[2] != txn) else a2
+                if bound is not None and bound[0] >= c:
+                    return CoCheck(False,
+                                   violation=(bound[2], txn, item_id, (bound[1], t)),
+                                   ties=ties)
+            for t, c, txn, kind in group:
+                entry = (c, t, txn)
+                a1, a2 = reference_push_max(a1, a2, entry)
+                if kind is OpKind.WRITE:
+                    w1, w2 = reference_push_max(w1, w2, entry)
+            i = j
+    return CoCheck(True, ties=ties)
+
+
+def tangled_history(rng: DetRng, max_txns=7, max_ops=6, n_items=3) -> History:
+    """Random history crowded onto few instants: operations of different
+    transactions share instants, commit instants repeat across transactions,
+    and a transaction sometimes touches one item twice at one instant."""
+    n_txns = 1 + rng.randrange(max_txns)
+    h = History()
+    for txn in range(1, n_txns + 1):
+        prev = None
+        for _ in range(1 + rng.randrange(max_ops)):
+            if prev is not None and rng.random() < 0.25:
+                item, instant = prev
+            else:
+                item, instant = rng.randrange(n_items), rng.randrange(6)
+            h.record_op(txn, read(item) if rng.random() < 0.5 else write(item), instant)
+            prev = item, instant
+    for txn in range(1, n_txns + 1):
+        outcome = Outcome.COMMITTED if rng.random() < 0.85 else Outcome.ABORTED
+        h.record_terminal(txn, outcome, 10 + rng.randrange(n_txns))
+    return h
+
+
+def _repeats_at_one_instant(h: History) -> bool:
+    commits = h.committed()
+    keys = [(e.txn_id, e.op.item_id, e.instant) for e in h.events
+            if isinstance(e, OpEvent) and e.txn_id in commits]
+    return len(keys) != len(set(keys))
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_lean_oracle_reproduces_the_reference(self, seed):
+        rng = DetRng(seed)
+        seen = dict(cyclic=0, co_tie_violation=0, co_order_violation=0, ties=0, repeats=0)
+        for _ in range(600):
+            h = tangled_history(rng)
+            skeleton, ref_skeleton = conflict_skeleton(h), reference_conflict_skeleton(h)
+            assert skeleton.nodes == ref_skeleton.nodes
+            assert set(skeleton.edges) == set(ref_skeleton.edges)
+            cycle, ref_cycle = is_acyclic(skeleton), is_acyclic(ref_skeleton)
+            assert (cycle.acyclic, cycle.cycle) == (ref_cycle.acyclic, ref_cycle.cycle)
+
+            full, ref_full = build_serialization_graph(h), reference_serialization_graph(h)
+            assert full.nodes == ref_full.nodes
+            assert full.edges == ref_full.edges  # labels, in order
+            assert full.ties == ref_full.ties
+
+            co, ref_co = check_commitment_ordering(h), reference_commitment_ordering(h)
+            assert (co.ok, co.violation, co.ties) == (ref_co.ok, ref_co.violation, ref_co.ties)
+
+            seen["cyclic"] += not cycle.acyclic
+            if not co.ok:
+                a, b, _, (t_a, t_b) = co.violation
+                tied = t_a == t_b and h.committed()[a] == h.committed()[b]
+                seen["co_tie_violation" if tied else "co_order_violation"] += 1
+            seen["ties"] += bool(co.ties)
+            seen["repeats"] += _repeats_at_one_instant(h)
+        # every shape the lean code special-cases must actually occur
+        assert min(seen.values()) >= 20, seen

@@ -213,8 +213,7 @@ class TestHistoriesPassOracles:
         result = run_simulation(cfg)
         assert result.aborted > 0  # contention is real
         assert is_acyclic(conflict_skeleton(result.history))
-        if protocol == "opcot":
-            assert check_commitment_ordering(result.history).ok
+        assert check_commitment_ordering(result.history).ok
 
     @pytest.mark.parametrize("protocol", ["occ", "s2pl", "opcot"])
     def test_retries_produce_unique_attempt_ids(self, protocol):
@@ -228,8 +227,7 @@ class TestHistoriesPassOracles:
         assert len({e.txn_id for e in terminals}) == attempts
         assert result.committed + result.aborted == cfg.n_txns
         assert is_acyclic(conflict_skeleton(result.history))
-        if protocol == "opcot":
-            assert check_commitment_ordering(result.history).ok
+        assert check_commitment_ordering(result.history).ok
 
     def test_mid_txn_reads_keep_histories_commit_ordered(self):
         cfg = quiet_cfg(protocol="opcot", n_items=4, n_txns=60, mid_txn_reads=True,
