@@ -28,11 +28,11 @@ from .harness import (
 from .oracle import (
     BRUTE_FORCE_LIMIT,
     brute_force_serializable,
-    build_serialization_graph,
     check_commitment_ordering,
+    conflict_skeleton,
     is_acyclic,
 )
-from .simkit import PROTOCOLS, SimConfig, run_simulation
+from .simkit import FIELD_TYPES, PROTOCOLS, SimConfig, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -45,13 +45,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute one simulation and emit its CSV row")
-    run_p.add_argument("--protocol", choices=PROTOCOLS)
-    run_p.add_argument("--clients", type=int)
-    run_p.add_argument("--items", type=int)
-    run_p.add_argument("--txns", type=int)
-    run_p.add_argument("--seed", type=int)
+    run_p.add_argument("--protocol", dest="protocol", choices=PROTOCOLS)
+    run_p.add_argument("--clients", dest="n_clients", type=int)
+    run_p.add_argument("--items", dest="n_items", type=int)
+    run_p.add_argument("--txns", dest="n_txns", type=int)
+    run_p.add_argument("--seed", dest="seed", type=int)
     run_p.add_argument("--config", help="flat key=value config file")
-    run_p.add_argument("--retries", type=int)
+    run_p.add_argument("--retries", dest="retries", type=int)
     run_p.add_argument("--out", help="write the CSV here instead of stdout")
     run_p.add_argument("--dump-history", metavar="FILE",
                        help="also write the run's history dump (for `ccarena check`)")
@@ -81,20 +81,8 @@ def _check_writable(*paths: str) -> None:
 
 def _cmd_run(args) -> int:
     cfg = SimConfig.from_file(args.config) if args.config else SimConfig()
-    overrides = {}
-    if args.protocol is not None:
-        overrides["protocol"] = args.protocol
-    if args.clients is not None:
-        overrides["n_clients"] = args.clients
-    if args.items is not None:
-        overrides["n_items"] = args.items
-    if args.txns is not None:
-        overrides["n_txns"] = args.txns
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.retries is not None:
-        overrides["retries"] = args.retries
-    cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **{name: value for name, value in vars(args).items()
+                          if name in FIELD_TYPES and value is not None})
     cfg.validate()
     _check_writable(*filter(None, (args.out, args.dump_history)))
     result = run_simulation(cfg)
@@ -105,19 +93,18 @@ def _cmd_run(args) -> int:
     if violation is not None:
         print(f"oracle violation: {violation} (history dumped to {dump})", file=sys.stderr)
         return EXIT_ORACLE
-    csv_text = rows_to_csv([metrics_for_run(result)])
+    rows = [metrics_for_run(result)]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
+        write_csv(rows, args.out)
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.write(rows_to_csv(rows))
     return EXIT_OK
 
 
 def _cmd_matrix(args) -> int:
     matrix = MatrixConfig.from_file(args.config)
     _check_writable(args.out, *([args.out + ".dat"] if args.gnuplot else []))
-    rows = run_matrix(matrix, workers=max(1, args.workers))
+    rows = run_matrix(matrix, workers=args.workers)
     write_csv(rows, args.out)
     if args.gnuplot:
         write_gnuplot(rows, args.out + ".dat")
@@ -128,7 +115,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_check(args) -> int:
     with open(args.history, encoding="utf-8") as fh:
         history = History.from_text(fh.read())
-    graph = build_serialization_graph(history)
+    graph = conflict_skeleton(history)
     acyclic = is_acyclic(graph)
     co = check_commitment_ordering(history)
     print(f"committed transactions: {len(graph.nodes)}")

@@ -193,9 +193,6 @@ class ItemRegistry:
         except KeyError:
             raise UnknownItemError(item_id) from None
 
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in self._items
-
     def __len__(self) -> int:
         return self.n_items
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 
 from .core import ConfigError, History
 from .oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
-from .simkit import PROTOCOLS, RunResult, SimConfig, TxnTiming, parse_kv_text, run_simulation
+from .simkit import (FIELD_TYPES, PROTOCOLS, RunResult, SimConfig, TxnTiming, parse_kv_text,
+                     parse_value, run_simulation)
 
 CSV_HEADER = ("protocol,seed,n_txns,n_items,committed,aborted,abort_rate,"
               "mean_wait_ms,p95_wait_ms,mean_messages_per_txn")
@@ -131,42 +132,49 @@ class MatrixConfig:
                     for seed in self.seeds:
                         cfg = replace(self.base, protocol=protocol, n_items=n_items,
                                       n_txns=n_txns, seed=seed)
+                        cfg.validate()
                         if self.arrival_window_ms is not None:
                             cfg = replace(cfg, arrival_mean_ms=max(1, round(
                                 self.arrival_window_ms / n_txns)))
-                        cfg.validate()
                         out.append(cfg)
         return out
 
     @classmethod
-    def from_file(cls, path: str) -> "MatrixConfig":
-        with open(path, encoding="utf-8") as fh:
-            mapping = parse_kv_text(fh.read())
-        mx_keys = {"protocols", "txns", "items", "seeds", "arrival_window_ms"}
-        base = SimConfig.from_mapping({k: v for k, v in mapping.items() if k not in mx_keys})
-        mx = cls(base=base)
-        if "protocols" in mapping:
-            mx.protocols = [p.strip().lower() for p in mapping["protocols"].split(",")]
-            for p in mx.protocols:
-                if p not in PROTOCOLS:
-                    raise ConfigError(f"unknown protocol {p!r}")
-        if "txns" in mapping:
-            mx.n_txns_list = [int(v) for v in mapping["txns"].split(",")]
-        if "items" in mapping:
-            mx.n_items_list = [int(v) for v in mapping["items"].split(",")]
-        if "seeds" in mapping:
-            mx.seeds = _parse_seeds(mapping["seeds"])
-        if "arrival_window_ms" in mapping:
-            mx.arrival_window_ms = int(mapping["arrival_window_ms"])
+    def from_mapping(cls, mapping: dict[str, str]) -> "MatrixConfig":
+        """Build a matrix from key=value text; non-matrix keys form the base."""
+        window = "arrival_window_ms"
+        mx = cls(base=SimConfig.from_mapping({key: raw for key, raw in mapping.items()
+                                              if key not in _LIST_KEYS and key != window}))
+        for key, (attr, name) in _LIST_KEYS.items():
+            if key in mapping:
+                setattr(mx, attr, _parse_list(mx.base, key, name, mapping[key]))
+        if window in mapping:
+            mx.arrival_window_ms = parse_value(window, mapping[window], int)
         return mx
 
+    @classmethod
+    def from_file(cls, path: str) -> "MatrixConfig":
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_mapping(parse_kv_text(fh.read()))
 
-def _parse_seeds(text: str) -> list[int]:
-    """Either a comma list (1,2,3) or an inclusive range (1:20)."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+
+# matrix list key -> (MatrixConfig attribute, SimConfig field of each element)
+_LIST_KEYS = {"protocols": ("protocols", "protocol"), "txns": ("n_txns_list", "n_txns"),
+              "items": ("n_items_list", "n_items"), "seeds": ("seeds", "seed")}
+
+
+def _parse_list(base: SimConfig, key: str, name: str, raw: str) -> list:
+    """Comma list of field `name` values, each parsed and checked as the field
+    is; `seeds` also takes an inclusive range `lo:hi`."""
+    kind = FIELD_TYPES[name]
+    if key == "seeds" and ":" in raw:
+        lo, hi = (parse_value(key, part, kind) for part in raw.split(":", 1))
+        values = list(range(lo, hi + 1))
+    else:
+        values = [parse_value(key, part.strip(), kind) for part in raw.split(",")]
+    for value in values:
+        replace(base, **{name: value}).validate()
+    return values
 
 
 def gate_run(result: RunResult) -> tuple[str | None, str | None]:
@@ -195,9 +203,11 @@ def run_matrix(matrix: MatrixConfig, workers: int = 1) -> list[RunMetrics]:
     """Run every cell, gate each run through the oracle, return sorted rows.
 
     Rows are sorted by (protocol, n_items, n_txns, seed) so output does not
-    depend on scheduling. Any oracle violation aborts the matrix.
+    depend on scheduling. Any oracle violation aborts the matrix. The pool
+    gets at most one worker per cell, since it may start all of them at once.
     """
     cells = matrix.cells()
+    workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, cells, chunksize=1))

@@ -5,12 +5,13 @@ conflict when they touch the same item from different transactions and at
 least one is a write; the conflict is directed by operation instants, and by
 commit order when the instants tie (ties are reported for audit).
 
-build_serialization_graph materializes every conflicting pair, each edge
-labeled with its inducing operations, and is meant for small histories;
-conflict_skeleton builds a reduced edge set that is cycle-equivalent (omitted
-edges are transitively implied through the per-item write chain), carries no
-labels, and scales to large simulation runs. check_commitment_ordering
-streams over per-item scans and is exact at any scale.
+build_serialization_graph materializes every conflicting pair with labels; it
+is quadratic per item and is the reference the tests and demo 04 use.
+conflict_skeleton keeps a subset of those edges that is cycle-equivalent
+(omitted edges are implied through the per-item write chain), so its witness
+cycles are real; it carries no labels, scales to large runs, and is what the
+run gate and `ccarena check` decide on. check_commitment_ordering streams
+over per-item scans and is exact at any scale.
 """
 
 from collections import defaultdict

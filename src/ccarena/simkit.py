@@ -80,26 +80,20 @@ class SimConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        for name in ("n_clients", "n_items", "n_txns"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.mean_len < 2:
-            raise ConfigError(f"mean_len must be >= 2, got {self.mean_len}")
-        if self.sd_len < 0:
-            raise ConfigError(f"sd_len must be >= 0, got {self.sd_len}")
+        for name, low in (("n_clients", 1), ("n_items", 1), ("n_txns", 1), ("mean_len", 2),
+                          ("sd_len", 0), ("op_service_ms", 0), ("retries", 0)):
+            value = getattr(self, name)
+            if not low <= value < math.inf:  # also false for nan
+                raise ConfigError(f"{name} must be >= {low} and finite, got {value}")
         for name in ("read_fraction", "disconnect_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if self.op_service_ms < 0:
-            raise ConfigError("op_service_ms must be >= 0")
         for name in ("uplink_latency_ms", "downlink_latency_ms", "reconnect_delay_ms"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise ConfigError(f"{name} must be 0 <= lo <= hi, got ({lo}, {hi})")
         if self.arrival_mean_ms is not None and self.arrival_mean_ms < 0:
             raise ConfigError("arrival_mean_ms must be >= 0")
-        if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
 
     @property
     def arrival_mean(self) -> int:
@@ -109,12 +103,11 @@ class SimConfig:
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SimConfig":
         """Build a config from flat key=value text values; keys match fields."""
-        known = {f.name for f in fields(cls)}
         kwargs = {}
         for key, raw in mapping.items():
-            if key not in known:
+            if key not in FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_field(key, raw)
+            kwargs[key] = parse_value(key, raw, FIELD_TYPES[key])
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -139,30 +132,32 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return mapping
 
 
-_INT_FIELDS = {"n_clients", "n_items", "n_txns", "op_service_ms",
-               "arrival_mean_ms", "retries", "seed"}
-_FLOAT_FIELDS = {"mean_len", "sd_len", "read_fraction", "disconnect_prob"}
-_RANGE_FIELDS = {"uplink_latency_ms", "downlink_latency_ms", "reconnect_delay_ms"}
-_BOOL_FIELDS = {"mid_txn_reads"}
+def _parse_range(raw: str) -> tuple[int, int]:
+    lo, hi = (part.strip() for part in raw.split(","))
+    return (int(lo), int(hi))
 
 
-def _parse_field(key: str, raw: str):
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# One parser per SimConfig field annotation, so a new field of a known type
+# needs no second edit. Text (the protocol name) is case-insensitive.
+_PARSERS = {str: str.lower, int: int, int | None: int, float: float,
+            bool: _parse_bool, tuple[int, int]: _parse_range}
+FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
+
+
+def parse_value(key: str, raw: str, kind):
+    """Parse config text as a value of `kind`, a SimConfig field annotation;
+    a malformed value raises ConfigError naming `key`."""
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _RANGE_FIELDS:
-            lo, hi = (part.strip() for part in raw.split(","))
-            return (int(lo), int(hi))
-        if key in _BOOL_FIELDS:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return raw.lower() if key == "protocol" else raw
+        return _PARSERS[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from None
 

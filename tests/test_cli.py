@@ -1,7 +1,12 @@
-import pytest
+import ast
 
+import pytest
+from test_oracle import random_history, tangled_history
+
+from ccarena import build_serialization_graph, verify_run
 from ccarena.cli import main
 from ccarena.harness import CSV_HEADER
+from ccarena.rng import DetRng
 
 
 def run_cli(*argv):
@@ -91,6 +96,20 @@ class TestMatrixCommand:
         assert len(lines) == 1 + 2 * 2
         assert (tmp_path / "results.csv.dat").exists()
 
+    def test_output_does_not_depend_on_the_worker_count(self, tmp_path):
+        cfg = tmp_path / "matrix.cfg"
+        cfg.write_text("protocols = opcot, occ, s2pl\ntxns = 6, 12\nitems = 5\nseeds = 1:2\n"
+                       "n_clients = 3\nmean_len = 4\nsd_len = 1\ndisconnect_prob = 0.2\n"
+                       "retries = 1\n", encoding="utf-8")
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert run_cli("matrix", "--config", str(cfg), "--out", str(out),
+                           "--workers", workers, "--gnuplot") == 0
+            outputs.append((out.read_bytes(), (tmp_path / f"w{workers}.csv.dat").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") == 1 + 3 * 2 * 2
+
     def test_matrix_missing_file_exits_1(self, tmp_path):
         assert run_cli("matrix", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path / "o.csv")) == 1
@@ -138,6 +157,31 @@ class TestCheckCommand:
         path = tmp_path / "bad.history"
         path.write_text("OP nope\n", encoding="utf-8")
         assert run_cli("check", "--history", str(path)) == 1
+
+    @pytest.mark.parametrize("make", [random_history, tangled_history])
+    def test_verdict_matches_the_gate_and_witnesses_are_real(self, tmp_path, capsys, make):
+        # check decides on the skeleton; its edges are full-graph edges, so a
+        # printed witness must be a cycle of the full graph
+        rng = DetRng(2024)
+        path = tmp_path / "h.history"
+        witnessed = clean = 0
+        for _ in range(150):
+            h = make(rng)
+            path.write_text(h.to_text(), encoding="utf-8")
+            code = run_cli("check", "--history", str(path))
+            out = capsys.readouterr().out
+            assert code == (0 if verify_run(h, "opcot") is None else 2)
+            full = build_serialization_graph(h)
+            line = next(ln for ln in out.splitlines() if ln.startswith("serializable"))
+            if line.endswith("yes"):
+                clean += code == 0
+                continue
+            cycle = ast.literal_eval(line.split("NO, cycle ", 1)[1])
+            assert len(cycle) >= 2
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert (a, b) in full.edges, f"witness step {a}->{b} is not an edge"
+            witnessed += 1
+        assert witnessed >= 20 and clean >= 20
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,3 +246,34 @@ class TestOutputCheckedFirst:
         out.write_text("earlier results\n", encoding="utf-8")
         assert run_cli("matrix", "--config", str(cfg), "--out", str(out)) == 2
         assert out.read_text(encoding="utf-8") == "earlier results\n"
+
+
+# malformed matrix values: each must exit 1 as a config error, never a traceback
+BAD_MATRIX_FILES = {
+    "zero-txns-in-window": "txns = 0\narrival_window_ms = 100\n",
+    "txns-not-a-number": "txns = 10, x\n",
+    "items-empty": "items = \n",
+    "seed-range-not-a-number": "seeds = 1:x\n",
+    "window-not-a-number": "arrival_window_ms = soon\n",
+    "mean-len-nan": "mean_len = nan\n",
+    "sd-len-inf": "sd_len = inf\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_MATRIX_FILES.values(), ids=BAD_MATRIX_FILES.keys())
+def test_bad_matrix_value_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "matrix.cfg"
+    cfg.write_text(MATRIX_CFG.replace("txns = 5\n", "") + text, encoding="utf-8")
+    assert run_cli("matrix", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["mean_len = nan\n", "sd_len = inf\n"])
+def test_bad_run_config_value_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli(*RUN_ARGS, "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err

@@ -1,0 +1,46 @@
+"""Property test of the config parsers: any value text for any key either
+parses or raises ConfigError, never another exception."""
+
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccarena import ConfigError, MatrixConfig, SimConfig
+
+# Short atoms keep every integer small: a `seeds = lo:hi` range is
+# materialized, and the matrix's cells are built from it.
+ATOMS = st.one_of(
+    st.integers(-20, 300).map(str),
+    st.text(alphabet="0123456789-.,:aexyz", max_size=3),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e3", "true", "off", "occ", "S2PL", "x"]),
+)
+VALUES = st.lists(st.tuples(ATOMS, st.sampled_from([",", ", ", ":", " ", "."])),
+                  max_size=3).map(lambda parts: "".join(a + sep for a, sep in parts)[:-1])
+
+SIM_KEYS = [f.name for f in fields(SimConfig)]
+MATRIX_KEYS = ["protocols", "txns", "items", "seeds", "arrival_window_ms"]
+
+
+@pytest.mark.parametrize("key", SIM_KEYS)
+@settings(max_examples=150, deadline=None)
+@given(raw=VALUES)
+def test_sim_config_value_parses_or_is_a_config_error(key, raw):
+    try:
+        cfg = SimConfig.from_mapping({key: raw})
+    except ConfigError:
+        return
+    cfg.validate()
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+@settings(max_examples=150, deadline=None)
+@given(raw=VALUES)
+def test_matrix_value_parses_or_is_a_config_error(key, raw):
+    try:
+        cells = MatrixConfig.from_mapping({key: raw}).cells()
+    except ConfigError:
+        return
+    for cfg in cells:   # an empty range such as `seeds = 2:1` gives no cells
+        cfg.validate()

@@ -104,6 +104,34 @@ class TestRunMatrix:
         mx = tiny_matrix()
         assert rows_to_csv(run_matrix(mx, workers=2)) == rows_to_csv(run_matrix(mx, workers=1))
 
+    def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
+        import ccarena.harness as harness
+        sizes = []
+
+        class InProcessPool:   # records the size asked for; starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        mx = tiny_matrix(protocols=["opcot", "occ"], seeds=[1])
+        assert rows_to_csv(run_matrix(mx, workers=5000)) == rows_to_csv(run_matrix(mx))
+        assert sizes == [2]
+        run_matrix(tiny_matrix(protocols=["occ"], seeds=[1]), workers=5000)
+        assert sizes == [2]   # one cell runs in-process, with no pool
+
+    def test_cells_validate_before_the_window_divides(self):
+        with pytest.raises(ConfigError):
+            tiny_matrix(n_txns_list=[0], arrival_window_ms=1000).cells()
+
     def test_arrival_window_scales_contention(self):
         mx = tiny_matrix(protocols=["opcot"], n_txns_list=[10, 20], seeds=[1],
                          arrival_window_ms=2000)
@@ -196,6 +224,24 @@ class TestMatrixConfigFile:
         assert mx.arrival_window_ms == 4000
         assert mx.base.n_clients == 4
         assert len(mx.cells()) == 2 * 2 * 1 * 3
+
+    def test_list_elements_use_their_field_syntax(self):
+        mx = MatrixConfig.from_mapping({"protocols": "OCC, S2pl", "txns": " 7 ,9",
+                                        "items": "3", "seeds": "4, 2"})
+        assert mx.protocols == ["occ", "s2pl"]
+        assert (mx.n_txns_list, mx.n_items_list, mx.seeds) == ([7, 9], [3], [4, 2])
+
+    @pytest.mark.parametrize("key, raw, message", [
+        ("txns", "10, x", "bad value for txns"),
+        ("items", "", "bad value for items"),
+        ("seeds", "1:x", "bad value for seeds"),
+        ("arrival_window_ms", "soon", "bad value for arrival_window_ms"),
+        ("txns", "5, 0", "n_txns must be >= 1"),
+        ("items", "-3", "n_items must be >= 1"),
+    ])
+    def test_bad_list_values_name_their_key(self, key, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            MatrixConfig.from_mapping({key: raw})
 
     def test_unknown_protocol_rejected(self, tmp_path):
         path = tmp_path / "matrix.cfg"

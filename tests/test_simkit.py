@@ -1,5 +1,6 @@
 import hashlib
 import statistics
+from dataclasses import fields
 
 import pytest
 
@@ -41,6 +42,21 @@ class TestConfig:
             SimConfig(protocol="mvcc").validate()
         with pytest.raises(ConfigError):
             SimConfig(uplink_latency_ms=(5, 2)).validate()
+
+    @pytest.mark.parametrize("key", ["mean_len", "sd_len"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_lengths_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"{key} must be >= .* and finite"):
+            SimConfig.from_mapping({key: raw})
+
+    def test_every_field_parses_its_own_default(self):
+        # the parser comes from the field's annotation, so every field has one
+        for f in fields(SimConfig):
+            if f.default is None:
+                continue
+            raw = ", ".join(map(str, f.default)) if isinstance(f.default, tuple) \
+                else str(f.default)
+            assert SimConfig.from_mapping({f.name: raw}) == SimConfig()
 
     def test_arrival_default_tracks_service_time(self):
         assert SimConfig(op_service_ms=10).arrival_mean == 100
