@@ -33,17 +33,17 @@ class Operation:
 
     kind: OpKind
     item_id: int | None = None
+    # READ or WRITE; derived from kind once, so it takes no part in ==, hash or repr
+    is_data: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind in (OpKind.READ, OpKind.WRITE):
+        is_data = self.kind in (OpKind.READ, OpKind.WRITE)
+        if is_data:
             if self.item_id is None:
                 raise ValueError(f"{self.kind.name} requires an item id")
         elif self.item_id is not None:
             raise ValueError(f"{self.kind.name} carries no item id")
-
-    @property
-    def is_data(self) -> bool:
-        return self.kind in (OpKind.READ, OpKind.WRITE)
+        object.__setattr__(self, "is_data", is_data)
 
     def __str__(self) -> str:
         if self.is_data:
@@ -234,6 +234,9 @@ class TerminalEvent:
     instant: int
 
 
+_DATA_KINDS = {OpKind.READ.value: OpKind.READ, OpKind.WRITE.value: OpKind.WRITE}
+
+
 class History:
     """Global ordered record of operation and commit/abort events.
 
@@ -290,21 +293,27 @@ class History:
     @classmethod
     def from_text(cls, text: str) -> "History":
         hist = cls()
+        shared: dict[tuple[OpKind, int], Operation] = {}  # one Operation per (kind, item)
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             try:
                 if parts[0] == "OP" and len(parts) == 5:
-                    kind = OpKind(parts[2])
-                    if kind not in (OpKind.READ, OpKind.WRITE):
-                        raise ValueError(f"bad op kind {parts[2]!r}")
-                    hist.record_op(int(parts[1]), Operation(kind, int(parts[3])), int(parts[4]))
+                    _, txn_txt, kind_txt, item_txt, instant_txt = parts
+                    kind = _DATA_KINDS.get(kind_txt)
+                    if kind is None:
+                        OpKind(kind_txt)  # names an unknown kind, if that is the fault
+                        raise ValueError(f"bad op kind {kind_txt!r}")
+                    txn_id, item = int(txn_txt), int(item_txt)
+                    op = shared.get((kind, item))
+                    if op is None:
+                        op = shared[kind, item] = Operation(kind, item)
+                    hist.record_op(txn_id, op, int(instant_txt))
                 elif parts[0] == "END" and len(parts) == 4:
                     hist.record_terminal(int(parts[1]), Outcome(parts[2]), int(parts[3]))
                 else:
-                    raise ValueError(f"unrecognized event line {line!r}")
+                    raise ValueError(f"unrecognized event line {raw.strip()!r}")
             except ValueError as exc:
                 raise InvalidLogError(f"history line {lineno}: {exc}") from None
         return hist

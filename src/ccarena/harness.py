@@ -2,8 +2,11 @@
 
 Every simulation run is checked before its metrics row is emitted: the
 committed history must be conflict-serializable and must satisfy the
-commit-order property, whichever protocol produced it. A violation dumps the
-offending history to a fixture file and aborts the whole matrix.
+commit-order property, whichever protocol produced it. The gate decides on the
+commit-order scan, which implies an acyclic conflict graph; it builds the
+conflict skeleton only when the scan fails, to name a cycle if there is one. A
+violation dumps the offending history to a fixture file and aborts the whole
+matrix.
 """
 
 import math
@@ -98,14 +101,20 @@ def verify_run(history: History, protocol: str) -> str | None:
     validates commit order directly, rigorous 2PL holds every lock until
     commit, and backward-validation OCC installs its writes at commit. The
     protocol does not change which checks run.
+
+    The commit-order scan decides. When it passes, every conflict edge points
+    to a strictly later commit, so commit order is a topological order and the
+    graph is acyclic (Raz's commitment-ordering argument). Only a failing run
+    builds the conflict skeleton, to report a cycle ahead of the commit-order
+    violation when there is one.
     """
+    co = check_commitment_ordering(history)
+    if co:
+        return None
     check = is_acyclic(conflict_skeleton(history))
     if not check:
         return f"serialization graph has a cycle: {check.cycle}"
-    co = check_commitment_ordering(history)
-    if not co:
-        return f"commitment ordering violated: {co.violation}"
-    return None
+    return f"commitment ordering violated: {co.violation}"
 
 
 @dataclass
@@ -134,8 +143,8 @@ class MatrixConfig:
                                       n_txns=n_txns, seed=seed)
                         cfg.validate()
                         if self.arrival_window_ms is not None:
-                            cfg = replace(cfg, arrival_mean_ms=max(1, round(
-                                self.arrival_window_ms / n_txns)))
+                            cfg = replace(cfg, arrival_mean_ms=_window_mean(
+                                self.arrival_window_ms, n_txns))
                         out.append(cfg)
         return out
 
@@ -158,6 +167,15 @@ class MatrixConfig:
             return cls.from_mapping(parse_kv_text(fh.read()))
 
 
+def _window_mean(window: int, n_txns: int) -> int:
+    """Arrival mean that spreads n_txns submissions over window ms, >= 1."""
+    try:
+        return max(1, round(window / n_txns))
+    except OverflowError:
+        raise ConfigError(f"arrival_window_ms is too large to spread over "
+                          f"{n_txns} transactions") from None
+
+
 # matrix list key -> (MatrixConfig attribute, SimConfig field of each element)
 _LIST_KEYS = {"protocols": ("protocols", "protocol"), "txns": ("n_txns_list", "n_txns"),
               "items": ("n_items_list", "n_items"), "seeds": ("seeds", "seed")}
@@ -172,6 +190,8 @@ def _parse_list(base: SimConfig, key: str, name: str, raw: str) -> list:
         values = list(range(lo, hi + 1))
     else:
         values = [parse_value(key, part.strip(), kind) for part in raw.split(",")]
+    if not values:
+        raise ConfigError(f"{key} = {raw} lists no values, so the matrix has no cells")
     for value in values:
         replace(base, **{name: value}).validate()
     return values

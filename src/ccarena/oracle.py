@@ -9,9 +9,12 @@ build_serialization_graph materializes every conflicting pair with labels; it
 is quadratic per item and is the reference the tests and demo 04 use.
 conflict_skeleton keeps a subset of those edges that is cycle-equivalent
 (omitted edges are implied through the per-item write chain), so its witness
-cycles are real; it carries no labels, scales to large runs, and is what the
-run gate and `ccarena check` decide on. check_commitment_ordering streams
-over per-item scans and is exact at any scale.
+cycles are real; it carries no labels, scales to large runs, and is what
+`ccarena check` decides acyclicity on. check_commitment_ordering streams over
+per-item scans and is exact at any scale. A history that passes it is
+acyclic: every conflict edge points to a strictly later commit, so commit
+order is a topological order. The run gate therefore decides on this scan
+alone and builds the skeleton only to name a cycle in a failing run.
 """
 
 from collections import defaultdict

@@ -179,15 +179,21 @@ def gen_workload(cfg: SimConfig, rng: DetRng) -> list[TxnSpec]:
     """Draw n_txns specs: lengths are floor(Normal(mean_len, sd_len)) clamped
     to >= 2, items uniform over the table, and read ops spread evenly through
     the list so the read/write counts match read_fraction as closely as the
-    length allows."""
+    length allows. Equal (kind, item) operators share one Operation."""
     specs = []
+    shared: dict[tuple[bool, int], Operation] = {}
+    reads: list[bool] = []  # whether position k reads; a function of k alone
     for txn_id in range(cfg.n_txns):
         n_ops = max(2, math.floor(rng.normal(cfg.mean_len, cfg.sd_len)))
+        for k in range(len(reads), n_ops):
+            reads.append(math.floor((k + 1) * cfg.read_fraction) > math.floor(k * cfg.read_fraction))
         ops: list[Operation] = [core.BEGIN]
-        for k in range(n_ops):
-            is_read = math.floor((k + 1) * cfg.read_fraction) > math.floor(k * cfg.read_fraction)
+        for is_read in reads[:n_ops]:
             item = rng.randrange(cfg.n_items)
-            ops.append(core.read(item) if is_read else core.write(item))
+            op = shared.get((is_read, item))
+            if op is None:
+                op = shared[is_read, item] = core.read(item) if is_read else core.write(item)
+            ops.append(op)
         ops.append(core.COMMIT)
         specs.append(TxnSpec(txn_id, txn_id % cfg.n_clients, ops))
     return specs

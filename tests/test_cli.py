@@ -257,6 +257,8 @@ BAD_MATRIX_FILES = {
     "window-not-a-number": "arrival_window_ms = soon\n",
     "mean-len-nan": "mean_len = nan\n",
     "sd-len-inf": "sd_len = inf\n",
+    "window-too-large": "arrival_window_ms = " + "9" * 311 + "\n",
+    "seed-range-empty": "seeds = 5:1\n",
 }
 
 

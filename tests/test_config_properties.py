@@ -42,5 +42,6 @@ def test_matrix_value_parses_or_is_a_config_error(key, raw):
         cells = MatrixConfig.from_mapping({key: raw}).cells()
     except ConfigError:
         return
-    for cfg in cells:   # an empty range such as `seeds = 2:1` gives no cells
+    assert cells        # an empty range such as `seeds = 2:1` is a config error
+    for cfg in cells:
         cfg.validate()

@@ -39,6 +39,18 @@ class TestOperation:
         with pytest.raises(ValueError):
             Operation(OpKind.COMMIT, 3)
 
+    @pytest.mark.parametrize("kind, item", [(OpKind.BEGIN, None), (OpKind.READ, 3),
+                                            (OpKind.WRITE, 3), (OpKind.COMMIT, None)])
+    def test_stored_is_data_is_the_kind_test(self, kind, item):
+        op = Operation(kind, item)
+        assert op.is_data is (kind in (OpKind.READ, OpKind.WRITE))
+        fresh = Operation(kind, item)
+        assert op == fresh and hash(op) == hash(fresh)
+        assert repr(op) == f"Operation(kind={kind!r}, item_id={item!r})" == repr(fresh)
+        assert str(op) == str(fresh) == (f"{kind.value}({item})" if op.is_data else kind.value)
+        if item is not None:
+            assert op != Operation(kind, item + 1)
+
     def test_negative_rel_ts_rejected(self):
         with pytest.raises(ValueError):
             LogRecord(read(1), -1)
@@ -144,6 +156,31 @@ class TestHistory:
         with pytest.raises(ValueError):
             hist.record_op(1, BEGIN, 0)
 
+    def test_parse_shares_one_operation_per_kind_and_item(self):
+        hist = History.from_text("OP 1 R 4 5\nOP 2 R 4 6\nOP 2 W 4 7\nOP 3 R 04 8\n")
+        ops = [ev.op for ev in hist.events]
+        assert ops[0] is ops[1] is ops[3] and ops[2] is not ops[0]
+        assert ops == [read(4), read(4), write(4), read(4)]
+
+    @pytest.mark.parametrize("text", [
+        "OP 1 R 4 5\nEND 1 COMMITTED 9\n  # note\n\n\tOP 2 W 4 6 \nEND 2 ABORTED 12\n",
+        "OP 1 X 4 5\n", "OP 1 BEGIN 4 5\n", "OP 1 COMMIT - 5\n", "OP x R 4 5\n",
+        "OP 1 R y 5\n", "OP 1 R 4 z\n", "OP x R y z\n", "OP 1 BEGIN y 5\n",
+        "OP 1 R 4\n", "OP 1 R 4 5 6\n", "  END  1 LOST 9 \n", "END 1 COMMITTED\n",
+        "NOPE 1 2\n", "OP 1 R 4 5\nEND 1 COMMITTED 9\nOP 1 W 4 10\n",
+        "END 1 COMMITTED 9\nEND 1 ABORTED 10\n", "#OP 1 R 4 5\n", "O P 1 R 4 5\n",
+    ])
+    def test_parse_matches_the_reference_parser(self, text):
+        try:
+            expected = reference_history_from_text(text).to_text()
+        except InvalidLogError as exc:
+            expected = f"InvalidLogError: {exc}"
+        try:
+            got = History.from_text(text).to_text()
+        except InvalidLogError as exc:
+            got = f"InvalidLogError: {exc}"
+        assert got == expected
+
     def test_text_round_trip(self):
         hist = History()
         hist.record_op(1, read(4), 5)
@@ -154,3 +191,26 @@ class TestHistory:
         again = History.from_text(text)
         assert again.to_text() == text
         assert again.committed() == {1: 9}
+
+
+def reference_history_from_text(text: str) -> History:
+    """The plain parser: strip, split, an OpKind and a new Operation per line."""
+    hist = History()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "OP" and len(parts) == 5:
+                kind = OpKind(parts[2])
+                if kind not in (OpKind.READ, OpKind.WRITE):
+                    raise ValueError(f"bad op kind {parts[2]!r}")
+                hist.record_op(int(parts[1]), Operation(kind, int(parts[3])), int(parts[4]))
+            elif parts[0] == "END" and len(parts) == 4:
+                hist.record_terminal(int(parts[1]), Outcome(parts[2]), int(parts[3]))
+            else:
+                raise ValueError(f"unrecognized event line {line!r}")
+        except ValueError as exc:
+            raise InvalidLogError(f"history line {lineno}: {exc}") from None
+    return hist

@@ -1,4 +1,5 @@
 import pytest
+from test_oracle import random_history, tangled_history
 
 from ccarena import (
     ConfigError,
@@ -22,7 +23,20 @@ from ccarena.harness import (
     rows_to_gnuplot,
     _run_cell,
 )
+from ccarena.oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
+from ccarena.rng import DetRng
 from ccarena.simkit import TxnTiming
+
+
+def reference_verify_run(history, protocol):
+    """The two-check gate: cycle search on the skeleton, then commit order."""
+    check = is_acyclic(conflict_skeleton(history))
+    if not check:
+        return f"serialization graph has a cycle: {check.cycle}"
+    co = check_commitment_ordering(history)
+    if not co:
+        return f"commitment ordering violated: {co.violation}"
+    return None
 
 
 class TestAbortRate:
@@ -132,6 +146,11 @@ class TestRunMatrix:
         with pytest.raises(ConfigError):
             tiny_matrix(n_txns_list=[0], arrival_window_ms=1000).cells()
 
+    def test_a_window_too_large_to_divide_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="arrival_window_ms is too large"):
+            tiny_matrix(arrival_window_ms=10 ** 310).cells()
+        assert tiny_matrix(arrival_window_ms=10 ** 300).cells()  # still fits a float
+
     def test_arrival_window_scales_contention(self):
         mx = tiny_matrix(protocols=["opcot"], n_txns_list=[10, 20], seeds=[1],
                          arrival_window_ms=2000)
@@ -190,6 +209,28 @@ class TestOracleGate:
         assert sum(t.attempts for t in result.timings) > cfg.n_txns  # retried
         assert verify_run(result.history, protocol) is None
 
+    @pytest.mark.parametrize("make, seed", [(tangled_history, 21), (tangled_history, 22),
+                                            (random_history, 23), (random_history, 24)])
+    def test_gate_reports_what_the_two_check_gate_reports(self, make, seed):
+        rng = DetRng(seed)
+        seen = dict(clean=0, cycle=0, commit_order=0)
+        for _ in range(500):
+            h = make(rng)
+            got = verify_run(h, "opcot")
+            assert got == reference_verify_run(h, "opcot")
+            seen["clean" if got is None else "cycle" if "cycle" in got else "commit_order"] += 1
+        assert min(seen.values()) >= 20, seen  # every branch of the gate is exercised
+
+    def test_clean_runs_build_no_skeleton(self, monkeypatch):
+        import ccarena.harness as harness
+
+        def no_skeleton(history):
+            raise AssertionError("a passing commit-order scan needs no skeleton")
+
+        monkeypatch.setattr(harness, "conflict_skeleton", no_skeleton)
+        result = run_simulation(SimConfig(n_txns=60, n_items=20, mean_len=5, sd_len=2))
+        assert verify_run(result.history, "opcot") is None
+
     def test_matrix_aborts_and_dumps_on_violation(self, tmp_path, monkeypatch):
         import ccarena.harness as harness
         monkeypatch.chdir(tmp_path)
@@ -238,6 +279,7 @@ class TestMatrixConfigFile:
         ("arrival_window_ms", "soon", "bad value for arrival_window_ms"),
         ("txns", "5, 0", "n_txns must be >= 1"),
         ("items", "-3", "n_items must be >= 1"),
+        ("seeds", "5:1", "seeds = 5:1 lists no values"),
     ])
     def test_bad_list_values_name_their_key(self, key, raw, message):
         with pytest.raises(ConfigError, match=message):

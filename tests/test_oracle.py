@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccarena import (
     History,
@@ -15,7 +17,7 @@ from ccarena import (
     read,
     write,
 )
-from ccarena.oracle import CoCheck, EdgeLabel
+from ccarena.oracle import BRUTE_FORCE_LIMIT, CoCheck, EdgeLabel
 from ccarena.rng import DetRng
 
 
@@ -396,3 +398,21 @@ class TestReferenceEquivalence:
             seen["repeats"] += _repeats_at_one_instant(h)
         # every shape the lean code special-cases must actually occur
         assert min(seen.values()) >= 20, seen
+
+
+class TestCommitOrderDecides:
+    """The run gate decides on the commit-order scan alone. That is sound only
+    if a passing scan implies an acyclic skeleton, which in turn implies a
+    serializable history."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), max_txns=st.integers(2, BRUTE_FORCE_LIMIT),
+           max_ops=st.integers(1, 6), n_items=st.integers(1, 3))
+    def test_commit_order_implies_acyclic_implies_serializable(self, seed, max_txns,
+                                                               max_ops, n_items):
+        h = tangled_history(DetRng(seed), max_txns=max_txns, max_ops=max_ops, n_items=n_items)
+        acyclic = bool(is_acyclic(conflict_skeleton(h)))
+        if check_commitment_ordering(h):
+            assert acyclic
+        if acyclic:
+            assert brute_force_serializable(h)

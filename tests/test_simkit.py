@@ -1,4 +1,5 @@
 import hashlib
+import math
 import statistics
 from dataclasses import fields
 
@@ -107,6 +108,25 @@ class TestWorkload:
             reads = sum(1 for op in spec.data_ops if op.kind is OpKind.READ)
             writes = len(spec.data_ops) - reads
             assert abs(reads - writes) <= 1
+
+    def test_equal_operators_are_one_object_per_call(self):
+        cfg = quiet_cfg(n_txns=300, mean_len=8, sd_len=4, n_items=5)
+        first, again = (gen_workload(cfg, DetRng(3).spawn(1)) for _ in range(2))
+        seen = {}
+        for spec in first:
+            for op in spec.data_ops:
+                assert seen.setdefault((op.kind, op.item_id), op) is op
+        assert len(seen) == 10  # every (kind, item) pair occurs
+        assert all(op is not seen[op.kind, op.item_id]  # not a module-level cache
+                   for spec in again for op in spec.data_ops)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 2 / 3, 1.0])
+    def test_read_positions_follow_the_fraction(self, fraction):
+        cfg = quiet_cfg(n_txns=200, mean_len=9, sd_len=6, read_fraction=fraction)
+        for spec in gen_workload(cfg, DetRng(4).spawn(1)):
+            for k, op in enumerate(spec.data_ops):
+                is_read = math.floor((k + 1) * fraction) > math.floor(k * fraction)
+                assert (op.kind is OpKind.READ) is is_read
 
     def test_shape_and_min_length(self):
         cfg = quiet_cfg(n_txns=500, mean_len=2, sd_len=3)
