@@ -36,9 +36,9 @@ assert log_a.records == log_b.records
 print("-> identical logs: relative timestamps erase clock skew\n")
 
 receipt = 5_000  # the server clock when the commit request arrives
-abs_log = rebase_to_server_time(log_a, receipt)
+instants = rebase_to_server_time(log_a, receipt)
 print(f"rebased against server receipt instant {receipt}:")
-for rec in abs_log.records:
-    print(f"  {str(rec.op):<8} at server time {rec.abs_ts}")
+for rec, instant in zip(log_a.records, instants):
+    print(f"  {str(rec.op):<8} at server time {instant}")
 print("\nthe last record sits at the receipt instant and every gap equals")
 print("the relative timestamp the client recorded.")

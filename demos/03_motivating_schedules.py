@@ -19,7 +19,8 @@ print("and the reader's read happens after the writer's write\n")
 log_writer = log_from_text("BEGIN - 0\nW 0 2\nCOMMIT - 2\n", WRITER)
 log_reader = log_from_text("BEGIN - 0\nR 0 2\nCOMMIT - 3\n", OVERLAPPER)
 for name, log, receipt in (("writer", log_writer, 12), ("reader", log_reader, 14)):
-    instants = [(str(r.op), r.abs_ts) for r in rebase_to_server_time(log, receipt).records]
+    instants = [(str(r.op), t)
+                for r, t in zip(log.records, rebase_to_server_time(log, receipt))]
     print(f"  {name} rebased: {instants}")
 
 reg = ItemRegistry(1)

@@ -13,19 +13,15 @@ from .baselines import (
     LockMode,
     LockTable,
     OccBook,
-    Queued,
     occ_validate,
 )
 from .core import (
     BEGIN,
     COMMIT,
-    AbsoluteLog,
-    AbsRecord,
     ConfigError,
     History,
     InvalidLogError,
     ItemRegistry,
-    ItemState,
     LogRecord,
     Operation,
     OperatorLog,
@@ -70,10 +66,8 @@ from .oracle import (
     is_acyclic,
 )
 from .simkit import (
-    EventQueue,
     RunResult,
     SimConfig,
-    TxnSpec,
     TxnTiming,
     gen_workload,
     run_simulation,

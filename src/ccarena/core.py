@@ -148,22 +148,6 @@ def log_from_text(text: str, txn_id: int = 0) -> OperatorLog:
     return OperatorLog(txn_id, records)
 
 
-@dataclass(frozen=True)
-class AbsRecord:
-    """An operator anchored at a server-clock instant."""
-
-    op: Operation
-    abs_ts: int
-
-
-@dataclass
-class AbsoluteLog:
-    """An operator log rebased to server time; abs_ts is nondecreasing."""
-
-    txn_id: int
-    records: list[AbsRecord] = field(default_factory=list)
-
-
 @dataclass
 class ItemState:
     """Server-side state of one item: the instants of the latest committed

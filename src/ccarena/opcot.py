@@ -12,8 +12,6 @@ unsynchronized client clocks never matter.
 from dataclasses import dataclass, field
 
 from .core import (
-    AbsoluteLog,
-    AbsRecord,
     History,
     InvalidLogError,
     ItemRegistry,
@@ -57,16 +55,15 @@ def client_record_op(log: OperatorLog, op: Operation, now: int,
     return log, now
 
 
-def rebase_to_server_time(log: OperatorLog, receipt: int) -> AbsoluteLog:
+def rebase_to_server_time(log: OperatorLog, receipt: int) -> list[int]:
     """Convert a relative-timestamp log to server-clock instants.
 
-    The last record is anchored at the receipt instant; every earlier record
-    sits rel_ts earlier than its successor:
+    Returns one instant per record of log.records, in the same order. The
+    last record is anchored at the receipt instant; every earlier record sits
+    rel_ts earlier than its successor:
 
         abs[last] = receipt
         abs[k]    = abs[k+1] - rel[k+1]
-
-    Operation kinds and order are preserved.
     """
     violation = log_validate(log)
     if violation is not None:
@@ -76,12 +73,11 @@ def rebase_to_server_time(log: OperatorLog, receipt: int) -> AbsoluteLog:
         raise RebaseUnderflowError(
             f"receipt {receipt} precedes the log's relative span {span}")
     n = len(log.records)
-    abs_ts = [0] * n
-    abs_ts[-1] = receipt
+    instants = [0] * n
+    instants[-1] = receipt
     for k in range(n - 2, -1, -1):
-        abs_ts[k] = abs_ts[k + 1] - log.records[k + 1].rel_ts
-    return AbsoluteLog(log.txn_id,
-                       [AbsRecord(rec.op, t) for rec, t in zip(log.records, abs_ts)])
+        instants[k] = instants[k + 1] - log.records[k + 1].rel_ts
+    return instants
 
 
 @dataclass
@@ -89,14 +85,14 @@ class CommitDecision:
     """Outcome of commit validation.
 
     Committed decisions carry the staged registry updates, one per item the
-    log touched. Aborted decisions carry the first violating record and no
-    updates (rollback = no effect).
+    log touched. Aborted decisions carry no updates (rollback = no effect);
+    abort_index is the first violating record, an index into both the log's
+    records and its rebased instants.
     """
 
     outcome: Outcome
     updates: list[tuple[int, int, int]] = field(default_factory=list)  # (item, t_read, t_write)
     abort_index: int | None = None
-    abort_record: AbsRecord | None = None
     reason: str | None = None
 
     @property
@@ -104,8 +100,9 @@ class CommitDecision:
         return self.outcome is Outcome.COMMITTED
 
 
-def validate_commit(registry: ItemRegistry, abs_log: AbsoluteLog) -> CommitDecision:
-    """Scan a rebased log against the registry's read/write stamps.
+def validate_commit(registry: ItemRegistry, log: OperatorLog,
+                    instants: list[int]) -> CommitDecision:
+    """Scan a log at its rebased instants against the registry's stamps.
 
     Read(X)@t aborts when t < X.t_write; otherwise it stages
     X.t_read = max(X.t_read, t). Write(X)@t aborts when t < X.t_write or
@@ -121,15 +118,14 @@ def validate_commit(registry: ItemRegistry, abs_log: AbsoluteLog) -> CommitDecis
             staged[item_id] = [state.t_read, state.t_write]
         return staged[item_id]
 
-    for index, rec in enumerate(abs_log.records):
+    for index, (rec, t) in enumerate(zip(log.records, instants)):
         if not rec.op.is_data:
             continue
         pair = stamps_for(rec.op.item_id)
-        t = rec.abs_ts
         if rec.op.kind is OpKind.READ:
             if t < pair[1]:
                 return CommitDecision(
-                    Outcome.ABORTED, abort_index=index, abort_record=rec,
+                    Outcome.ABORTED, abort_index=index,
                     reason=f"read of item {rec.op.item_id} at {t} precedes last write {pair[1]}")
             pair[0] = max(pair[0], t)
         else:
@@ -137,7 +133,7 @@ def validate_commit(registry: ItemRegistry, abs_log: AbsoluteLog) -> CommitDecis
                 bound = "write" if t < pair[1] else "read"
                 last = pair[1] if t < pair[1] else pair[0]
                 return CommitDecision(
-                    Outcome.ABORTED, abort_index=index, abort_record=rec,
+                    Outcome.ABORTED, abort_index=index,
                     reason=f"write of item {rec.op.item_id} at {t} precedes last {bound} {last}")
             pair[1] = max(pair[1], t)
     updates = [(item, pair[0], pair[1]) for item, pair in sorted(staged.items())]
@@ -153,14 +149,14 @@ def commit_transaction(registry: ItemRegistry, log: OperatorLog, receipt: int,
     history is given, the log's data operators are recorded at their rebased
     instants and the terminal event at the receipt instant.
     """
-    abs_log = rebase_to_server_time(log, receipt)
-    decision = validate_commit(registry, abs_log)
+    instants = rebase_to_server_time(log, receipt)
+    decision = validate_commit(registry, log, instants)
     if decision.committed:
         for item, t_read, t_write in decision.updates:
             registry.apply_update(item, t_read=t_read, t_write=t_write)
     if history is not None:
-        for rec in abs_log.records:
+        for rec, t in zip(log.records, instants):
             if rec.op.is_data:
-                history.record_op(log.txn_id, rec.op, rec.abs_ts)
+                history.record_op(log.txn_id, rec.op, t)
         history.record_terminal(log.txn_id, decision.outcome, receipt)
     return decision

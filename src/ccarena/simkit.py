@@ -54,6 +54,8 @@ from .rng import DetRng
 PROTOCOLS = ("opcot", "occ", "s2pl")
 
 _CLIENT_CLOCK_SKEW_MS = 1_000_000  # client clocks sit anywhere within +/- this
+# upper bound on mean_len and sd_len; a larger one draws lengths no run can finish
+MAX_TXN_LEN = 10_000
 
 
 @dataclass
@@ -85,6 +87,10 @@ class SimConfig:
             value = getattr(self, name)
             if not low <= value < math.inf:  # also false for nan
                 raise ConfigError(f"{name} must be >= {low} and finite, got {value}")
+        for name in ("mean_len", "sd_len"):
+            value = getattr(self, name)
+            if value > MAX_TXN_LEN:
+                raise ConfigError(f"{name} must be at most {MAX_TXN_LEN}, got {value}")
         for name in ("read_fraction", "disconnect_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")

@@ -170,20 +170,19 @@ def _load_fixture(name: str, txn_id: int):
 
 
 def _occ_replay(schedule):
-    """Drive an OccBook with (txn, abs_log) pairs ordered by receipt."""
+    """Drive an OccBook with (log, receipt) pairs ordered by receipt."""
     book = OccBook()
     outcomes = {}
     events = []
-    for txn_id, abs_log in schedule:
-        begin = abs_log.records[0].abs_ts
-        receipt = abs_log.records[-1].abs_ts
-        events.append(("begin", begin, txn_id, abs_log))
-        events.append(("commit", receipt, txn_id, abs_log))
+    for log, receipt in schedule:
+        begin = rebase_to_server_time(log, receipt)[0]
+        events.append(("begin", begin, log.txn_id, log))
+        events.append(("commit", receipt, log.txn_id, log))
     events.sort(key=lambda e: (e[1], e[0] == "commit"))
-    for kind, instant, txn_id, abs_log in events:
+    for kind, instant, txn_id, log in events:
         if kind == "begin":
             book.begin(txn_id, instant)
-            for rec in abs_log.records:
+            for rec in log.records:
                 if rec.op.kind is OpKind.READ:
                     book.note_read(txn_id, rec.op.item_id)
                 elif rec.op.kind is OpKind.WRITE:
@@ -203,8 +202,7 @@ def test_criterion_4_differential_motivating_schedules():
     decision_a = commit_transaction(reg, log_r, rc_r)
     assert decision_a.committed, "commitment ordering must accept schedule A"
 
-    occ_a = _occ_replay([(writer, rebase_to_server_time(log_w, rc_w)),
-                         (overlapper, rebase_to_server_time(log_r, rc_r))])
+    occ_a = _occ_replay([(log_w, rc_w), (log_r, rc_r)])
     assert occ_a[writer] is Outcome.COMMITTED
     assert occ_a[overlapper] is Outcome.ABORTED, \
         "backward validation must reject schedule A"
@@ -220,9 +218,7 @@ def test_criterion_4_differential_motivating_schedules():
     decision_b = commit_transaction(reg_b, log_rw, rc_rw)
     assert decision_b.committed, "commitment ordering must accept schedule B"
 
-    occ_b = _occ_replay([(first_writer, rebase_to_server_time(log_fw, rc_fw)),
-                         (writer, rebase_to_server_time(log_lr, rc_lr)),
-                         (overlapper, rebase_to_server_time(log_rw, rc_rw))])
+    occ_b = _occ_replay([(log_fw, rc_fw), (log_lr, rc_lr), (log_rw, rc_rw)])
     assert occ_b[first_writer] is Outcome.COMMITTED
     assert occ_b[writer] is Outcome.COMMITTED
     assert occ_b[overlapper] is Outcome.ABORTED, \
@@ -289,11 +285,10 @@ def test_criterion_9_rebase_recurrence_property():
         records.append(LogRecord(COMMIT, rng.randrange(2000)))
         log = OperatorLog(0, records)
         receipt = log.total_span() + rng.randrange(100_000)
-        abs_log = rebase_to_server_time(log, receipt)
-        assert abs_log.records[-1].abs_ts == receipt
+        instants = rebase_to_server_time(log, receipt)
+        assert instants[-1] == receipt
         for k in range(1, len(records)):
-            assert (abs_log.records[k].abs_ts - abs_log.records[k - 1].abs_ts
-                    ) == records[k].rel_ts
+            assert instants[k] - instants[k - 1] == records[k].rel_ts
     report(9, "10,000 random logs: rebased gaps reproduce the relative "
               "timestamps, final instant equals the receipt")
 

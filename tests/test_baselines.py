@@ -7,10 +7,9 @@ from ccarena import (
     LockTable,
     OccBook,
     Outcome,
-    Queued,
     occ_validate,
 )
-from ccarena.baselines import compatible
+from ccarena.baselines import Queued, compatible
 from ccarena.rng import DetRng
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE

@@ -257,6 +257,7 @@ BAD_MATRIX_FILES = {
     "window-not-a-number": "arrival_window_ms = soon\n",
     "mean-len-nan": "mean_len = nan\n",
     "sd-len-inf": "sd_len = inf\n",
+    "sd-len-huge": "sd_len = 1e308\n",
     "window-too-large": "arrival_window_ms = " + "9" * 311 + "\n",
     "seed-range-empty": "seeds = 5:1\n",
 }
@@ -272,7 +273,7 @@ def test_bad_matrix_value_exits_1(tmp_path, capsys, text):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("text", ["mean_len = nan\n", "sd_len = inf\n"])
+@pytest.mark.parametrize("text", ["mean_len = nan\n", "sd_len = inf\n", "mean_len = 1e308\n"])
 def test_bad_run_config_value_exits_1(tmp_path, capsys, text):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(text, encoding="utf-8")

@@ -1,13 +1,18 @@
+from dataclasses import dataclass
+
 import pytest
 
 from ccarena import (
     BEGIN,
     COMMIT,
     ClockRegressionError,
+    CommitDecision,
     History,
     InvalidLogError,
     ItemRegistry,
     LogRecord,
+    OpKind,
+    Operation,
     OperatorLog,
     Outcome,
     RebaseUnderflowError,
@@ -15,6 +20,7 @@ from ccarena import (
     client_record_op,
     commit_transaction,
     log_from_text,
+    log_validate,
     read,
     rebase_to_server_time,
     validate_commit,
@@ -66,18 +72,15 @@ class TestClientRecordOp:
 class TestRebase:
     def test_single_record_anchors_at_receipt(self):
         # a lone Begin is not a valid log; the smallest valid one is Begin+Commit
-        abs_log = rebase_to_server_time(log_of("BEGIN - 0\nCOMMIT - 0\n"), 42)
-        assert [r.abs_ts for r in abs_log.records] == [42, 42]
+        assert rebase_to_server_time(log_of("BEGIN - 0\nCOMMIT - 0\n"), 42) == [42, 42]
 
     def test_backward_recurrence(self):
-        abs_log = rebase_to_server_time(
+        instants = rebase_to_server_time(
             log_of("BEGIN - 0\nR 3 2\nW 3 3\nCOMMIT - 5\n"), 100)
-        assert [r.abs_ts for r in abs_log.records] == [90, 92, 95, 100]
-        assert [r.op for r in abs_log.records] == [BEGIN, read(3), write(3), COMMIT]
+        assert instants == [90, 92, 95, 100]
 
     def test_zero_gaps_collapse_to_receipt(self):
-        abs_log = rebase_to_server_time(log_of("BEGIN - 0\nR 3 0\nCOMMIT - 0\n"), 7)
-        assert [r.abs_ts for r in abs_log.records] == [7, 7, 7]
+        assert rebase_to_server_time(log_of("BEGIN - 0\nR 3 0\nCOMMIT - 0\n"), 7) == [7, 7, 7]
 
     def test_underflow(self):
         with pytest.raises(RebaseUnderflowError):
@@ -99,12 +102,18 @@ class TestRebase:
             records.append(LogRecord(COMMIT, rng.randrange(500)))
             log = OperatorLog(1, records)
             receipt = log.total_span() + rng.randrange(10_000)
-            abs_log = rebase_to_server_time(log, receipt)
-            assert abs_log.records[-1].abs_ts == receipt
+            instants = rebase_to_server_time(log, receipt)
+            assert len(instants) == len(records)
+            assert instants[-1] == receipt
             for k in range(1, len(records)):
-                gap = abs_log.records[k].abs_ts - abs_log.records[k - 1].abs_ts
+                gap = instants[k] - instants[k - 1]
                 assert gap == records[k].rel_ts
                 assert gap >= 0  # absolute instants are nondecreasing
+
+
+def validate(reg, text, receipt):
+    log = log_of(text)
+    return validate_commit(reg, log, rebase_to_server_time(log, receipt))
 
 
 def registry_with(item, t_read=0, t_write=0):
@@ -116,47 +125,43 @@ def registry_with(item, t_read=0, t_write=0):
 class TestValidateCommit:
     def test_read_after_write_commits_and_keeps_read_stamp(self):
         reg = registry_with(0, t_read=60, t_write=50)
-        dec = validate_commit(reg, rebase_to_server_time(
-            log_of("BEGIN - 0\nR 0 3\nCOMMIT - 15\n"), 70))  # R at 55
+        dec = validate(reg, "BEGIN - 0\nR 0 3\nCOMMIT - 15\n", 70)  # R at 55
         assert dec.committed
         assert dec.updates == [(0, 60, 50)]  # max rule keeps 60
 
     def test_stale_read_aborts(self):
         reg = registry_with(0, t_write=50)
-        dec = validate_commit(reg, rebase_to_server_time(
-            log_of("BEGIN - 0\nR 0 10\nCOMMIT - 5\n"), 45))  # R at 40 < 50
+        log = log_of("BEGIN - 0\nR 0 10\nCOMMIT - 5\n")
+        instants = rebase_to_server_time(log, 45)  # R at 40 < 50
+        dec = validate_commit(reg, log, instants)
         assert not dec.committed
         assert dec.abort_index == 1
-        assert dec.abort_record.abs_ts == 40
+        assert instants[dec.abort_index] == 40
         assert "write" in dec.reason
 
     def test_write_behind_read_stamp_aborts(self):
         reg = registry_with(0, t_read=60, t_write=50)
-        dec = validate_commit(reg, rebase_to_server_time(
-            log_of("BEGIN - 0\nW 0 3\nCOMMIT - 15\n"), 70))  # W at 55 < t_read 60
+        dec = validate(reg, "BEGIN - 0\nW 0 3\nCOMMIT - 15\n", 70)  # W at 55 < t_read 60
         assert not dec.committed
         assert "read" in dec.reason
 
     def test_fresh_write_commits(self):
         reg = registry_with(0, t_read=60, t_write=50)
-        dec = validate_commit(reg, rebase_to_server_time(
-            log_of("BEGIN - 0\nW 0 18\nCOMMIT - 5\n"), 75))  # W at 70
+        dec = validate(reg, "BEGIN - 0\nW 0 18\nCOMMIT - 5\n", 75)  # W at 70
         assert dec.committed
         assert dec.updates == [(0, 60, 70)]
 
     def test_empty_data_log_commits_vacuously(self):
         reg = registry_with(0, t_read=99, t_write=98)
         before = reg.stamps()
-        dec = validate_commit(reg, rebase_to_server_time(
-            log_of("BEGIN - 0\nCOMMIT - 1\n"), 6))
+        dec = validate(reg, "BEGIN - 0\nCOMMIT - 1\n", 6)
         assert dec.committed and dec.updates == []
         assert reg.stamps() == before
 
     def test_ties_pass(self):
         # conditions are strict comparisons, so equal instants validate
         reg = registry_with(0, t_read=50, t_write=50)
-        dec = validate_commit(reg, rebase_to_server_time(
-            log_of("BEGIN - 0\nR 0 0\nW 0 0\nCOMMIT - 0\n"), 50))
+        dec = validate(reg, "BEGIN - 0\nR 0 0\nW 0 0\nCOMMIT - 0\n", 50)
         assert dec.committed
         assert dec.updates == [(0, 50, 50)]
 
@@ -165,8 +170,7 @@ class TestValidateCommit:
         # of it; the decision carries the accumulated pair and the registry
         # itself stays untouched until commit
         reg = registry_with(0)
-        dec = validate_commit(reg, rebase_to_server_time(
-            log_of("BEGIN - 0\nW 0 0\nR 0 3\nCOMMIT - 2\n"), 80))
+        dec = validate(reg, "BEGIN - 0\nW 0 0\nR 0 3\nCOMMIT - 2\n", 80)
         assert dec.committed
         assert dec.updates == [(0, 78, 75)]
         assert reg.stamps()[0] == (0, 0)
@@ -174,8 +178,7 @@ class TestValidateCommit:
     def test_unknown_item_is_an_error_not_an_abort(self):
         reg = ItemRegistry(1)
         with pytest.raises(UnknownItemError):
-            validate_commit(reg, rebase_to_server_time(
-                log_of("BEGIN - 0\nR 9 1\nCOMMIT - 1\n"), 10))
+            validate(reg, "BEGIN - 0\nR 9 1\nCOMMIT - 1\n", 10)
 
     def test_why_the_read_stamp_keeps_its_maximum(self):
         # the regressed stamp would admit a write at 50 behind an already
@@ -194,8 +197,7 @@ class TestValidateCommit:
 
         # under the max rule the same write aborts instead of committing
         reg = registry_with(0, t_read=60)
-        dec = validate_commit(reg, rebase_to_server_time(
-            log_of("BEGIN - 0\nW 0 10\nCOMMIT - 5\n"), 55))  # W at 50
+        dec = validate(reg, "BEGIN - 0\nW 0 10\nCOMMIT - 5\n", 55)  # W at 50
         assert not dec.committed
 
         # and the registry itself refuses a backwards stamp outright
@@ -222,10 +224,11 @@ class TestCommitTransaction:
     def test_motivating_schedule_inverted_read_aborts(self):
         reg = ItemRegistry(1)
         d1 = commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nCOMMIT - 2\n", 1), 12)
-        d2 = commit_transaction(reg, log_of("BEGIN - 0\nR 0 2\nCOMMIT - 3\n", 2), 12)
+        log2 = log_of("BEGIN - 0\nR 0 2\nCOMMIT - 3\n", 2)
+        d2 = commit_transaction(reg, log2, 12)
         assert d1.committed
         assert not d2.committed  # R rebased to 9 < committed write at 10
-        assert d2.abort_record.abs_ts == 9
+        assert rebase_to_server_time(log2, 12)[d2.abort_index] == 9
 
     def test_abort_leaves_registry_bit_identical(self):
         reg = ItemRegistry(3)
@@ -263,3 +266,129 @@ class TestCommitTransaction:
                 old_r, old_w = low_water[item]
                 assert t_r >= old_r and t_w >= old_w
                 low_water[item] = (t_r, t_w)
+
+
+# --- reference: the rebase + validate + commit path over a copied log ------
+#
+# The server used to copy each log into AbsRecord(op, abs_ts) objects and
+# read the ops back out of the copy. It is kept here, unchanged in behaviour,
+# as the reference the in-place path must agree with.
+
+@dataclass(frozen=True)
+class AbsRecord:
+    op: Operation
+    abs_ts: int
+
+
+def reference_rebase(log, receipt):
+    violation = log_validate(log)
+    if violation is not None:
+        raise InvalidLogError(violation)
+    span = log.total_span()
+    if receipt < span:
+        raise RebaseUnderflowError(
+            f"receipt {receipt} precedes the log's relative span {span}")
+    n = len(log.records)
+    abs_ts = [0] * n
+    abs_ts[-1] = receipt
+    for k in range(n - 2, -1, -1):
+        abs_ts[k] = abs_ts[k + 1] - log.records[k + 1].rel_ts
+    return [AbsRecord(rec.op, t) for rec, t in zip(log.records, abs_ts)]
+
+
+def reference_validate(registry, abs_records):
+    staged = {}
+
+    def stamps_for(item_id):
+        if item_id not in staged:
+            state = registry.get(item_id)
+            staged[item_id] = [state.t_read, state.t_write]
+        return staged[item_id]
+
+    for index, rec in enumerate(abs_records):
+        if not rec.op.is_data:
+            continue
+        pair = stamps_for(rec.op.item_id)
+        t = rec.abs_ts
+        if rec.op.kind is OpKind.READ:
+            if t < pair[1]:
+                return CommitDecision(
+                    Outcome.ABORTED, abort_index=index,
+                    reason=f"read of item {rec.op.item_id} at {t} precedes last write {pair[1]}")
+            pair[0] = max(pair[0], t)
+        else:
+            if t < pair[1] or t < pair[0]:
+                bound = "write" if t < pair[1] else "read"
+                last = pair[1] if t < pair[1] else pair[0]
+                return CommitDecision(
+                    Outcome.ABORTED, abort_index=index,
+                    reason=f"write of item {rec.op.item_id} at {t} precedes last {bound} {last}")
+            pair[1] = max(pair[1], t)
+    updates = [(item, pair[0], pair[1]) for item, pair in sorted(staged.items())]
+    return CommitDecision(Outcome.COMMITTED, updates=updates)
+
+
+def reference_commit_transaction(registry, log, receipt, history=None):
+    abs_records = reference_rebase(log, receipt)
+    decision = reference_validate(registry, abs_records)
+    if decision.committed:
+        for item, t_read, t_write in decision.updates:
+            registry.apply_update(item, t_read=t_read, t_write=t_write)
+    if history is not None:
+        for rec in abs_records:
+            if rec.op.is_data:
+                history.record_op(log.txn_id, rec.op, rec.abs_ts)
+        history.record_terminal(log.txn_id, decision.outcome, receipt)
+    return decision
+
+
+def random_log(rng, txn_id, n_items):
+    # gaps are often zero, so several operators share one instant
+    records = [LogRecord(BEGIN, 0)]
+    for _ in range(rng.randrange(7)):
+        item = rng.randrange(n_items)
+        op = read(item) if rng.random() < 0.5 else write(item)
+        records.append(LogRecord(op, 0 if rng.random() < 0.4 else rng.randrange(6)))
+    records.append(LogRecord(COMMIT, 0 if rng.random() < 0.4 else rng.randrange(6)))
+    return OperatorLog(txn_id, records)
+
+
+def test_in_place_commit_matches_the_reference():
+    rng = DetRng(4242)
+    commit_paths = reference_commit_transaction, commit_transaction
+    seen = {"committed": 0, "aborted": 0, "tie": 0, "zero_gap": 0, "underflow": 0}
+    for _ in range(2_000):
+        n_items = 1 + rng.randrange(4)
+        registries = ItemRegistry(n_items), ItemRegistry(n_items)
+        for item in range(n_items):
+            t_write = rng.randrange(30)
+            t_read = t_write + rng.randrange(3)
+            for reg in registries:
+                reg.apply_update(item, t_read=t_read, t_write=t_write)
+        histories = History(), History()
+        receipt = 0
+        for txn in range(1, 2 + rng.randrange(4)):
+            log = random_log(rng, txn, n_items)
+            if rng.random() < 0.03 and log.total_span() > 0:
+                for commit, reg in zip(commit_paths, registries):
+                    with pytest.raises(RebaseUnderflowError):
+                        commit(reg, log, log.total_span() - 1)
+                seen["underflow"] += 1
+                continue
+            receipt = max(receipt, log.total_span()) + rng.randrange(12)
+            instants = rebase_to_server_time(log, receipt)
+            stamps = registries[1].stamps()
+            seen["tie"] += any(
+                rec.op.is_data and t in stamps[rec.op.item_id]
+                for rec, t in zip(log.records, instants))
+            seen["zero_gap"] += any(rec.rel_ts == 0 for rec in log.records[1:])
+            expected = reference_commit_transaction(registries[0], log, receipt, histories[0])
+            got = commit_transaction(registries[1], log, receipt, histories[1])
+            assert got.outcome is expected.outcome
+            assert got.reason == expected.reason
+            assert got.abort_index == expected.abort_index
+            assert got.updates == expected.updates
+            assert registries[1].stamps() == registries[0].stamps()
+            seen[got.outcome.value.lower()] += 1
+        assert histories[1].to_text() == histories[0].to_text()
+    assert min(seen.values()) >= 20, seen

@@ -18,7 +18,7 @@ from ccarena import (
 from ccarena.core import OpKind
 from ccarena.harness import compute_waiting_time
 from ccarena.rng import DetRng
-from ccarena.simkit import parse_kv_text
+from ccarena.simkit import MAX_TXN_LEN, parse_kv_text
 
 
 def quiet_cfg(**kw):
@@ -45,9 +45,14 @@ class TestConfig:
             SimConfig(uplink_latency_ms=(5, 2)).validate()
 
     @pytest.mark.parametrize("key", ["mean_len", "sd_len"])
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
-    def test_non_finite_lengths_rejected(self, key, raw):
-        with pytest.raises(ConfigError, match=f"{key} must be >= .* and finite"):
+    @pytest.mark.parametrize("raw, message", [
+        pytest.param(raw, "must be >= .* and finite", id=raw) for raw in ("nan", "inf", "-inf")
+    ] + [
+        # finite but so large that generating the workload would never end
+        pytest.param("1e308", f"must be at most {MAX_TXN_LEN}", id="1e308"),
+    ])
+    def test_non_finite_lengths_rejected(self, key, raw, message):
+        with pytest.raises(ConfigError, match=f"{key} {message}"):
             SimConfig.from_mapping({key: raw})
 
     def test_every_field_parses_its_own_default(self):
