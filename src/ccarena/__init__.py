@@ -8,7 +8,6 @@ for the commit-order property, whichever protocol produced it.
 """
 
 from .baselines import (
-    DeadlockVictim,
     Granted,
     LockMode,
     LockTable,

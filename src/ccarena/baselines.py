@@ -2,10 +2,11 @@
 
 Both sit behind the same server-side surface the simulator drives: register a
 transaction, process its operations, decide its commit. The lock table grants
-shared/exclusive locks with FIFO wait queues and breaks waits-for cycles by
-aborting the youngest transaction in the cycle. The optimistic book validates
-a committer backwards: it aborts if any transaction that committed during the
-validator's lifetime wrote an item the validator read.
+shared/exclusive locks with FIFO wait queues; it finds waits-for cycles and
+names the youngest member of one, and the caller ends that victim. The
+optimistic book validates a committer backwards: it aborts if any transaction
+that committed during the validator's lifetime wrote an item the validator
+read.
 """
 
 from bisect import bisect_right
@@ -35,11 +36,6 @@ class Queued:
     pass
 
 
-@dataclass(frozen=True)
-class DeadlockVictim:
-    txn_id: int
-
-
 @dataclass
 class _Request:
     txn_id: int
@@ -57,10 +53,11 @@ class LockTable:
 
     Transactions never release before their terminal event; release_all drops
     everything at commit/abort and re-grants compatible queue heads. The
-    waits-for graph is never stored: waits_on derives one waiter's out-edges
-    on demand from the queues it sits in. A waiter points at every
-    conflicting granted holder and at every conflicting request queued ahead
-    of it.
+    table only grants or queues: find_cycle and youngest_of find a deadlock
+    and name its victim, and the caller ends it. The waits-for graph is never
+    stored: waits_on derives one waiter's out-edges on demand from the queues
+    it sits in. A waiter points at every conflicting granted holder and at
+    every conflicting request queued ahead of it.
     """
 
     def __init__(self):
@@ -86,13 +83,13 @@ class LockTable:
         return held is LockMode.EXCLUSIVE or mode is LockMode.SHARED
 
     def acquire(self, txn_id: int, item_id: int, mode: LockMode):
-        """Grant, enqueue, or name a deadlock victim.
+        """Grant or enqueue; never searches for a deadlock.
 
         Re-acquiring an already-held stronger-or-equal lock is granted
         idempotently. A shared holder asking for exclusive upgrades in place
-        when it is the sole holder, otherwise it queues. After an enqueue,
-        cycle detection runs; on a cycle the youngest transaction in it (the
-        latest begin instant) is returned as the victim.
+        when it is the sole holder, otherwise it queues. An enqueue may close
+        waits-for cycles through txn_id; the caller finds them with
+        find_cycle(txn_id) and ends a victim named by youngest_of.
         """
         locks = self._locks(item_id)
         held = locks.granted.get(txn_id)
@@ -108,9 +105,6 @@ class LockTable:
             return Granted()
         locks.queue.append(_Request(txn_id, mode))
         self._note_presence(txn_id, item_id)
-        cycle = self.find_cycle(txn_id)
-        if cycle:
-            return DeadlockVictim(self.youngest_of(cycle))
         return Queued()
 
     def youngest_of(self, txns) -> int:

@@ -140,8 +140,8 @@ def log_from_text(text: str, txn_id: int = 0) -> OperatorLog:
             kind = OpKind(kind_txt)
         except ValueError:
             raise InvalidLogError(f"line {lineno}: unknown operator {kind_txt!r}") from None
-        item = None if item_txt == "-" else int(item_txt)
         try:
+            item = None if item_txt == "-" else int(item_txt)
             records.append(LogRecord(Operation(kind, item), int(rel_txt)))
         except ValueError as exc:
             raise InvalidLogError(f"line {lineno}: {exc}") from None

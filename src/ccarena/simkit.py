@@ -31,14 +31,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from . import core
-from .baselines import (
-    DeadlockVictim,
-    Granted,
-    LockMode,
-    LockTable,
-    OccBook,
-    occ_validate,
-)
+from .baselines import Granted, LockMode, LockTable, OccBook, occ_validate
 from .core import (
     ConfigError,
     History,
@@ -170,15 +163,11 @@ def parse_value(key: str, raw: str, kind):
 
 @dataclass
 class TxnSpec:
-    """One planned transaction: Begin, interleaved reads/writes, Commit."""
+    """One planned transaction: its reads and writes, without Begin and Commit."""
 
     txn_id: int
     client_id: int
     ops: list[Operation]
-
-    @property
-    def data_ops(self) -> list[Operation]:
-        return self.ops[1:-1]
 
 
 def gen_workload(cfg: SimConfig, rng: DetRng) -> list[TxnSpec]:
@@ -193,14 +182,13 @@ def gen_workload(cfg: SimConfig, rng: DetRng) -> list[TxnSpec]:
         n_ops = max(2, math.floor(rng.normal(cfg.mean_len, cfg.sd_len)))
         for k in range(len(reads), n_ops):
             reads.append(math.floor((k + 1) * cfg.read_fraction) > math.floor(k * cfg.read_fraction))
-        ops: list[Operation] = [core.BEGIN]
+        ops: list[Operation] = []
         for is_read in reads[:n_ops]:
             item = rng.randrange(cfg.n_items)
             op = shared.get((is_read, item))
             if op is None:
                 op = shared[is_read, item] = core.read(item) if is_read else core.write(item)
             ops.append(op)
-        ops.append(core.COMMIT)
         specs.append(TxnSpec(txn_id, txn_id % cfg.n_clients, ops))
     return specs
 
@@ -253,10 +241,7 @@ class RunResult:
 
 
 class _VictimSignal(Exception):
-    """Thrown into a transaction process chosen as a deadlock victim."""
-
-
-_SEND, _THROW = 0, 1
+    """Raised in a transaction process chosen as a deadlock victim."""
 
 
 class _Sim:
@@ -290,19 +275,21 @@ class _Sim:
         for txn_id, _item, _mode in self.table.release_all(aid):
             gen = self.parked.pop(txn_id, None)
             if gen is not None:
-                self.queue.push(self.now, (_SEND, gen, None))
+                self.queue.push(self.now, (gen, None))
 
     def run_loop(self) -> None:
+        """Resume each process with its event's value: None after a delay or
+        a grant, Outcome.ABORTED for a parked deadlock victim."""
         while self.queue:
-            kind, gen, arg = self.queue.pop()
+            gen, value = self.queue.pop()
             try:
-                cmd = gen.send(None) if kind == _SEND else gen.throw(arg)
+                cmd = gen.send(value)
             except StopIteration:
                 continue
             if isinstance(cmd, tuple):  # ("park", aid): wait for an external wake
                 self.parked[cmd[1]] = gen
                 continue
-            self.queue.push(self.now + cmd, (_SEND, gen, None))
+            self.queue.push(self.now + cmd, (gen, None))
 
 
 def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: int):
@@ -316,7 +303,7 @@ def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: 
         policy = new_policy(sim, aid, offset)
         connected = True
         try:
-            for op in spec.data_ops:
+            for op in spec.ops:
                 if rng.random() < cfg.disconnect_prob:  # rolled even when offline
                     connected = False
                 if policy.lock:
@@ -417,24 +404,21 @@ class _S2pl:
 
     def lock(self, op: Operation):
         """Acquire op's lock, parking while blocked, and record op at the
-        grant. Breaks each deadlock by aborting its youngest member; raises
-        _VictimSignal when that is this attempt."""
+        grant. The one place deadlocks are broken: while a cycle runs through
+        this request, abort its youngest member; raise _VictimSignal when
+        that is this attempt, now or while parked."""
         sim, table, aid = self.sim, self.sim.table, self.aid
         mode = LockMode.SHARED if op.kind is OpKind.READ else LockMode.EXCLUSIVE
-        res = table.acquire(aid, op.item_id, mode)
-        while isinstance(res, DeadlockVictim):
-            victim = res.txn_id
+        granted = isinstance(table.acquire(aid, op.item_id, mode), Granted)
+        while not granted and (cycle := table.find_cycle(aid)):
+            victim = table.youngest_of(cycle)
             sim.s2pl_end(victim, Outcome.ABORTED, sim.now)
             if victim == aid:
                 raise _VictimSignal()
-            sim.queue.push(sim.now, (_THROW, sim.parked.pop(victim), _VictimSignal()))
-            if table.holds(aid, op.item_id, mode):
-                res = Granted()  # the victim's release granted this request
-            else:
-                cycle = table.find_cycle(aid)
-                res = DeadlockVictim(table.youngest_of(cycle)) if cycle else None
-        if not isinstance(res, Granted):
-            yield ("park", aid)
+            sim.queue.push(sim.now, (sim.parked.pop(victim), Outcome.ABORTED))
+            granted = table.holds(aid, op.item_id, mode)  # the victim's release may grant it
+        if not granted and (yield ("park", aid)) is Outcome.ABORTED:
+            raise _VictimSignal()
         sim.history.record_op(aid, op, sim.now)
 
     def commit(self, instant: int) -> Outcome:
@@ -468,7 +452,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         timings.append(run)
         gen = _txn_process(sim, spec, run, master.spawn(1000 + spec.txn_id),
                            offsets[spec.client_id])
-        sim.queue.push(submit, (_SEND, gen, None))
+        sim.queue.push(submit, (gen, None))
     sim.run_loop()
 
     committed = sum(1 for t in timings if t.outcome is Outcome.COMMITTED)

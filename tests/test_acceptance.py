@@ -319,7 +319,7 @@ def test_criterion_11_message_economy():
     completed = [t for t in s2pl_run.timings if t.outcome is Outcome.COMMITTED]
     assert completed, "the locking run must commit something"
     for t in completed:
-        n_ops = len(specs[t.txn_id].data_ops)
+        n_ops = len(specs[t.txn_id].ops)
         assert t.messages >= 2 * n_ops, \
             "locking must exchange at least two messages per data operation"
         assert t.messages == 2 * n_ops + 2  # one exchange per lock, one to commit

@@ -1,7 +1,6 @@
 import pytest
 
 from ccarena import (
-    DeadlockVictim,
     Granted,
     LockMode,
     LockTable,
@@ -82,7 +81,8 @@ class TestAcquire:
         assert table.acquire(1, 0, X) == Granted()
         assert table.acquire(2, 1, X) == Granted()
         assert table.acquire(1, 1, X) == Queued()
-        assert table.acquire(2, 0, X) == DeadlockVictim(2)
+        assert table.acquire(2, 0, X) == Queued()
+        assert table.youngest_of(table.find_cycle(2)) == 2
 
     def test_shared_locks_coexist(self):
         table = table_with((1, 0), (2, 0), (3, 0))
@@ -114,7 +114,8 @@ class TestAcquire:
         table.acquire(1, 0, S)
         table.acquire(2, 0, S)
         assert table.acquire(1, 0, X) == Queued()
-        assert table.acquire(2, 0, X) == DeadlockVictim(2)
+        assert table.acquire(2, 0, X) == Queued()
+        assert table.youngest_of(table.find_cycle(2)) == 2
 
     def test_no_barging_past_a_queue(self):
         table = table_with((1, 0), (2, 1), (3, 2))
@@ -188,15 +189,13 @@ class TestLockInvariants:
                 next_txn += 1
             txn = sorted(active)[rng.randrange(len(active))]
             mode = S if rng.random() < 0.5 else X
-            res = table.acquire(txn, rng.randrange(8), mode)
-            while isinstance(res, DeadlockVictim):
-                victim = res.txn_id
+            table.acquire(txn, rng.randrange(8), mode)
+            while cycle := table.find_cycle(txn):
+                victim = table.youngest_of(cycle)
                 table.release_all(victim)
                 active.pop(victim, None)
                 if victim == txn:
                     break
-                cycle = table.find_cycle(txn)
-                res = DeadlockVictim(table.youngest_of(cycle)) if cycle else Queued()
             table.assert_safety()
             assert table.find_cycle() is None
 
@@ -218,9 +217,11 @@ class TestLockInvariants:
                     active.append(step)
                 txn = active[rng.randrange(len(active))]
                 res = table.acquire(txn, rng.randrange(6), S if rng.random() < 0.5 else X)
-                if isinstance(res, DeadlockVictim) and rng.random() < 0.5:
-                    table.release_all(res.txn_id)
-                    active.remove(res.txn_id)
+                cycle = res == Queued() and table.find_cycle(txn)
+                if cycle and rng.random() < 0.5:
+                    victim = table.youngest_of(cycle)
+                    table.release_all(victim)
+                    active.remove(victim)
             edges = reference_waits_for_edges(table)
             for t in range(step + 1):
                 assert table.waits_on(t) == edges.get(t, set())

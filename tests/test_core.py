@@ -104,6 +104,10 @@ class TestLogText:
             log_from_text("HOP 1 0\n")
         with pytest.raises(InvalidLogError):
             log_from_text("R 1 -5\n")
+        with pytest.raises(InvalidLogError, match="line 1"):
+            log_from_text("R x 5\n")
+        with pytest.raises(InvalidLogError, match="line 1"):
+            log_from_text("R 1.5 3\n")
 
     def test_comments_and_blank_lines_ignored(self):
         log = log_from_text("# fixture header\n\nBEGIN - 0\nR 2 7\n\nCOMMIT - 1\n")

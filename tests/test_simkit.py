@@ -99,19 +99,19 @@ class TestWorkload:
     def test_length_distribution_mean(self):
         cfg = quiet_cfg(n_txns=10_000, mean_len=50, sd_len=10, n_items=1000)
         specs = gen_workload(cfg, DetRng(123).spawn(1))
-        mean = statistics.fmean(len(s.data_ops) for s in specs)
+        mean = statistics.fmean(len(s.ops) for s in specs)
         assert 49 <= mean <= 51
 
     def test_degenerate_key_space(self):
         cfg = quiet_cfg(n_items=1)
         for spec in gen_workload(cfg, DetRng(5).spawn(1)):
-            assert all(op.item_id == 0 for op in spec.data_ops)
+            assert all(op.item_id == 0 for op in spec.ops)
 
     def test_equal_mix_at_default_fraction(self):
         cfg = quiet_cfg(n_txns=200, mean_len=9, sd_len=3)
         for spec in gen_workload(cfg, DetRng(11).spawn(1)):
-            reads = sum(1 for op in spec.data_ops if op.kind is OpKind.READ)
-            writes = len(spec.data_ops) - reads
+            reads = sum(1 for op in spec.ops if op.kind is OpKind.READ)
+            writes = len(spec.ops) - reads
             assert abs(reads - writes) <= 1
 
     def test_equal_operators_are_one_object_per_call(self):
@@ -119,26 +119,24 @@ class TestWorkload:
         first, again = (gen_workload(cfg, DetRng(3).spawn(1)) for _ in range(2))
         seen = {}
         for spec in first:
-            for op in spec.data_ops:
+            for op in spec.ops:
                 assert seen.setdefault((op.kind, op.item_id), op) is op
         assert len(seen) == 10  # every (kind, item) pair occurs
         assert all(op is not seen[op.kind, op.item_id]  # not a module-level cache
-                   for spec in again for op in spec.data_ops)
+                   for spec in again for op in spec.ops)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 2 / 3, 1.0])
     def test_read_positions_follow_the_fraction(self, fraction):
         cfg = quiet_cfg(n_txns=200, mean_len=9, sd_len=6, read_fraction=fraction)
         for spec in gen_workload(cfg, DetRng(4).spawn(1)):
-            for k, op in enumerate(spec.data_ops):
+            for k, op in enumerate(spec.ops):
                 is_read = math.floor((k + 1) * fraction) > math.floor(k * fraction)
                 assert (op.kind is OpKind.READ) is is_read
 
     def test_shape_and_min_length(self):
         cfg = quiet_cfg(n_txns=500, mean_len=2, sd_len=3)
         for spec in gen_workload(cfg, DetRng(2).spawn(1)):
-            assert spec.ops[0].kind is OpKind.BEGIN
-            assert spec.ops[-1].kind is OpKind.COMMIT
-            assert len(spec.data_ops) >= 2
+            assert len(spec.ops) >= 2
 
 
 class TestDeterminism:
@@ -202,7 +200,7 @@ class TestMessageEconomy:
         committed = [t for t in result.timings if t.outcome is Outcome.COMMITTED]
         assert committed
         for t in committed:
-            n_ops = len(by_id[t.txn_id].data_ops)
+            n_ops = len(by_id[t.txn_id].ops)
             assert t.messages >= 2 * n_ops
             if t.attempts == 1:
                 assert t.messages == 2 * n_ops + 2
@@ -212,7 +210,7 @@ class TestMessageEconomy:
         result = run_simulation(cfg)
         by_id = {s.txn_id: s for s in gen_workload(cfg, DetRng(cfg.seed).spawn(1))}
         for t in result.timings:
-            n_reads = sum(1 for op in by_id[t.txn_id].data_ops if op.kind is OpKind.READ)
+            n_reads = sum(1 for op in by_id[t.txn_id].ops if op.kind is OpKind.READ)
             assert t.messages <= 2 + n_reads
             # never disconnected here, so every read refreshes
             assert t.messages == 2 + n_reads
@@ -297,8 +295,9 @@ _GOLDEN_SHAPES = {
 }
 
 # sha256 prefixes of (history.to_text(), repr(timings)) per (shape, protocol).
-# Every s2pl shape breaks deadlocks with both self- and parked victims. Any
-# change to event order, tie breaking, message or service accounting shows.
+# Every s2pl shape breaks deadlocks with both self- and parked victims
+# (test_s2pl_shapes_break_deadlocks_both_ways checks it). Any change to event
+# order, tie breaking, message or service accounting shows.
 _GOLDEN = {
     ("disconnects", "opcot"): ("79898b733e5375f9", "d777f5585707e5dd"),
     ("disconnects", "occ"): ("3eebbb9d2bef7820", "8252c3f722dd7f18"),
@@ -318,6 +317,24 @@ class TestGoldenRuns:
         result = run_simulation(quiet_cfg(protocol=protocol, **_GOLDEN_SHAPES[shape]))
         got = (_digest(result.history.to_text()), _digest(repr(result.timings)))
         assert got == _GOLDEN[shape, protocol]
+
+    @pytest.mark.parametrize("shape", sorted({s for s, p in _GOLDEN if p == "s2pl"}))
+    def test_s2pl_shapes_break_deadlocks_both_ways(self, shape, monkeypatch):
+        # an aborted attempt that is parked when it is ended was woken as a
+        # victim; one that is not parked was the requester itself
+        import ccarena.simkit as simkit
+
+        victims = {"parked": 0, "self": 0}
+        s2pl_end = simkit._Sim.s2pl_end
+
+        def counting_end(sim, aid, outcome, instant):
+            if outcome is Outcome.ABORTED:
+                victims["parked" if aid in sim.parked else "self"] += 1
+            s2pl_end(sim, aid, outcome, instant)
+
+        monkeypatch.setattr(simkit._Sim, "s2pl_end", counting_end)
+        run_simulation(quiet_cfg(protocol="s2pl", **_GOLDEN_SHAPES[shape]))
+        assert victims["parked"] > 0 and victims["self"] > 0
 
 
 class TestClockSkewInvariance:
