@@ -56,7 +56,8 @@ class LockTable:
     table only grants or queues: find_cycle and youngest_of find a deadlock
     and name its victim, and the caller ends it. The waits-for graph is never
     stored: waits_on derives one waiter's out-edges on demand from the queues
-    it sits in. A waiter points at every conflicting granted holder and at
+    its requests sit in, found through an index of each transaction's queued
+    requests. A waiter points at every conflicting granted holder and at
     every conflicting request queued ahead of it.
     """
 
@@ -64,6 +65,9 @@ class LockTable:
         self._items: dict[int, _ItemLocks] = {}
         self._begin: dict[int, int] = {}
         self._presence: dict[int, set[int]] = {}   # txn -> items it is granted/queued on
+        # txn -> {item: number of its requests in that item's queue}; only
+        # transactions with a queued request have an entry
+        self._queued: dict[int, dict[int, int]] = {}
 
     def register_txn(self, txn_id: int, begin_instant: int) -> None:
         self._begin[txn_id] = begin_instant
@@ -105,6 +109,8 @@ class LockTable:
             return Granted()
         locks.queue.append(_Request(txn_id, mode))
         self._note_presence(txn_id, item_id)
+        queued = self._queued.setdefault(txn_id, {})
+        queued[item_id] = queued.get(item_id, 0) + 1
         return Queued()
 
     def youngest_of(self, txns) -> int:
@@ -117,10 +123,11 @@ class LockTable:
         Returns the newly granted (txn, item, mode) triples, in grant order.
         """
         granted: list[tuple[int, int, LockMode]] = []
+        queued = self._queued.pop(txn_id, {})
         for item_id in sorted(self._presence.pop(txn_id, ())):
             locks = self._items[item_id]
             locks.granted.pop(txn_id, None)
-            if any(r.txn_id == txn_id for r in locks.queue):
+            if item_id in queued:
                 locks.queue = [r for r in locks.queue if r.txn_id != txn_id]
             granted.extend((t, item_id, m) for t, m in self._grant_heads(item_id))
         return granted
@@ -140,6 +147,12 @@ class LockTable:
                     break
                 locks.granted.setdefault(head.txn_id, LockMode.SHARED)
             locks.queue.pop(0)
+            queued = self._queued[head.txn_id]
+            queued[item_id] -= 1
+            if not queued[item_id]:
+                del queued[item_id]
+                if not queued:
+                    del self._queued[head.txn_id]
             newly.append((head.txn_id, head.mode))
         return newly
 
@@ -148,27 +161,54 @@ class LockTable:
         the other holders and the other requests ahead of it in that queue
         whose mode conflicts with its own."""
         blockers: set[int] = set()
-        for item_id in self._presence.get(txn_id, ()):
+        for item_id in self._queued.get(txn_id, ()):
             locks = self._items[item_id]
-            for pos, req in enumerate(locks.queue):
+            queue = locks.queue
+            for pos, req in enumerate(queue):
                 if req.txn_id == txn_id:
                     x = req.mode is LockMode.EXCLUSIVE
-                    blockers.update(t for t, h in locks.granted.items()
-                                    if t != txn_id and (x or h is LockMode.EXCLUSIVE))
-                    blockers.update(r.txn_id for r in islice(locks.queue, pos)
-                                    if r.txn_id != txn_id and (x or r.mode is LockMode.EXCLUSIVE))
+                    for t, h in locks.granted.items():
+                        if t != txn_id and (x or h is LockMode.EXCLUSIVE):
+                            blockers.add(t)
+                    for ahead in islice(queue, pos):
+                        if ahead.txn_id != txn_id and (x or ahead.mode is LockMode.EXCLUSIVE):
+                            blockers.add(ahead.txn_id)
         return blockers
+
+    def _has_waiters(self, txn_id: int) -> bool:
+        """Whether any other transaction waits on txn_id: some other queued
+        request conflicts with a lock txn_id holds on that item, or sits
+        behind a conflicting request of txn_id in the same queue."""
+        for item_id in self._presence.get(txn_id, ()):
+            locks = self._items[item_id]
+            if not locks.queue:
+                continue
+            held = locks.granted.get(txn_id)
+            held_x = held is LockMode.EXCLUSIVE
+            ahead = ahead_x = False   # txn_id has a request, an exclusive one, ahead
+            for req in locks.queue:
+                x = req.mode is LockMode.EXCLUSIVE
+                if req.txn_id == txn_id:
+                    ahead = True
+                    ahead_x = ahead_x or x
+                elif (held is not None and (held_x or x)) or ahead_x or (ahead and x):
+                    return True
+        return False
 
     def find_cycle(self, start: int | None = None) -> list[int] | None:
         """Return one waits-for cycle as a transaction list, or None.
 
         When start is given only cycles through it are searched, which is all
-        an acquire can create when the graph was acyclic beforehand. Out-edges
-        are derived per visited node, so the cost scales with the waiters
-        reachable from start, not with the whole table.
+        an acquire can create when the graph was acyclic beforehand. A cycle
+        through a root needs an edge into it, so a root nobody waits on is
+        skipped without a search. Out-edges are derived per visited node, so
+        the cost scales with the waiters reachable from a root, not with the
+        whole table.
         """
         roots = [start] if start is not None else sorted(self._presence)
         for root in roots:
+            if not self._has_waiters(root):
+                continue
             stack = [(root, iter(sorted(self.waits_on(root))))]
             on_path = [root]
             seen = {root}

@@ -89,9 +89,9 @@ def _cmd_run(args) -> int:
     if args.dump_history:
         with open(args.dump_history, "w", encoding="utf-8") as fh:
             fh.write(result.history.to_text())
-    violation, dump = gate_run(result)
+    violation, _ = gate_run(result)
     if violation is not None:
-        print(f"oracle violation: {violation} (history dumped to {dump})", file=sys.stderr)
+        print(f"oracle violation: {violation}", file=sys.stderr)
         return EXIT_ORACLE
     rows = [metrics_for_run(result)]
     if args.out:

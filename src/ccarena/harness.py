@@ -201,15 +201,21 @@ def gate_run(result: RunResult) -> tuple[str | None, str | None]:
     """Oracle gate for one run: (violation, dump path), both None when clean.
 
     A failing history is written to the working directory for `ccarena check`.
+    The violation text ends with where it went or, when it could not be
+    written, why not; the dump path is then None. A failed dump never hides
+    the violation.
     """
     cfg = result.config
     violation = verify_run(result.history, cfg.protocol)
     if violation is None:
         return None, None
     dump = f"oracle_violation_{cfg.protocol}_items{cfg.n_items}_txns{cfg.n_txns}_seed{cfg.seed}.history"
-    with open(dump, "w", encoding="utf-8") as fh:
-        fh.write(result.history.to_text())
-    return violation, dump
+    try:
+        with open(dump, "w", encoding="utf-8") as fh:
+            fh.write(result.history.to_text())
+    except OSError as exc:
+        return f"{violation} (history not dumped to {dump}: {exc})", None
+    return f"{violation} (history dumped to {dump})", dump
 
 
 def _run_cell(cfg: SimConfig) -> tuple[RunMetrics | None, str | None, str | None]:
@@ -238,7 +244,7 @@ def run_matrix(matrix: MatrixConfig, workers: int = 1) -> list[RunMetrics]:
         if violation is not None:
             raise OracleViolation(
                 f"{cfg.protocol} seed={cfg.seed} items={cfg.n_items} txns={cfg.n_txns}: "
-                f"{violation} (history dumped to {dump})", dump_path=dump)
+                f"{violation}", dump_path=dump)
         rows.append(metrics)
     rows.sort(key=RunMetrics.sort_key)
     return rows

@@ -33,6 +33,17 @@ def reference_waits_for_edges(table):
     return edges
 
 
+def rebuilt_queued(table):
+    """txn -> {item: its requests in that item's queue}, rebuilt from the
+    queues: what LockTable._queued must equal after every step."""
+    queued: dict[int, dict[int, int]] = {}
+    for item_id, locks in table._items.items():
+        for req in locks.queue:
+            per_item = queued.setdefault(req.txn_id, {})
+            per_item[item_id] = per_item.get(item_id, 0) + 1
+    return queued
+
+
 def reference_find_cycle(edges, start=None):
     """The DFS find_cycle ran over a prebuilt edge map."""
     roots = [start] if start is not None else sorted(edges)
@@ -223,10 +234,24 @@ class TestLockInvariants:
                     table.release_all(victim)
                     active.remove(victim)
             edges = reference_waits_for_edges(table)
+            assert table._queued == rebuilt_queued(table)
             for t in range(step + 1):
+                assert table._has_waiters(t) == any(t in e for e in edges.values())
                 assert table.waits_on(t) == edges.get(t, set())
                 assert table.find_cycle(t) == reference_find_cycle(edges, t)
             assert table.find_cycle() == reference_find_cycle(edges)
+
+
+    def test_search_skips_a_requester_nobody_waits_on(self, monkeypatch):
+        # T2 waits on T1 but nobody waits on T2, so no cycle can run through
+        # T2 and the search derives no edges at all
+        table = table_with((1, 0), (2, 1))
+        table.acquire(1, 0, X)
+        assert table.acquire(2, 0, X) == Queued()
+        derived = []
+        monkeypatch.setattr(table, "waits_on", lambda t: derived.append(t) or set())
+        assert table.find_cycle(2) is None
+        assert derived == []
 
 
 class TestOccValidate:

@@ -247,6 +247,25 @@ class TestOutputCheckedFirst:
         assert run_cli("matrix", "--config", str(cfg), "--out", str(out)) == 2
         assert out.read_text(encoding="utf-8") == "earlier results\n"
 
+    @pytest.mark.parametrize("command", ["run", "matrix"])
+    def test_violation_with_an_unwritable_dump_still_exits_2(self, tmp_path, capsys,
+                                                             monkeypatch, command):
+        # the dump path is taken by a directory: the violation is still the
+        # verdict, and the message says the history was not written and why
+        import ccarena.harness as harness
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "verify_run", lambda h, p: "forced violation")
+        (tmp_path / "oracle_violation_occ_items5_txns5_seed1.history").mkdir()
+        cfg = tmp_path / "matrix.cfg"
+        cfg.write_text(MATRIX_CFG, encoding="utf-8")
+        argv = RUN_ARGS if command == "run" else ("matrix", "--config", str(cfg),
+                                                  "--out", str(tmp_path / "results.csv"))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oracle violation: ")
+        assert "forced violation (history not dumped to oracle_violation_occ_items5" in err
+        assert "Traceback" not in err
+
 
 # malformed matrix values: each must exit 1 as a config error, never a traceback
 BAD_MATRIX_FILES = {

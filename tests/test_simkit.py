@@ -220,6 +220,8 @@ class TestLockSafetyDuringSimulation:
     def test_no_conflicting_grants_at_any_event(self, monkeypatch):
         # a lock table that audits itself after every mutation, injected into
         # a contended locking run
+        from test_baselines import rebuilt_queued
+
         from ccarena.baselines import LockTable
         import ccarena.simkit as simkit
 
@@ -227,11 +229,13 @@ class TestLockSafetyDuringSimulation:
             def acquire(self, txn_id, item_id, mode):
                 res = super().acquire(txn_id, item_id, mode)
                 self.assert_safety()
+                assert self._queued == rebuilt_queued(self)
                 return res
 
             def release_all(self, txn_id):
                 granted = super().release_all(txn_id)
                 self.assert_safety()
+                assert self._queued == rebuilt_queued(self)
                 return granted
 
         monkeypatch.setattr(simkit, "LockTable", AuditedTable)
