@@ -29,13 +29,10 @@ d_reader = commit_transaction(reg, log_reader, 14)
 print(f"\n  commit ordering: writer {d_writer.outcome.value}, "
       f"reader {d_reader.outcome.value}")
 
+# a commit request carries the start instant, the read set and the write set
 book = OccBook()
-book.begin(OVERLAPPER, 9)    # the reader's lifetime spans the writer's commit
-book.note_read(OVERLAPPER, 0)
-book.begin(WRITER, 8)
-book.note_write(WRITER, 0)
-occ_writer = occ_validate(book, WRITER, 12)
-occ_reader = occ_validate(book, OVERLAPPER, 14)
+occ_writer = occ_validate(book, 8, set(), {0}, 12)
+occ_reader = occ_validate(book, 9, {0}, set(), 14)  # its lifetime spans the writer's commit
 print(f"  backward validation: writer {occ_writer.value}, reader {occ_reader.value}")
 assert d_reader.committed and occ_reader is Outcome.ABORTED
 
@@ -53,17 +50,11 @@ print(f"  commit ordering: first writer {d_fw.outcome.value}, "
       f"late reader {d_lr.outcome.value}, read-writer {d_rw.outcome.value}")
 
 book_b = OccBook()
-book_b.begin(OVERLAPPER, 9)        # read-writer: instants 9, 13, 17, commit 19
-book_b.note_read(OVERLAPPER, 0)
-book_b.note_write(OVERLAPPER, 0)
-book_b.begin(FIRST_WRITER, 9)      # first writer: instants 9, 10, commit 12
-book_b.note_write(FIRST_WRITER, 0)
-print(f"  backward validation: first writer "
-      f"{occ_validate(book_b, FIRST_WRITER, 12).value}", end="")
-book_b.begin(WRITER, 13)           # late reader: instants 13, 14, commit 16
-book_b.note_read(WRITER, 0)
-print(f", late reader {occ_validate(book_b, WRITER, 16).value}, "
-      f"read-writer {occ_validate(book_b, OVERLAPPER, 19).value}")
+occ_fw = occ_validate(book_b, 9, set(), {0}, 12)   # first writer: instants 9, 10, commit 12
+occ_lr = occ_validate(book_b, 13, {0}, set(), 16)  # late reader: instants 13, 14, commit 16
+occ_rw = occ_validate(book_b, 9, {0}, {0}, 19)     # read-writer: instants 9, 13, 17, commit 19
+print(f"  backward validation: first writer {occ_fw.value}, "
+      f"late reader {occ_lr.value}, read-writer {occ_rw.value}")
 assert d_rw.committed
 
 print("\nsame histories, opposite verdicts: the relative-timestamp validator")

@@ -1,12 +1,13 @@
 """Comparison protocols: strict two-phase locking and classic optimistic CC.
 
-Both sit behind the same server-side surface the simulator drives: register a
-transaction, process its operations, decide its commit. The lock table grants
-shared/exclusive locks with FIFO wait queues; it finds waits-for cycles and
-names the youngest member of one, and the caller ends that victim. The
-optimistic book validates a committer backwards: it aborts if any transaction
-that committed during the validator's lifetime wrote an item the validator
-read.
+Each keeps only server state, sized to what a client sends. The lock table
+grants shared/exclusive locks with FIFO wait queues, in which a transaction
+has at most one waiting request; it finds waits-for cycles and names the
+youngest member of one, and the caller ends that victim. The optimistic book
+holds the write sets of committed transactions only. A commit request
+carries the validator's start instant, read set and write set, and backward
+validation aborts it if any transaction that committed during its lifetime
+wrote an item it read.
 """
 
 from bisect import bisect_right
@@ -54,20 +55,19 @@ class LockTable:
     Transactions never release before their terminal event; release_all drops
     everything at commit/abort and re-grants compatible queue heads. The
     table only grants or queues: find_cycle and youngest_of find a deadlock
-    and name its victim, and the caller ends it. The waits-for graph is never
-    stored: waits_on derives one waiter's out-edges on demand from the queues
-    its requests sit in, found through an index of each transaction's queued
-    requests. A waiter points at every conflicting granted holder and at
-    every conflicting request queued ahead of it.
+    and name its victim, and the caller ends it. A transaction waits on at
+    most one request, as a client does while its lock round-trip is open, so
+    the waits-for graph is never stored: waits_on derives one waiter's
+    out-edges on demand from the one queue it sits in. A waiter points at
+    every conflicting granted holder and at every conflicting request queued
+    ahead of it.
     """
 
     def __init__(self):
         self._items: dict[int, _ItemLocks] = {}
         self._begin: dict[int, int] = {}
         self._presence: dict[int, set[int]] = {}   # txn -> items it is granted/queued on
-        # txn -> {item: number of its requests in that item's queue}; only
-        # transactions with a queued request have an entry
-        self._queued: dict[int, dict[int, int]] = {}
+        self._waiting: dict[int, int] = {}   # txn -> item of its one queued request
 
     def register_txn(self, txn_id: int, begin_instant: int) -> None:
         self._begin[txn_id] = begin_instant
@@ -89,12 +89,16 @@ class LockTable:
     def acquire(self, txn_id: int, item_id: int, mode: LockMode):
         """Grant or enqueue; never searches for a deadlock.
 
+        A transaction that already waits may not request again (ValueError).
         Re-acquiring an already-held stronger-or-equal lock is granted
         idempotently. A shared holder asking for exclusive upgrades in place
         when it is the sole holder, otherwise it queues. An enqueue may close
         waits-for cycles through txn_id; the caller finds them with
         find_cycle(txn_id) and ends a victim named by youngest_of.
         """
+        if txn_id in self._waiting:
+            raise ValueError(f"txn {txn_id} requests item {item_id} while it waits "
+                             f"on item {self._waiting[txn_id]}")
         locks = self._locks(item_id)
         held = locks.granted.get(txn_id)
         if held is LockMode.EXCLUSIVE or held is mode:
@@ -109,8 +113,7 @@ class LockTable:
             return Granted()
         locks.queue.append(_Request(txn_id, mode))
         self._note_presence(txn_id, item_id)
-        queued = self._queued.setdefault(txn_id, {})
-        queued[item_id] = queued.get(item_id, 0) + 1
+        self._waiting[txn_id] = item_id
         return Queued()
 
     def youngest_of(self, txns) -> int:
@@ -123,11 +126,11 @@ class LockTable:
         Returns the newly granted (txn, item, mode) triples, in grant order.
         """
         granted: list[tuple[int, int, LockMode]] = []
-        queued = self._queued.pop(txn_id, {})
+        waiting = self._waiting.pop(txn_id, None)
         for item_id in sorted(self._presence.pop(txn_id, ())):
             locks = self._items[item_id]
             locks.granted.pop(txn_id, None)
-            if item_id in queued:
+            if item_id == waiting:
                 locks.queue = [r for r in locks.queue if r.txn_id != txn_id]
             granted.extend((t, item_id, m) for t, m in self._grant_heads(item_id))
         return granted
@@ -147,32 +150,30 @@ class LockTable:
                     break
                 locks.granted.setdefault(head.txn_id, LockMode.SHARED)
             locks.queue.pop(0)
-            queued = self._queued[head.txn_id]
-            queued[item_id] -= 1
-            if not queued[item_id]:
-                del queued[item_id]
-                if not queued:
-                    del self._queued[head.txn_id]
+            del self._waiting[head.txn_id]
             newly.append((head.txn_id, head.mode))
         return newly
 
     def waits_on(self, txn_id: int) -> set[int]:
-        """The transactions txn_id waits on: for each request it has queued,
-        the other holders and the other requests ahead of it in that queue
-        whose mode conflicts with its own."""
+        """The transactions txn_id waits on: for its one queued request, the
+        other holders and the requests ahead of it in that queue whose mode
+        conflicts with its own."""
         blockers: set[int] = set()
-        for item_id in self._queued.get(txn_id, ()):
-            locks = self._items[item_id]
-            queue = locks.queue
-            for pos, req in enumerate(queue):
-                if req.txn_id == txn_id:
-                    x = req.mode is LockMode.EXCLUSIVE
-                    for t, h in locks.granted.items():
-                        if t != txn_id and (x or h is LockMode.EXCLUSIVE):
-                            blockers.add(t)
-                    for ahead in islice(queue, pos):
-                        if ahead.txn_id != txn_id and (x or ahead.mode is LockMode.EXCLUSIVE):
-                            blockers.add(ahead.txn_id)
+        item_id = self._waiting.get(txn_id)
+        if item_id is None:
+            return blockers
+        locks = self._items[item_id]
+        queue = locks.queue
+        for pos, req in enumerate(queue):
+            if req.txn_id == txn_id:
+                break
+        x = req.mode is LockMode.EXCLUSIVE
+        for t, h in locks.granted.items():
+            if t != txn_id and (x or h is LockMode.EXCLUSIVE):
+                blockers.add(t)
+        for ahead in islice(queue, pos):
+            if x or ahead.mode is LockMode.EXCLUSIVE:
+                blockers.add(ahead.txn_id)
         return blockers
 
     def _has_waiters(self, txn_id: int) -> bool:
@@ -185,12 +186,11 @@ class LockTable:
                 continue
             held = locks.granted.get(txn_id)
             held_x = held is LockMode.EXCLUSIVE
-            ahead = ahead_x = False   # txn_id has a request, an exclusive one, ahead
+            ahead = ahead_x = False   # txn_id's request is ahead, and exclusive
             for req in locks.queue:
                 x = req.mode is LockMode.EXCLUSIVE
                 if req.txn_id == txn_id:
-                    ahead = True
-                    ahead_x = ahead_x or x
+                    ahead, ahead_x = True, x
                 elif (held is not None and (held_x or x)) or ahead_x or (ahead and x):
                     return True
         return False
@@ -238,56 +238,34 @@ class LockTable:
                 raise AssertionError(f"conflicting grants on item {item_id}: {locks.granted}")
 
 
-@dataclass
-class _ActiveTxn:
-    start: int
-    read_set: set[int] = field(default_factory=set)
-    write_set: set[int] = field(default_factory=set)
-
-
 class OccBook:
-    """Backward-validation bookkeeping.
-
-    Active transactions carry a start instant plus read/write sets; committed
-    transactions keep their write set at a server-assigned commit instant, and
-    those instants strictly increase in commit order.
+    """Backward-validation bookkeeping: the write set of each committed
+    transaction at its server-assigned commit instant. Those instants
+    strictly increase in commit order. Active transactions keep their own
+    start and sets and send them with the commit request.
     """
 
     def __init__(self):
-        self.active: dict[int, _ActiveTxn] = {}
         self._commit_instants: list[int] = []
         self._commit_writes: list[frozenset[int]] = []
 
-    def begin(self, txn_id: int, start: int) -> None:
-        self.active[txn_id] = _ActiveTxn(start)
 
-    def note_read(self, txn_id: int, item_id: int) -> None:
-        self.active[txn_id].read_set.add(item_id)
-
-    def note_write(self, txn_id: int, item_id: int) -> None:
-        self.active[txn_id].write_set.add(item_id)
-
-    def drop(self, txn_id: int) -> None:
-        self.active.pop(txn_id, None)
-
-
-def occ_validate(book: OccBook, txn_id: int, now: int) -> Outcome:
-    """Backward validation at commit instant now.
+def occ_validate(book: OccBook, start: int, read_set: set[int], write_set: set[int],
+                 now: int) -> Outcome:
+    """Backward validation at commit instant now of a transaction that
+    started at start.
 
     Aborts iff some transaction that committed in (start, now] wrote an item
-    in the validator's read set. On commit the validator's write set is
-    recorded at instant now, which must exceed every earlier commit instant.
+    in read_set. On commit write_set is recorded at instant now, which must
+    exceed every earlier commit instant.
     """
-    txn = book.active[txn_id]
     if book._commit_instants and now <= book._commit_instants[-1]:
         raise ValueError(f"commit instant {now} does not advance past "
                          f"{book._commit_instants[-1]}")
-    lo = bisect_right(book._commit_instants, txn.start)
+    lo = bisect_right(book._commit_instants, start)
     for k in range(lo, len(book._commit_instants)):
-        if book._commit_writes[k] & txn.read_set:
-            book.drop(txn_id)
+        if book._commit_writes[k] & read_set:
             return Outcome.ABORTED
     book._commit_instants.append(now)
-    book._commit_writes.append(frozenset(txn.write_set))
-    book.drop(txn_id)
+    book._commit_writes.append(frozenset(write_set))
     return Outcome.COMMITTED

@@ -145,6 +145,7 @@ class MatrixConfig:
                         if self.arrival_window_ms is not None:
                             cfg = replace(cfg, arrival_mean_ms=_window_mean(
                                 self.arrival_window_ms, n_txns))
+                            cfg.validate()
                         out.append(cfg)
         return out
 

@@ -5,13 +5,13 @@ processes that sleep for service times and message latencies, park while
 blocked on locks, and talk to the single simulated server at their commit
 point.
 
-Every protocol runs the same client loop: per operator a disconnect roll, an
-optional read refresh and the service time, then one commit request and its
-reply, with retries as fresh attempts. Protocols differ only on the server,
-in a small policy object per attempt: opcot logs operators with relative
-timestamps and validates the log at commit, occ buffers writes and validates
-backwards, and s2pl adds a lock round-trip before each operator, which may
-park the client or pick it as a deadlock victim.
+Every protocol runs the same client loop: per operator a disconnect roll and
+the service time, then one commit request and its reply, with retries as
+fresh attempts. Protocols differ only on the server, in a small policy object
+per attempt: opcot logs operators with relative timestamps and validates the
+log at commit, occ buffers writes and validates backwards, and s2pl adds a
+lock round-trip before each operator, which may park the client or pick it as
+a deadlock victim.
 
 Client mobility is abstracted into per-operation disconnect rolls plus a
 reconnect delay that is paid only when a server exchange is actually needed.
@@ -49,6 +49,9 @@ PROTOCOLS = ("opcot", "occ", "s2pl")
 _CLIENT_CLOCK_SKEW_MS = 1_000_000  # client clocks sit anywhere within +/- this
 # upper bound on mean_len and sd_len; a larger one draws lengths no run can finish
 MAX_TXN_LEN = 10_000
+# upper bound on every millisecond value: the largest integer a float draw
+# reproduces exactly
+MAX_MS = 2**53
 
 
 @dataclass
@@ -68,7 +71,6 @@ class SimConfig:
     disconnect_prob: float = 0.05
     reconnect_delay_ms: tuple[int, int] = (100, 300)
     arrival_mean_ms: int | None = None  # None -> op_service_ms * 10
-    mid_txn_reads: bool = False
     retries: int = 0
     seed: int = 1
 
@@ -93,6 +95,13 @@ class SimConfig:
                 raise ConfigError(f"{name} must be 0 <= lo <= hi, got ({lo}, {hi})")
         if self.arrival_mean_ms is not None and self.arrival_mean_ms < 0:
             raise ConfigError("arrival_mean_ms must be >= 0")
+        for name in ("op_service_ms", "uplink_latency_ms", "downlink_latency_ms",
+                     "reconnect_delay_ms", "arrival_mean_ms"):
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = value[1]
+            if value is not None and value > MAX_MS:
+                raise ConfigError(f"{name} must be at most {MAX_MS}")
 
     @property
     def arrival_mean(self) -> int:
@@ -136,19 +145,10 @@ def _parse_range(raw: str) -> tuple[int, int]:
     return (int(lo), int(hi))
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 # One parser per SimConfig field annotation, so a new field of a known type
 # needs no second edit. Text (the protocol name) is case-insensitive.
 _PARSERS = {str: str.lower, int: int, int | None: int, float: float,
-            bool: _parse_bool, tuple[int, int]: _parse_range}
+            tuple[int, int]: _parse_range}
 FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 
 
@@ -315,9 +315,6 @@ def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: 
                     yield from policy.lock(op)
                     run.messages += 1
                     yield rng.uniform_ms(cfg.downlink_latency_ms)
-                elif cfg.mid_txn_reads and op.kind is OpKind.READ and connected:
-                    run.messages += 1  # opportunistic refresh of the local copy
-                    yield rng.uniform_ms(cfg.uplink_latency_ms) + rng.uniform_ms(cfg.downlink_latency_ms)
                 yield cfg.op_service_ms
                 run.service_ms += cfg.op_service_ms
                 policy.record(op)
@@ -364,26 +361,28 @@ class _Opcot:
 
 class _Occ:
     """Reads run now; writes are buffered and installed at the commit
-    instant if backward validation passes."""
+    instant if backward validation passes. The commit request carries the
+    start instant, the read set and the write set."""
 
     lock = None
 
     def __init__(self, sim: _Sim, aid: int, offset: int):
         self.sim, self.aid = sim, aid
+        self.start = sim.now
+        self.reads: set[int] = set()
         self.writes: list[Operation] = []
-        sim.book.begin(aid, sim.now)
 
     def record(self, op: Operation) -> None:
         if op.kind is OpKind.READ:
-            self.sim.book.note_read(self.aid, op.item_id)
+            self.reads.add(op.item_id)
             self.sim.history.record_op(self.aid, op, self.sim.now)
         elif op.kind is OpKind.WRITE:
-            self.sim.book.note_write(self.aid, op.item_id)
             self.writes.append(op)
 
     def commit(self, instant: int) -> Outcome:
         history = self.sim.history
-        outcome = occ_validate(self.sim.book, self.aid, instant)
+        outcome = occ_validate(self.sim.book, self.start, self.reads,
+                               {op.item_id for op in self.writes}, instant)
         if outcome is Outcome.COMMITTED:
             for op in self.writes:
                 history.record_op(self.aid, op, instant)

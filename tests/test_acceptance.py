@@ -170,25 +170,17 @@ def _load_fixture(name: str, txn_id: int):
 
 
 def _occ_replay(schedule):
-    """Drive an OccBook with (log, receipt) pairs ordered by receipt."""
+    """Validate (log, receipt) pairs backwards in receipt order; each commit
+    request carries the rebased begin instant and the log's read and write
+    sets."""
     book = OccBook()
     outcomes = {}
-    events = []
-    for log, receipt in schedule:
-        begin = rebase_to_server_time(log, receipt)[0]
-        events.append(("begin", begin, log.txn_id, log))
-        events.append(("commit", receipt, log.txn_id, log))
-    events.sort(key=lambda e: (e[1], e[0] == "commit"))
-    for kind, instant, txn_id, log in events:
-        if kind == "begin":
-            book.begin(txn_id, instant)
-            for rec in log.records:
-                if rec.op.kind is OpKind.READ:
-                    book.note_read(txn_id, rec.op.item_id)
-                elif rec.op.kind is OpKind.WRITE:
-                    book.note_write(txn_id, rec.op.item_id)
-        else:
-            outcomes[txn_id] = occ_validate(book, txn_id, instant)
+    for log, receipt in sorted(schedule, key=lambda pair: pair[1]):
+        start = rebase_to_server_time(log, receipt)[0]
+        sets = {kind: {rec.op.item_id for rec in log.records if rec.op.kind is kind}
+                for kind in (OpKind.READ, OpKind.WRITE)}
+        outcomes[log.txn_id] = occ_validate(book, start, sets[OpKind.READ],
+                                            sets[OpKind.WRITE], receipt)
     return outcomes
 
 

@@ -33,15 +33,15 @@ def reference_waits_for_edges(table):
     return edges
 
 
-def rebuilt_queued(table):
-    """txn -> {item: its requests in that item's queue}, rebuilt from the
-    queues: what LockTable._queued must equal after every step."""
-    queued: dict[int, dict[int, int]] = {}
+def rebuilt_waiting(table):
+    """txn -> the item of its one queued request, rebuilt from the queues:
+    what LockTable._waiting must equal after every step."""
+    waiting: dict[int, int] = {}
     for item_id, locks in table._items.items():
         for req in locks.queue:
-            per_item = queued.setdefault(req.txn_id, {})
-            per_item[item_id] = per_item.get(item_id, 0) + 1
-    return queued
+            assert req.txn_id not in waiting, f"txn {req.txn_id} has two queued requests"
+            waiting[req.txn_id] = item_id
+    return waiting
 
 
 def reference_find_cycle(edges, start=None):
@@ -128,6 +128,17 @@ class TestAcquire:
         assert table.acquire(2, 0, X) == Queued()
         assert table.youngest_of(table.find_cycle(2)) == 2
 
+    def test_a_waiting_transaction_cannot_request_again(self):
+        table = table_with((1, 0), (2, 1))
+        table.acquire(1, 0, X)
+        assert table.acquire(2, 0, S) == Queued()
+        for item_id, mode in ((0, S), (0, X), (1, S)):
+            with pytest.raises(ValueError, match=f"txn 2 requests item {item_id} "
+                                                 "while it waits on item 0"):
+                table.acquire(2, item_id, mode)
+        assert table.release_all(1) == [(2, 0, S)]
+        assert table.acquire(2, 1, X) == Granted()  # granted, so no longer waiting
+
     def test_no_barging_past_a_queue(self):
         table = table_with((1, 0), (2, 1), (3, 2))
         table.acquire(1, 0, X)
@@ -182,65 +193,82 @@ class TestLockInvariants:
         # random acquire/release traffic; after every resolved acquire no
         # conflicting grants coexist and the waits-for graph is cycle free
         # (one enqueue can create several cycles, so victims are resolved in
-        # a loop exactly the way the simulator drives the table)
+        # a loop exactly the way the simulator drives the table); like a
+        # client, only a transaction that does not wait issues a request
         rng = DetRng(31337)
         table = LockTable()
         active: dict[int, bool] = {}
-        next_txn = 0
+        waiting: set[int] = set()
+        next_txn = cycles = 0
+
+        def release(txn):
+            for t, _item, _mode in table.release_all(txn):
+                waiting.discard(t)
+            waiting.discard(txn)
+            del active[txn]
+
         for step in range(600):
             if active and rng.random() < 0.25:
-                txn = sorted(active)[rng.randrange(len(active))]
-                table.release_all(txn)
-                del active[txn]
+                release(sorted(active)[rng.randrange(len(active))])
                 table.assert_safety()
                 continue
-            if not active or rng.random() < 0.3:
+            idle = sorted(t for t in active if t not in waiting)
+            if not idle or rng.random() < 0.3:
                 table.register_txn(next_txn, step)
                 active[next_txn] = True
+                idle.append(next_txn)
                 next_txn += 1
-            txn = sorted(active)[rng.randrange(len(active))]
+            txn = idle[rng.randrange(len(idle))]
             mode = S if rng.random() < 0.5 else X
-            table.acquire(txn, rng.randrange(8), mode)
+            if table.acquire(txn, rng.randrange(8), mode) == Queued():
+                waiting.add(txn)
             while cycle := table.find_cycle(txn):
+                cycles += 1
                 victim = table.youngest_of(cycle)
-                table.release_all(victim)
-                active.pop(victim, None)
+                release(victim)
                 if victim == txn:
                     break
             table.assert_safety()
             assert table.find_cycle() is None
+            assert waiting == set(table._waiting)
+        assert cycles > 0
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_lazy_search_matches_the_global_graph(self, seed):
-        # random traffic in which blocked transactions issue further requests
-        # (possibly a second one in the same queue) and victims are released
-        # only half of the time, so cycles stay in the table; after every
-        # step the per-waiter edges and every search agree with the reference
+        # random traffic in which only transactions that do not wait issue
+        # requests and victims are released only half of the time, so cycles
+        # stay in the table; when every transaction waits, one is released.
+        # After every step the per-waiter edges and every search agree with
+        # the reference
         rng = DetRng(seed)
         table = LockTable()
         active: list[int] = []
+        cycles = 0
         for step in range(400):
-            if active and rng.random() < 0.2:
+            idle = [t for t in active if t not in table._waiting]
+            if active and (not idle or rng.random() < 0.2):
                 table.release_all(active.pop(rng.randrange(len(active))))
             else:
-                if not active or rng.random() < 0.3:
+                if not idle or rng.random() < 0.3:
                     table.register_txn(step, rng.randrange(50))
                     active.append(step)
-                txn = active[rng.randrange(len(active))]
+                    idle.append(step)
+                txn = idle[rng.randrange(len(idle))]
                 res = table.acquire(txn, rng.randrange(6), S if rng.random() < 0.5 else X)
                 cycle = res == Queued() and table.find_cycle(txn)
+                cycles += bool(cycle)
                 if cycle and rng.random() < 0.5:
                     victim = table.youngest_of(cycle)
                     table.release_all(victim)
                     active.remove(victim)
             edges = reference_waits_for_edges(table)
-            assert table._queued == rebuilt_queued(table)
+            assert table._waiting == rebuilt_waiting(table)
             for t in range(step + 1):
                 assert table._has_waiters(t) == any(t in e for e in edges.values())
                 assert table.waits_on(t) == edges.get(t, set())
                 assert table.find_cycle(t) == reference_find_cycle(edges, t)
             assert table.find_cycle() == reference_find_cycle(edges)
-
+        assert cycles > 0
 
     def test_search_skips_a_requester_nobody_waits_on(self, monkeypatch):
         # T2 waits on T1 but nobody waits on T2, so no cycle can run through
@@ -255,47 +283,34 @@ class TestLockInvariants:
 
 
 class TestOccValidate:
+    # occ_validate(book, start, read_set, write_set, now): the commit request
+    # carries the validator's start instant and both of its sets
+
     def test_write_read_overlap_aborts(self):
         # a committer during the reader's lifetime wrote what the reader read
         book = OccBook()
-        book.begin(1, 9)
-        book.note_read(1, 0)
-        book.begin(2, 8)
-        book.note_write(2, 0)
-        assert occ_validate(book, 2, 12) is Outcome.COMMITTED
-        assert occ_validate(book, 1, 14) is Outcome.ABORTED
+        assert occ_validate(book, 8, set(), {0}, 12) is Outcome.COMMITTED
+        assert occ_validate(book, 9, {0}, set(), 14) is Outcome.ABORTED
 
     def test_no_overlapping_committers(self):
         book = OccBook()
-        book.begin(1, 0)
-        book.note_write(1, 3)
-        assert occ_validate(book, 1, 10) is Outcome.COMMITTED
-        book.begin(2, 11)  # starts after T1 committed
-        book.note_read(2, 3)
-        assert occ_validate(book, 2, 20) is Outcome.COMMITTED
+        assert occ_validate(book, 0, set(), {3}, 10) is Outcome.COMMITTED
+        # starts after T1 committed
+        assert occ_validate(book, 11, {3}, set(), 20) is Outcome.COMMITTED
 
     def test_disjoint_sets_commit(self):
         book = OccBook()
-        book.begin(1, 0)
-        book.note_write(1, 5)  # writes only item 5
-        book.begin(2, 1)
-        book.note_read(2, 3)   # reads only item 3
-        assert occ_validate(book, 1, 10) is Outcome.COMMITTED
-        assert occ_validate(book, 2, 12) is Outcome.COMMITTED
+        # T1 writes only item 5, T2 reads only item 3
+        assert occ_validate(book, 0, set(), {5}, 10) is Outcome.COMMITTED
+        assert occ_validate(book, 1, {3}, set(), 12) is Outcome.COMMITTED
 
     def test_pure_writers_never_abort(self):
         book = OccBook()
-        book.begin(1, 0)
-        book.note_write(1, 0)
-        book.begin(2, 1)
-        book.note_write(2, 0)
-        assert occ_validate(book, 1, 10) is Outcome.COMMITTED
-        assert occ_validate(book, 2, 11) is Outcome.COMMITTED
+        assert occ_validate(book, 0, set(), {0}, 10) is Outcome.COMMITTED
+        assert occ_validate(book, 1, set(), {0}, 11) is Outcome.COMMITTED
 
     def test_commit_instants_strictly_increase(self):
         book = OccBook()
-        book.begin(1, 0)
-        occ_validate(book, 1, 10)
-        book.begin(2, 0)
+        occ_validate(book, 0, set(), set(), 10)
         with pytest.raises(ValueError):
-            occ_validate(book, 2, 10)
+            occ_validate(book, 0, set(), set(), 10)

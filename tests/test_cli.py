@@ -267,6 +267,16 @@ class TestOutputCheckedFirst:
         assert "Traceback" not in err
 
 
+# millisecond values no float draw can take; each used to crash with an
+# OverflowError traceback
+_HUGE = "9" * 400
+HUGE_MS_FILES = {
+    "arrival-mean-huge": f"arrival_mean_ms = {_HUGE}\n",
+    "service-huge": f"op_service_ms = {_HUGE}\n",
+    "uplink-hi-huge": f"uplink_latency_ms = 1, {_HUGE}\n",
+    "reconnect-hi-huge": f"reconnect_delay_ms = 1, {_HUGE}\ndisconnect_prob = 1\n",
+}
+
 # malformed matrix values: each must exit 1 as a config error, never a traceback
 BAD_MATRIX_FILES = {
     "zero-txns-in-window": "txns = 0\narrival_window_ms = 100\n",
@@ -279,6 +289,9 @@ BAD_MATRIX_FILES = {
     "sd-len-huge": "sd_len = 1e308\n",
     "window-too-large": "arrival_window_ms = " + "9" * 311 + "\n",
     "seed-range-empty": "seeds = 5:1\n",
+    # divides, but the 1e308 ms mean times an exponential draw overflows
+    "window-mean-huge": "txns = 5\narrival_window_ms = 5" + "0" * 308 + "\n",
+    **HUGE_MS_FILES,
 }
 
 
@@ -292,7 +305,8 @@ def test_bad_matrix_value_exits_1(tmp_path, capsys, text):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("text", ["mean_len = nan\n", "sd_len = inf\n", "mean_len = 1e308\n"])
+@pytest.mark.parametrize("text", ["mean_len = nan\n", "sd_len = inf\n", "mean_len = 1e308\n"] + [
+    pytest.param(text, id=name) for name, text in HUGE_MS_FILES.items()])
 def test_bad_run_config_value_exits_1(tmp_path, capsys, text):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(text, encoding="utf-8")

@@ -25,7 +25,7 @@ from ccarena.harness import (
 )
 from ccarena.oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
 from ccarena.rng import DetRng
-from ccarena.simkit import TxnTiming
+from ccarena.simkit import MAX_MS, TxnTiming
 
 
 def reference_verify_run(history, protocol):
@@ -149,7 +149,10 @@ class TestRunMatrix:
     def test_a_window_too_large_to_divide_is_a_config_error(self):
         with pytest.raises(ConfigError, match="arrival_window_ms is too large"):
             tiny_matrix(arrival_window_ms=10 ** 310).cells()
-        assert tiny_matrix(arrival_window_ms=10 ** 300).cells()  # still fits a float
+        # one that divides into a mean past MAX_MS is rejected with the cell
+        with pytest.raises(ConfigError, match=f"arrival_mean_ms must be at most {MAX_MS}"):
+            tiny_matrix(arrival_window_ms=10 ** 300).cells()
+        assert tiny_matrix(arrival_window_ms=MAX_MS).cells()
 
     def test_arrival_window_scales_contention(self):
         mx = tiny_matrix(protocols=["opcot"], n_txns_list=[10, 20], seeds=[1],

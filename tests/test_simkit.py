@@ -18,7 +18,7 @@ from ccarena import (
 from ccarena.core import OpKind
 from ccarena.harness import compute_waiting_time
 from ccarena.rng import DetRng
-from ccarena.simkit import MAX_TXN_LEN, parse_kv_text
+from ccarena.simkit import MAX_MS, MAX_TXN_LEN, parse_kv_text
 
 
 def quiet_cfg(**kw):
@@ -55,6 +55,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} {message}"):
             SimConfig.from_mapping({key: raw})
 
+    @pytest.mark.parametrize("key, raw", [
+        ("op_service_ms", "{}"), ("arrival_mean_ms", "{}"), ("uplink_latency_ms", "0, {}"),
+        ("downlink_latency_ms", "0, {}"), ("reconnect_delay_ms", "0, {}"),
+    ])
+    def test_millisecond_values_are_bounded(self, key, raw):
+        # past 2**53 a float draw no longer reproduces the integer, and far
+        # past it the conversion overflows
+        SimConfig.from_mapping({key: raw.format(MAX_MS)})
+        with pytest.raises(ConfigError, match=f"{key} must be at most {MAX_MS}"):
+            SimConfig.from_mapping({key: raw.format(MAX_MS + 1)})
+
     def test_every_field_parses_its_own_default(self):
         # the parser comes from the field's annotation, so every field has one
         for f in fields(SimConfig):
@@ -71,12 +82,11 @@ class TestConfig:
     def test_from_mapping_round_trip(self):
         cfg = SimConfig.from_mapping({
             "protocol": "S2PL", "n_items": "1000", "mean_len": "5.0",
-            "uplink_latency_ms": "5, 15", "mid_txn_reads": "true", "seed": "99",
+            "uplink_latency_ms": "5, 15", "seed": "99",
         })
         assert cfg.protocol == "s2pl"
         assert cfg.n_items == 1000
         assert cfg.uplink_latency_ms == (5, 15)
-        assert cfg.mid_txn_reads is True
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -186,12 +196,16 @@ class TestTimings:
 
 
 class TestMessageEconomy:
-    def test_opcot_exactly_two_messages(self):
-        cfg = quiet_cfg(disconnect_prob=0.4, reconnect_delay_ms=(10, 30),
-                        uplink_latency_ms=(1, 5), downlink_latency_ms=(1, 5),
-                        n_txns=50)
+    @pytest.mark.parametrize("retries", [0, 2])
+    @pytest.mark.parametrize("protocol", ["opcot", "occ"])
+    def test_exactly_two_messages_per_attempt(self, protocol, retries):
+        # disconnects only delay the commit exchange; they never add messages
+        cfg = quiet_cfg(protocol=protocol, retries=retries, disconnect_prob=0.4,
+                        reconnect_delay_ms=(10, 30), uplink_latency_ms=(1, 5),
+                        downlink_latency_ms=(1, 5), n_txns=50)
         result = run_simulation(cfg)
-        assert all(t.messages == 2 for t in result.timings)
+        assert any(t.attempts > 1 for t in result.timings) == (retries > 0)
+        assert all(t.messages == 2 * t.attempts for t in result.timings)
 
     def test_s2pl_two_messages_per_op_plus_commit(self):
         cfg = quiet_cfg(protocol="s2pl", n_txns=30, n_items=40)
@@ -205,22 +219,13 @@ class TestMessageEconomy:
             if t.attempts == 1:
                 assert t.messages == 2 * n_ops + 2
 
-    def test_mid_txn_reads_cost_one_message_each(self):
-        cfg = quiet_cfg(mid_txn_reads=True, n_txns=40)
-        result = run_simulation(cfg)
-        by_id = {s.txn_id: s for s in gen_workload(cfg, DetRng(cfg.seed).spawn(1))}
-        for t in result.timings:
-            n_reads = sum(1 for op in by_id[t.txn_id].ops if op.kind is OpKind.READ)
-            assert t.messages <= 2 + n_reads
-            # never disconnected here, so every read refreshes
-            assert t.messages == 2 + n_reads
 
 
 class TestLockSafetyDuringSimulation:
     def test_no_conflicting_grants_at_any_event(self, monkeypatch):
         # a lock table that audits itself after every mutation, injected into
         # a contended locking run
-        from test_baselines import rebuilt_queued
+        from test_baselines import rebuilt_waiting
 
         from ccarena.baselines import LockTable
         import ccarena.simkit as simkit
@@ -229,13 +234,13 @@ class TestLockSafetyDuringSimulation:
             def acquire(self, txn_id, item_id, mode):
                 res = super().acquire(txn_id, item_id, mode)
                 self.assert_safety()
-                assert self._queued == rebuilt_queued(self)
+                assert self._waiting == rebuilt_waiting(self)
                 return res
 
             def release_all(self, txn_id):
                 granted = super().release_all(txn_id)
                 self.assert_safety()
-                assert self._queued == rebuilt_queued(self)
+                assert self._waiting == rebuilt_waiting(self)
                 return granted
 
         monkeypatch.setattr(simkit, "LockTable", AuditedTable)
@@ -272,16 +277,6 @@ class TestHistoriesPassOracles:
         assert is_acyclic(conflict_skeleton(result.history))
         assert check_commitment_ordering(result.history).ok
 
-    def test_mid_txn_reads_keep_histories_commit_ordered(self):
-        cfg = quiet_cfg(protocol="opcot", n_items=4, n_txns=60, mid_txn_reads=True,
-                        disconnect_prob=0.2, reconnect_delay_ms=(10, 40),
-                        uplink_latency_ms=(2, 8), downlink_latency_ms=(2, 8),
-                        arrival_mean_ms=15, seed=23)
-        result = run_simulation(cfg)
-        assert result.aborted > 0
-        assert check_commitment_ordering(result.history).ok
-        assert is_acyclic(conflict_skeleton(result.history))
-
 
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -292,7 +287,6 @@ _NOISY = dict(n_items=4, n_txns=40, mean_len=4, retries=2, disconnect_prob=0.3,
               downlink_latency_ms=(1, 8), arrival_mean_ms=10, seed=2)
 _GOLDEN_SHAPES = {
     "disconnects": _NOISY,
-    "mid_txn_reads": dict(_NOISY, mid_txn_reads=True),
     # zero latencies put many events on the same instant, so tie order counts
     "zero_latency": dict(n_items=3, n_txns=40, mean_len=3, retries=2,
                          disconnect_prob=0.1, arrival_mean_ms=5, seed=2),
@@ -306,9 +300,6 @@ _GOLDEN = {
     ("disconnects", "opcot"): ("79898b733e5375f9", "d777f5585707e5dd"),
     ("disconnects", "occ"): ("3eebbb9d2bef7820", "8252c3f722dd7f18"),
     ("disconnects", "s2pl"): ("54c9cfb76b42f087", "7ebd749e3f61377d"),
-    ("mid_txn_reads", "opcot"): ("6460ee812c911cde", "acf073eea510387a"),
-    ("mid_txn_reads", "occ"): ("f50d4b441c775782", "0e267d77bcb3dbc3"),
-    ("mid_txn_reads", "s2pl"): ("54c9cfb76b42f087", "7ebd749e3f61377d"),
     ("zero_latency", "opcot"): ("334472d5af73fe01", "2b09cafb99f7951d"),
     ("zero_latency", "occ"): ("39d6ffe18c7c8575", "e2f990b76fe86f64"),
     ("zero_latency", "s2pl"): ("617526f6de517266", "4c022fcb8744d37f"),
@@ -348,7 +339,7 @@ class TestClockSkewInvariance:
         # sit from the server clock cannot matter
         import ccarena.simkit as simkit
 
-        cfg = quiet_cfg(protocol=protocol, **dict(_NOISY, mid_txn_reads=True))
+        cfg = quiet_cfg(protocol=protocol, **_NOISY)
         runs = []
         for skew in (0, 10**6, 10**9):
             monkeypatch.setattr(simkit, "_CLIENT_CLOCK_SKEW_MS", skew)
