@@ -7,8 +7,8 @@ instants backwards. Two clients whose clocks disagree by hours produce the
 same server-side timeline.
 """
 
-from ccarena import BEGIN, COMMIT, client_record_op, log_to_text, read, rebase_to_server_time, write
-from ccarena.core import OperatorLog
+from ccarena.core import BEGIN, COMMIT, OperatorLog, log_to_text, read, write
+from ccarena.opcot import client_record_op, rebase_to_server_time
 
 
 def record_transaction(clock_offset: int) -> OperatorLog:

@@ -8,7 +8,8 @@ validation looks at the operator instants instead, so overlap alone is not a
 death sentence: only conflicts that contradict the commit order abort.
 """
 
-from ccarena import ItemRegistry, OccBook, Outcome, log_from_text, occ_validate
+from ccarena.baselines import OccBook, occ_validate
+from ccarena.core import ItemRegistry, Outcome, log_from_text
 from ccarena.opcot import commit_transaction, rebase_to_server_time
 
 WRITER, OVERLAPPER, FIRST_WRITER = 1, 2, 3

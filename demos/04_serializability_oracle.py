@@ -6,15 +6,12 @@ both write it. Whatever order you pick, one of them overwrote state it never
 saw; the conflict graph shows that as a two-node cycle.
 """
 
-from ccarena import (
-    History,
-    Outcome,
+from ccarena.core import History, Outcome, read, write
+from ccarena.oracle import (
     brute_force_serializable,
     build_serialization_graph,
     check_commitment_ordering,
     is_acyclic,
-    read,
-    write,
 )
 
 hist = History()

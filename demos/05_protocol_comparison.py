@@ -9,8 +9,14 @@ most, locking to wait the most, and the commit-order validator to do neither.
 
 import statistics
 
-from ccarena import MatrixConfig, SimConfig, compute_waiting_time, run_matrix
-from ccarena.harness import cell_means, rows_to_gnuplot
+from ccarena.harness import (
+    MatrixConfig,
+    cell_means,
+    compute_waiting_time,
+    rows_to_gnuplot,
+    run_matrix,
+)
+from ccarena.simkit import SimConfig
 
 matrix = MatrixConfig(
     protocols=["opcot", "occ", "s2pl"],

@@ -118,14 +118,16 @@ class LockTable:
 
     def youngest_of(self, txns) -> int:
         """Victim rule: the transaction with the latest begin instant."""
-        return max(txns, key=lambda t: (self._begin.get(t, 0), t))
+        return max(txns, key=lambda t: (self._begin[t], t))
 
     def release_all(self, txn_id: int) -> list[tuple[int, int, LockMode]]:
-        """Drop every granted and queued entry of txn_id; re-grant FIFO heads.
+        """Forget txn_id: drop its begin instant and every granted and queued
+        entry; re-grant FIFO heads.
 
         Returns the newly granted (txn, item, mode) triples, in grant order.
         """
         granted: list[tuple[int, int, LockMode]] = []
+        self._begin.pop(txn_id, None)
         waiting = self._waiting.pop(txn_id, None)
         for item_id in sorted(self._presence.pop(txn_id, ())):
             locks = self._items[item_id]
@@ -238,6 +240,7 @@ class LockTable:
                 raise AssertionError(f"conflicting grants on item {item_id}: {locks.granted}")
 
 
+@dataclass
 class OccBook:
     """Backward-validation bookkeeping: the write set of each committed
     transaction at its server-assigned commit instant. Those instants
@@ -245,9 +248,8 @@ class OccBook:
     start and sets and send them with the commit request.
     """
 
-    def __init__(self):
-        self._commit_instants: list[int] = []
-        self._commit_writes: list[frozenset[int]] = []
+    commit_instants: list[int] = field(default_factory=list)
+    commit_writes: list[frozenset[int]] = field(default_factory=list)
 
 
 def occ_validate(book: OccBook, start: int, read_set: set[int], write_set: set[int],
@@ -259,13 +261,13 @@ def occ_validate(book: OccBook, start: int, read_set: set[int], write_set: set[i
     in read_set. On commit write_set is recorded at instant now, which must
     exceed every earlier commit instant.
     """
-    if book._commit_instants and now <= book._commit_instants[-1]:
+    if book.commit_instants and now <= book.commit_instants[-1]:
         raise ValueError(f"commit instant {now} does not advance past "
-                         f"{book._commit_instants[-1]}")
-    lo = bisect_right(book._commit_instants, start)
-    for k in range(lo, len(book._commit_instants)):
-        if book._commit_writes[k] & read_set:
+                         f"{book.commit_instants[-1]}")
+    lo = bisect_right(book.commit_instants, start)
+    for k in range(lo, len(book.commit_instants)):
+        if book.commit_writes[k] & read_set:
             return Outcome.ABORTED
-    book._commit_instants.append(now)
-    book._commit_writes.append(frozenset(write_set))
+    book.commit_instants.append(now)
+    book.commit_writes.append(frozenset(write_set))
     return Outcome.COMMITTED

@@ -240,10 +240,6 @@ class RunResult:
     aborted: int
 
 
-class _VictimSignal(Exception):
-    """Raised in a transaction process chosen as a deadlock victim."""
-
-
 class _Sim:
     """Shared state of one run: clock, server structures, parked processes."""
 
@@ -302,30 +298,30 @@ def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: 
         run.attempts += 1
         policy = new_policy(sim, aid, offset)
         connected = True
-        try:
-            for op in spec.ops:
-                if rng.random() < cfg.disconnect_prob:  # rolled even when offline
-                    connected = False
-                if policy.lock:
-                    if not connected:
-                        yield rng.uniform_ms(cfg.reconnect_delay_ms)
-                        connected = True
-                    run.messages += 1
-                    yield rng.uniform_ms(cfg.uplink_latency_ms)
-                    yield from policy.lock(op)
-                    run.messages += 1
-                    yield rng.uniform_ms(cfg.downlink_latency_ms)
-                yield cfg.op_service_ms
-                run.service_ms += cfg.op_service_ms
-                policy.record(op)
+        for op in spec.ops:
+            if rng.random() < cfg.disconnect_prob:  # rolled even when offline
+                connected = False
+            if policy.lock:
+                if not connected:
+                    yield rng.uniform_ms(cfg.reconnect_delay_ms)
+                    connected = True
+                run.messages += 1
+                yield rng.uniform_ms(cfg.uplink_latency_ms)
+                if not (yield from policy.lock(op)):
+                    outcome = Outcome.ABORTED  # the server recorded it and released the locks
+                    break
+                run.messages += 1
+                yield rng.uniform_ms(cfg.downlink_latency_ms)
+            yield cfg.op_service_ms
+            run.service_ms += cfg.op_service_ms
+            policy.record(op)
+        else:
             policy.record(core.COMMIT)
             if not connected:
                 yield rng.uniform_ms(cfg.reconnect_delay_ms)
             run.messages += 1
             yield rng.uniform_ms(cfg.uplink_latency_ms)
             outcome = policy.commit(sim.stamp(sim.now))
-        except _VictimSignal:
-            outcome = Outcome.ABORTED  # the server recorded it and released the locks
         run.messages += 1
         yield rng.uniform_ms(cfg.downlink_latency_ms)
         if outcome is Outcome.COMMITTED:
@@ -337,7 +333,8 @@ def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: 
 # Server policies, one per protocol and attempt. record(op) takes the local
 # effect of each executed operator, then of COMMIT just before the commit
 # exchange; commit(instant) decides at the server's receipt instant. A policy
-# with a lock(op) generator costs the client a round-trip per operator.
+# with a lock(op) generator costs the client a round-trip per operator, and
+# the generator returns False when the server ends the attempt there.
 
 class _Opcot:
     """Log operators with relative timestamps off the skewed client clock;
@@ -402,10 +399,10 @@ class _S2pl:
         pass  # lock() records each operator at its grant
 
     def lock(self, op: Operation):
-        """Acquire op's lock, parking while blocked, and record op at the
-        grant. The one place deadlocks are broken: while a cycle runs through
-        this request, abort its youngest member; raise _VictimSignal when
-        that is this attempt, now or while parked."""
+        """Acquire op's lock, parking while blocked, record op at the grant
+        and return True. The one place deadlocks are broken: while a cycle
+        runs through this request, abort its youngest member; return False
+        when that is this attempt, now or while parked."""
         sim, table, aid = self.sim, self.sim.table, self.aid
         mode = LockMode.SHARED if op.kind is OpKind.READ else LockMode.EXCLUSIVE
         granted = isinstance(table.acquire(aid, op.item_id, mode), Granted)
@@ -413,12 +410,13 @@ class _S2pl:
             victim = table.youngest_of(cycle)
             sim.s2pl_end(victim, Outcome.ABORTED, sim.now)
             if victim == aid:
-                raise _VictimSignal()
+                return False
             sim.queue.push(sim.now, (sim.parked.pop(victim), Outcome.ABORTED))
             granted = table.holds(aid, op.item_id, mode)  # the victim's release may grant it
         if not granted and (yield ("park", aid)) is Outcome.ABORTED:
-            raise _VictimSignal()
+            return False
         sim.history.record_op(aid, op, sim.now)
+        return True
 
     def commit(self, instant: int) -> Outcome:
         self.sim.s2pl_end(self.aid, Outcome.COMMITTED, instant)

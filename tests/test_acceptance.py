@@ -13,36 +13,36 @@ from pathlib import Path
 
 import pytest
 
-from ccarena import (
+from ccarena.baselines import OccBook, occ_validate
+from ccarena.core import (
     BEGIN,
     COMMIT,
     History,
     ItemRegistry,
     LogRecord,
-    MatrixConfig,
-    OccBook,
     OperatorLog,
+    OpKind,
     Outcome,
-    SimConfig,
+    log_from_text,
+    read,
+    write,
+)
+from ccarena.harness import (
+    MatrixConfig,
+    compute_abort_rate,
+    compute_waiting_time,
+    rows_to_csv,
+    run_matrix,
+)
+from ccarena.opcot import commit_transaction, rebase_to_server_time
+from ccarena.oracle import (
     brute_force_serializable,
     build_serialization_graph,
     check_commitment_ordering,
-    compute_abort_rate,
-    compute_waiting_time,
-    gen_workload,
     is_acyclic,
-    log_from_text,
-    occ_validate,
-    read,
-    rebase_to_server_time,
-    run_matrix,
-    run_simulation,
-    write,
 )
-from ccarena.core import OpKind
-from ccarena.harness import rows_to_csv
-from ccarena.opcot import commit_transaction
 from ccarena.rng import DetRng
+from ccarena.simkit import SimConfig, gen_workload, run_simulation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SEEDS = list(range(1, 21))

@@ -1,14 +1,15 @@
 import pytest
 
-from ccarena import (
+from ccarena.baselines import (
     Granted,
     LockMode,
     LockTable,
     OccBook,
-    Outcome,
+    Queued,
+    compatible,
     occ_validate,
 )
-from ccarena.baselines import Queued, compatible
+from ccarena.core import Outcome
 from ccarena.rng import DetRng
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE

@@ -3,9 +3,9 @@ import ast
 import pytest
 from test_oracle import random_history, tangled_history
 
-from ccarena import build_serialization_graph, verify_run
 from ccarena.cli import main
-from ccarena.harness import CSV_HEADER
+from ccarena.harness import CSV_HEADER, verify_run
+from ccarena.oracle import build_serialization_graph
 from ccarena.rng import DetRng
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarena import ConfigError, MatrixConfig, SimConfig
+from ccarena.core import ConfigError
+from ccarena.harness import MatrixConfig
+from ccarena.simkit import SimConfig
 
 # Short atoms keep every integer small: a `seeds = lo:hi` range is
 # materialized, and the matrix's cells are built from it.

@@ -1,6 +1,6 @@
 import pytest
 
-from ccarena import (
+from ccarena.core import (
     BEGIN,
     COMMIT,
     ConfigError,

@@ -1,31 +1,25 @@
+from types import ModuleType
+
 import pytest
 from test_oracle import random_history, tangled_history
 
-from ccarena import (
-    ConfigError,
-    History,
-    MatrixConfig,
-    OracleViolation,
-    Outcome,
-    SimConfig,
-    compute_abort_rate,
-    compute_waiting_time,
-    read,
-    run_matrix,
-    run_simulation,
-    verify_run,
-    write,
-)
+from ccarena.core import ConfigError, History, Outcome, read, write
 from ccarena.harness import (
     CSV_HEADER,
+    MatrixConfig,
+    OracleViolation,
+    _run_cell,
     cell_means,
+    compute_abort_rate,
+    compute_waiting_time,
     rows_to_csv,
     rows_to_gnuplot,
-    _run_cell,
+    run_matrix,
+    verify_run,
 )
 from ccarena.oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
 from ccarena.rng import DetRng
-from ccarena.simkit import MAX_MS, TxnTiming
+from ccarena.simkit import MAX_MS, SimConfig, TxnTiming, run_simulation
 
 
 def reference_verify_run(history, protocol):
@@ -37,6 +31,17 @@ def reference_verify_run(history, protocol):
     if not co:
         return f"commitment ordering violated: {co.violation}"
     return None
+
+
+class TestPackageRoot:
+    def test_root_exports_only_the_run_and_harness_surface(self):
+        import ccarena
+
+        exported = {name for name, value in vars(ccarena).items()
+                    if not name.startswith("_") and not isinstance(value, ModuleType)}
+        assert exported == {"SimConfig", "run_simulation", "RunResult",
+                            "MatrixConfig", "run_matrix", "RunMetrics",
+                            "verify_run", "OracleViolation", "ConfigError"}
 
 
 class TestAbortRate:

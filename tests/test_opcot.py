@@ -2,29 +2,31 @@ from dataclasses import dataclass
 
 import pytest
 
-from ccarena import (
+from ccarena.core import (
     BEGIN,
     COMMIT,
-    ClockRegressionError,
-    CommitDecision,
     History,
     InvalidLogError,
     ItemRegistry,
     LogRecord,
-    OpKind,
     Operation,
     OperatorLog,
+    OpKind,
     Outcome,
-    RebaseUnderflowError,
     UnknownItemError,
-    client_record_op,
-    commit_transaction,
     log_from_text,
     log_validate,
     read,
+    write,
+)
+from ccarena.opcot import (
+    ClockRegressionError,
+    CommitDecision,
+    RebaseUnderflowError,
+    client_record_op,
+    commit_transaction,
     rebase_to_server_time,
     validate_commit,
-    write,
 )
 from ccarena.oracle import check_commitment_ordering
 from ccarena.rng import DetRng

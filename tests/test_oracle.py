@@ -2,22 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccarena import (
-    History,
-    OpEvent,
-    OpKind,
+from ccarena.core import History, OpEvent, OpKind, Outcome, read, write
+from ccarena.oracle import (
+    BRUTE_FORCE_LIMIT,
+    CoCheck,
+    EdgeLabel,
     OracleScaleError,
-    Outcome,
     SerializationGraph,
     brute_force_serializable,
     build_serialization_graph,
     check_commitment_ordering,
     conflict_skeleton,
     is_acyclic,
-    read,
-    write,
 )
-from ccarena.oracle import BRUTE_FORCE_LIMIT, CoCheck, EdgeLabel
 from ccarena.rng import DetRng
 
 

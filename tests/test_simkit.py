@@ -5,20 +5,18 @@ from dataclasses import fields
 
 import pytest
 
-from ccarena import (
-    ConfigError,
-    Outcome,
+from ccarena.core import ConfigError, OpKind, Outcome
+from ccarena.harness import compute_waiting_time
+from ccarena.oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
+from ccarena.rng import DetRng
+from ccarena.simkit import (
+    MAX_MS,
+    MAX_TXN_LEN,
     SimConfig,
-    check_commitment_ordering,
-    conflict_skeleton,
     gen_workload,
-    is_acyclic,
+    parse_kv_text,
     run_simulation,
 )
-from ccarena.core import OpKind
-from ccarena.harness import compute_waiting_time
-from ccarena.rng import DetRng
-from ccarena.simkit import MAX_MS, MAX_TXN_LEN, parse_kv_text
 
 
 def quiet_cfg(**kw):
@@ -330,6 +328,49 @@ class TestGoldenRuns:
         monkeypatch.setattr(simkit._Sim, "s2pl_end", counting_end)
         run_simulation(quiet_cfg(protocol="s2pl", **_GOLDEN_SHAPES[shape]))
         assert victims["parked"] > 0 and victims["self"] > 0
+
+
+def _run_keeping_sim(cfg, monkeypatch):
+    """Run cfg and return the result with the _Sim it ran on, as the event
+    loop left it."""
+    import ccarena.simkit as simkit
+
+    sims = []
+    run_loop = simkit._Sim.run_loop
+
+    def kept_loop(sim):
+        run_loop(sim)
+        sims.append(sim)
+
+    monkeypatch.setattr(simkit._Sim, "run_loop", kept_loop)
+    result = run_simulation(cfg)
+    (sim,) = sims
+    return result, sim
+
+
+class TestServerStateAfterRun:
+    @pytest.mark.parametrize("shape", sorted({s for s, p in _GOLDEN if p == "s2pl"}))
+    def test_s2pl_forgets_every_ended_attempt(self, shape, monkeypatch):
+        # every attempt has ended once the queue drains, committed, victim or
+        # retried, so the lock table keeps nothing of any of them
+        result, sim = _run_keeping_sim(
+            quiet_cfg(protocol="s2pl", **_GOLDEN_SHAPES[shape]), monkeypatch)
+        assert sum(t.attempts for t in result.timings) > result.config.n_txns
+        table = sim.table
+        assert table._begin == {}
+        assert table._presence == {}
+        assert table._waiting == {}
+        assert sim.parked == {}
+        assert all(not locks.granted and not locks.queue for locks in table._items.values())
+
+    @pytest.mark.parametrize("shape", sorted({s for s, p in _GOLDEN if p == "occ"}))
+    def test_occ_book_holds_the_committed_commit_instants(self, shape, monkeypatch):
+        result, sim = _run_keeping_sim(
+            quiet_cfg(protocol="occ", **_GOLDEN_SHAPES[shape]), monkeypatch)
+        commits = [e.instant for e in result.history
+                   if getattr(e, "outcome", None) is Outcome.COMMITTED]
+        assert sim.book.commit_instants == commits
+        assert len(sim.book.commit_writes) == result.committed
 
 
 class TestClockSkewInvariance:

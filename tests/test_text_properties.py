@@ -4,8 +4,8 @@ rejected with the documented error, never another exception."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ccarena import InvalidLogError, OperatorLog, log_from_text
 from ccarena.cli import main
+from ccarena.core import InvalidLogError, OperatorLog, log_from_text
 
 
 def texts_of(*words):
