@@ -6,7 +6,8 @@
 
 Exit codes: 0 all runs clean, 1 configuration error (including an input or
 output path that cannot be read or written as text), 2 oracle violation.
-Output paths are checked before the first simulation runs.
+Output paths are checked before the first simulation runs. A violating
+history is dumped next to `--out`, or to the working directory without it.
 """
 
 import argparse
@@ -79,6 +80,12 @@ def _check_writable(*paths: str) -> None:
             os.remove(path)
 
 
+def _dump_dir(out: str | None) -> str:
+    """Where a violating history is dumped: next to the output, or in the
+    working directory when there is no output file."""
+    return os.path.dirname(out or "") or os.curdir
+
+
 def _cmd_run(args) -> int:
     cfg = SimConfig.from_file(args.config) if args.config else SimConfig()
     cfg = replace(cfg, **{name: value for name, value in vars(args).items()
@@ -89,7 +96,7 @@ def _cmd_run(args) -> int:
     if args.dump_history:
         with open(args.dump_history, "w", encoding="utf-8") as fh:
             fh.write(result.history.to_text())
-    violation, _ = gate_run(result)
+    violation, _ = gate_run(result, _dump_dir(args.out))
     if violation is not None:
         print(f"oracle violation: {violation}", file=sys.stderr)
         return EXIT_ORACLE
@@ -104,7 +111,7 @@ def _cmd_run(args) -> int:
 def _cmd_matrix(args) -> int:
     matrix = MatrixConfig.from_file(args.config)
     _check_writable(args.out, *([args.out + ".dat"] if args.gnuplot else []))
-    rows = run_matrix(matrix, workers=args.workers)
+    rows = run_matrix(matrix, workers=args.workers, dump_dir=_dump_dir(args.out))
     write_csv(rows, args.out)
     if args.gnuplot:
         write_gnuplot(rows, args.out + ".dat")

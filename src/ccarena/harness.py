@@ -5,13 +5,15 @@ committed history must be conflict-serializable and must satisfy the
 commit-order property, whichever protocol produced it. The gate decides on the
 commit-order scan, which implies an acyclic conflict graph; it builds the
 conflict skeleton only when the scan fails, to name a cycle if there is one. A
-violation dumps the offending history to a fixture file and aborts the whole
-matrix.
+violation dumps the offending history to a file, by default in the working
+directory, and aborts the whole matrix.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .core import ConfigError, History
 from .oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
@@ -198,48 +200,52 @@ def _parse_list(base: SimConfig, key: str, name: str, raw: str) -> list:
     return values
 
 
-def gate_run(result: RunResult) -> tuple[str | None, str | None]:
+def gate_run(result: RunResult, dump_dir: str = os.curdir) -> tuple[str | None, str | None]:
     """Oracle gate for one run: (violation, dump path), both None when clean.
 
-    A failing history is written to the working directory for `ccarena check`.
-    The violation text ends with where it went or, when it could not be
-    written, why not; the dump path is then None. A failed dump never hides
-    the violation.
+    A failing history is written to `dump_dir` for `ccarena check`. The
+    violation text ends with where it went, relative to the working
+    directory, or, when it could not be written, why not; the dump path is
+    then None. A failed dump never hides the violation.
     """
     cfg = result.config
     violation = verify_run(result.history, cfg.protocol)
     if violation is None:
         return None, None
-    dump = f"oracle_violation_{cfg.protocol}_items{cfg.n_items}_txns{cfg.n_txns}_seed{cfg.seed}.history"
+    dump = os.path.join(dump_dir, f"oracle_violation_{cfg.protocol}_items{cfg.n_items}"
+                                  f"_txns{cfg.n_txns}_seed{cfg.seed}.history")
+    shown = os.path.relpath(dump)
     try:
         with open(dump, "w", encoding="utf-8") as fh:
             fh.write(result.history.to_text())
     except OSError as exc:
-        return f"{violation} (history not dumped to {dump}: {exc})", None
-    return f"{violation} (history dumped to {dump})", dump
+        return f"{violation} (history not dumped to {shown}: {exc})", None
+    return f"{violation} (history dumped to {shown})", dump
 
 
-def _run_cell(cfg: SimConfig) -> tuple[RunMetrics | None, str | None, str | None]:
+def _run_cell(cfg: SimConfig, dump_dir: str) -> tuple[RunMetrics | None, str | None, str | None]:
     """Worker body: run, verify, summarize. Returns (metrics, violation, dump)."""
     result = run_simulation(cfg)
-    violation, dump = gate_run(result)
+    violation, dump = gate_run(result, dump_dir)
     return (metrics_for_run(result) if violation is None else None), violation, dump
 
 
-def run_matrix(matrix: MatrixConfig, workers: int = 1) -> list[RunMetrics]:
+def run_matrix(matrix: MatrixConfig, workers: int = 1,
+               dump_dir: str = os.curdir) -> list[RunMetrics]:
     """Run every cell, gate each run through the oracle, return sorted rows.
 
     Rows are sorted by (protocol, n_items, n_txns, seed) so output does not
-    depend on scheduling. Any oracle violation aborts the matrix. The pool
-    gets at most one worker per cell, since it may start all of them at once.
+    depend on scheduling. Any oracle violation aborts the matrix; a violating
+    history is dumped to `dump_dir`. The pool gets at most one worker per
+    cell, since it may start all of them at once.
     """
     cells = matrix.cells()
     workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, cells, chunksize=1))
+            outcomes = list(pool.map(partial(_run_cell, dump_dir=dump_dir), cells, chunksize=1))
     else:
-        outcomes = [_run_cell(cfg) for cfg in cells]
+        outcomes = [_run_cell(cfg, dump_dir) for cfg in cells]
     rows = []
     for cfg, (metrics, violation, dump) in zip(cells, outcomes):
         if violation is not None:

@@ -45,22 +45,32 @@ class DetRng:
 
     def random(self) -> float:
         """Uniform float in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        self._state = state = (self._state * _LCG_A + _LCG_C) & _MASK64
+        return (state >> 11) * 2.0 ** -53
+
+    # randrange and uniform_ms step the LCG inline, as random does; each
+    # returns int(random() * n) to the bit.
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
-        return int(self.random() * n)
+        self._state = state = (self._state * _LCG_A + _LCG_C) & _MASK64
+        return int((state >> 11) * 2.0 ** -53 * n)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.randrange(hi - lo + 1)
 
     def uniform_ms(self, bounds: tuple[int, int]) -> int:
-        """Uniform integer milliseconds over an inclusive (lo, hi) range."""
+        """Uniform integer milliseconds over an inclusive (lo, hi) range:
+        randint(lo, hi)."""
         lo, hi = bounds
-        return self.randint(lo, hi)
+        n = hi - lo + 1
+        if n <= 0:
+            raise ValueError(f"uniform_ms needs lo <= hi, got {bounds}")
+        self._state = state = (self._state * _LCG_A + _LCG_C) & _MASK64
+        return lo + int((state >> 11) * 2.0 ** -53 * n)
 
     def normal(self, mean: float, sd: float) -> float:
         """Box-Muller transform; consumes exactly two uniforms."""

@@ -195,16 +195,16 @@ def gen_workload(cfg: SimConfig, rng: DetRng) -> list[TxnSpec]:
 
 class EventQueue:
     """Priority queue of (instant, seq, payload); seq breaks instant ties by
-    insertion order, so dequeue order is deterministic."""
+    insertion order, so dequeue order is deterministic. Every push draws its
+    seq from the one counter `_seq`."""
 
     def __init__(self):
         self._heap: list[tuple[int, int, object]] = []
-        self._seq = 0
+        self._seq = count()
         self.now = 0
 
     def push(self, instant: int, payload) -> None:
-        heappush(self._heap, (instant, self._seq, payload))
-        self._seq += 1
+        heappush(self._heap, (instant, next(self._seq), payload))
 
     def pop(self):
         instant, _, payload = heappop(self._heap)
@@ -212,9 +212,6 @@ class EventQueue:
             raise AssertionError(f"event clock moved backwards: {instant} < {self.now}")
         self.now = instant
         return payload
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 @dataclass
@@ -240,12 +237,13 @@ class RunResult:
     aborted: int
 
 
-class _Sim:
-    """Shared state of one run: clock, server structures, parked processes."""
+class _Sim(EventQueue):
+    """One run: its event queue and clock, server structures and parked
+    processes."""
 
     def __init__(self, cfg: SimConfig):
+        super().__init__()
         self.cfg = cfg
-        self.queue = EventQueue()
         self.history = History()
         self.registry = ItemRegistry(cfg.n_items)
         self.table = LockTable()
@@ -253,10 +251,6 @@ class _Sim:
         self.parked: dict[int, object] = {}
         self._last_stamp = -1
         self.attempt_ids = count(cfg.n_txns)  # ids for retries, past every first attempt
-
-    @property
-    def now(self) -> int:
-        return self.queue.now
 
     def stamp(self, arrival: int) -> int:
         """Server-assigned instant: arrival time, bumped to stay strictly
@@ -271,59 +265,66 @@ class _Sim:
         for txn_id, _item, _mode in self.table.release_all(aid):
             gen = self.parked.pop(txn_id, None)
             if gen is not None:
-                self.queue.push(self.now, (gen, None))
+                self.push(self.now, (gen, None))
 
     def run_loop(self) -> None:
         """Resume each process with its event's value: None after a delay or
-        a grant, Outcome.ABORTED for a parked deadlock victim."""
-        while self.queue:
-            gen, value = self.queue.pop()
+        a grant, Outcome.ABORTED for a parked deadlock victim. Every event
+        goes through pop(), the one place the clock moves."""
+        heap, pop, parked, seq = self._heap, self.pop, self.parked, self._seq
+        while heap:
+            gen, value = pop()
             try:
                 cmd = gen.send(value)
             except StopIteration:
                 continue
             if isinstance(cmd, tuple):  # ("park", aid): wait for an external wake
-                self.parked[cmd[1]] = gen
+                parked[cmd[1]] = gen
                 continue
-            self.queue.push(self.now + cmd, (gen, None))
+            heappush(heap, (self.now + cmd, next(seq), (gen, None)))
 
 
 def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: int):
     """The one client loop; a fresh policy per attempt plays the server."""
     cfg = sim.cfg
     new_policy = _POLICIES[cfg.protocol]
+    random, uniform_ms = rng.random, rng.uniform_ms
+    disconnect_prob, service_ms = cfg.disconnect_prob, cfg.op_service_ms
+    uplink, downlink, reconnect = (cfg.uplink_latency_ms, cfg.downlink_latency_ms,
+                                   cfg.reconnect_delay_ms)
     outcome = Outcome.ABORTED
     for attempt in range(cfg.retries + 1):
         aid = spec.txn_id if attempt == 0 else next(sim.attempt_ids)
         run.attempts += 1
         policy = new_policy(sim, aid, offset)
+        record, lock = policy.record, policy.lock
         connected = True
         for op in spec.ops:
-            if rng.random() < cfg.disconnect_prob:  # rolled even when offline
+            if random() < disconnect_prob:  # rolled even when offline
                 connected = False
-            if policy.lock:
+            if lock:
                 if not connected:
-                    yield rng.uniform_ms(cfg.reconnect_delay_ms)
+                    yield uniform_ms(reconnect)
                     connected = True
                 run.messages += 1
-                yield rng.uniform_ms(cfg.uplink_latency_ms)
-                if not (yield from policy.lock(op)):
+                yield uniform_ms(uplink)
+                if not (yield from lock(op)):
                     outcome = Outcome.ABORTED  # the server recorded it and released the locks
                     break
                 run.messages += 1
-                yield rng.uniform_ms(cfg.downlink_latency_ms)
-            yield cfg.op_service_ms
-            run.service_ms += cfg.op_service_ms
-            policy.record(op)
+                yield uniform_ms(downlink)
+            yield service_ms
+            run.service_ms += service_ms
+            record(op)
         else:
-            policy.record(core.COMMIT)
+            record(core.COMMIT)
             if not connected:
-                yield rng.uniform_ms(cfg.reconnect_delay_ms)
+                yield uniform_ms(reconnect)
             run.messages += 1
-            yield rng.uniform_ms(cfg.uplink_latency_ms)
+            yield uniform_ms(uplink)
             outcome = policy.commit(sim.stamp(sim.now))
         run.messages += 1
-        yield rng.uniform_ms(cfg.downlink_latency_ms)
+        yield uniform_ms(downlink)
         if outcome is Outcome.COMMITTED:
             break
     run.outcome = outcome
@@ -411,7 +412,7 @@ class _S2pl:
             sim.s2pl_end(victim, Outcome.ABORTED, sim.now)
             if victim == aid:
                 return False
-            sim.queue.push(sim.now, (sim.parked.pop(victim), Outcome.ABORTED))
+            sim.push(sim.now, (sim.parked.pop(victim), Outcome.ABORTED))
             granted = table.holds(aid, op.item_id, mode)  # the victim's release may grant it
         if not granted and (yield ("park", aid)) is Outcome.ABORTED:
             return False
@@ -449,7 +450,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         timings.append(run)
         gen = _txn_process(sim, spec, run, master.spawn(1000 + spec.txn_id),
                            offsets[spec.client_id])
-        sim.queue.push(submit, (gen, None))
+        sim.push(submit, (gen, None))
     sim.run_loop()
 
     committed = sum(1 for t in timings if t.outcome is Outcome.COMMITTED)

@@ -267,6 +267,56 @@ class TestOutputCheckedFirst:
         assert "Traceback" not in err
 
 
+DUMP_NAME = "oracle_violation_occ_items5_txns5_seed1.history"
+
+
+class TestDumpNextToOutput:
+    """A violating history goes to the directory of --out, wherever the
+    working directory is."""
+
+    @staticmethod
+    def violating_cli(tmp_path, monkeypatch, command, verdict):
+        import ccarena.harness as harness
+        work, results = tmp_path / "work", tmp_path / "results"
+        work.mkdir()
+        results.mkdir(exist_ok=True)
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(harness, "verify_run", lambda h, p: verdict)
+        cfg = tmp_path / "matrix.cfg"
+        cfg.write_text(MATRIX_CFG, encoding="utf-8")
+        out = str(results / "results.csv")
+        argv = (*RUN_ARGS, "--out", out) if command == "run" else \
+            ("matrix", "--config", str(cfg), "--out", out)
+        return run_cli(*argv), work, results
+
+    @pytest.mark.parametrize("command", ["run", "matrix"])
+    def test_dump_lands_in_the_output_directory(self, tmp_path, capsys, monkeypatch,
+                                                command):
+        code, work, results = self.violating_cli(tmp_path, monkeypatch, command,
+                                                 "injected failure")
+        assert code == 2
+        assert (results / DUMP_NAME).read_text(encoding="utf-8") != ""
+        assert list(work.iterdir()) == []
+        assert not (results / "results.csv").exists()
+        err = capsys.readouterr().err
+        assert f"injected failure (history dumped to ../results/{DUMP_NAME})" in err
+
+    @pytest.mark.parametrize("command", ["run", "matrix"])
+    def test_unwritable_dump_in_the_output_directory_still_exits_2(
+            self, tmp_path, capsys, monkeypatch, command):
+        # the dump path next to --out is taken by a directory; the working
+        # directory is writable but is not used instead
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / DUMP_NAME).mkdir()
+        code, work, _ = self.violating_cli(tmp_path, monkeypatch, command, "forced violation")
+        assert code == 2
+        assert list(work.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("oracle violation: ")
+        assert f"forced violation (history not dumped to ../results/{DUMP_NAME}: " in err
+        assert "Traceback" not in err
+
+
 # millisecond values no float draw can take; each used to crash with an
 # OverflowError traceback
 _HUGE = "9" * 400

@@ -10,6 +10,7 @@ from ccarena.core import (
     LogRecord,
     Operation,
     OperatorLog,
+    OpEvent,
     OpKind,
     Outcome,
     UnknownItemError,
@@ -159,6 +160,20 @@ class TestHistory:
         hist = History()
         with pytest.raises(ValueError):
             hist.record_op(1, BEGIN, 0)
+
+    def test_events_are_immutable_and_hashable(self):
+        hist = History()
+        hist.record_op(1, read(4), 3)
+        hist.record_terminal(1, Outcome.COMMITTED, 9)
+        op_ev, end_ev = hist.events
+        for ev in (op_ev, end_ev):
+            with pytest.raises(AttributeError):
+                ev.instant = 0
+        assert (op_ev.instant, end_ev.instant) == (3, 9)
+        assert len({op_ev, end_ev, OpEvent(1, read(4), 3)}) == 2
+        assert repr(op_ev) == f"OpEvent(txn_id=1, op={read(4)!r}, instant=3)"
+        assert repr(end_ev) == "TerminalEvent(txn_id=1, outcome=<Outcome.COMMITTED: " \
+                               "'COMMITTED'>, instant=9)"
 
     def test_parse_shares_one_operation_per_kind_and_item(self):
         hist = History.from_text("OP 1 R 4 5\nOP 2 R 4 6\nOP 2 W 4 7\nOP 3 R 04 8\n")

@@ -1,6 +1,8 @@
 import math
 import statistics
 
+import pytest
+
 from ccarena.rng import DetRng, mix_seed
 
 
@@ -56,3 +58,39 @@ class TestDistributions:
         rng = DetRng(6)
         samples = {rng.uniform_ms((3, 5)) for _ in range(500)}
         assert samples == {3, 4, 5}
+
+
+class TestDrawsFollowTheRecipe:
+    """Each draw equals the README recipe built from next_u64(): a uniform
+    double is the top 53 bits / 2^53, an integer in [lo, hi] is
+    lo + floor(u * (hi - lo + 1))."""
+
+    @staticmethod
+    def reference(rng):
+        def uniform():
+            return (rng.next_u64() >> 11) * 2.0 ** -53
+
+        def integer(lo, hi):
+            return lo + int(uniform() * (hi - lo + 1))
+        return uniform, integer
+
+    def test_every_draw_matches_the_reference(self):
+        from ccarena.simkit import MAX_MS
+
+        got_rng, ref_rng = DetRng(11).spawn(5), DetRng(11).spawn(5)
+        uniform, integer = self.reference(ref_rng)
+        bounds = [(0, 0), (7, 7), (3, 5), (10, 30), (0, MAX_MS), (MAX_MS - 9, MAX_MS)]
+        for k in range(12_000):
+            lo, hi = bounds[k % len(bounds)]
+            assert got_rng.random() == uniform()
+            assert got_rng.randrange(hi - lo + 1) == integer(0, hi - lo)
+            assert got_rng.randint(lo, hi) == integer(lo, hi)
+            assert got_rng.uniform_ms((lo, hi)) == integer(lo, hi)
+        assert got_rng.next_u64() == ref_rng.next_u64()  # both consumed alike
+
+    def test_empty_ranges_raise(self):
+        rng = DetRng(1)
+        with pytest.raises(ValueError):
+            rng.uniform_ms((5, 4))
+        with pytest.raises(ValueError):
+            rng.randrange(0)

@@ -348,6 +348,28 @@ def _run_keeping_sim(cfg, monkeypatch):
     return result, sim
 
 
+class TestEventCountBoundary:
+    @pytest.mark.parametrize("shape,protocol", sorted(_GOLDEN))
+    def test_every_pushed_event_is_popped_through_pop(self, shape, protocol, monkeypatch):
+        # the benchmark counts events by wrapping EventQueue.pop on the class,
+        # so the event loop must pop each event through it, once
+        import ccarena.simkit as simkit
+
+        pops = 0
+        pop = simkit.EventQueue.pop
+
+        def counted(queue):
+            nonlocal pops
+            pops += 1
+            return pop(queue)
+
+        monkeypatch.setattr(simkit.EventQueue, "pop", counted)
+        _, sim = _run_keeping_sim(quiet_cfg(protocol=protocol, **_GOLDEN_SHAPES[shape]),
+                                  monkeypatch)
+        assert pops == next(sim._seq) > 0
+        assert sim._heap == []
+
+
 class TestServerStateAfterRun:
     @pytest.mark.parametrize("shape", sorted({s for s, p in _GOLDEN if p == "s2pl"}))
     def test_s2pl_forgets_every_ended_attempt(self, shape, monkeypatch):
