@@ -64,16 +64,29 @@ def write(item_id: int) -> Operation:
     return Operation(OpKind.WRITE, item_id)
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """An operator plus the milliseconds elapsed since the previous operator."""
+_new_tuple = tuple.__new__  # builds a named tuple without its generated __new__
 
+
+class _LogRecordFields(NamedTuple):
     op: Operation
     rel_ts: int
 
-    def __post_init__(self):
-        if self.rel_ts < 0:
-            raise ValueError(f"rel_ts must be >= 0, got {self.rel_ts}")
+
+class LogRecord(_LogRecordFields):
+    """An operator plus the milliseconds elapsed since the previous operator.
+
+    A named tuple, built once per opcot operator: immutable, hashable, equal
+    by value, repr `LogRecord(op=..., rel_ts=...)`. Construction rejects a
+    negative rel_ts; `_make` and `_replace` skip that check, and nothing in
+    the package calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op: Operation, rel_ts: int):
+        if rel_ts < 0:
+            raise ValueError(f"rel_ts must be >= 0, got {rel_ts}")
+        return _new_tuple(cls, (op, rel_ts))
 
 
 @dataclass
@@ -104,9 +117,9 @@ def log_validate(log: OperatorLog) -> str | None:
     if log.records[-1].op.kind is not OpKind.COMMIT:
         return "log does not end with Commit"
     for rec in log.records[1:-1]:
-        if rec.op.kind is OpKind.BEGIN:
-            return "Begin appears after the first record"
-        if rec.op.kind is OpKind.COMMIT:
+        if not rec.op.is_data:  # only Begin and Commit are not data operators
+            if rec.op.kind is OpKind.BEGIN:
+                return "Begin appears after the first record"
             return "Commit appears before the last record"
     return None
 
@@ -239,7 +252,7 @@ class History:
             raise ValueError(f"txn {txn_id} already has a terminal event")
         if not op.is_data:
             raise ValueError("only Read/Write operations are history events")
-        self.events.append(OpEvent(txn_id, op, instant))
+        self.events.append(_new_tuple(OpEvent, (txn_id, op, instant)))
 
     def record_terminal(self, txn_id: int, outcome: Outcome, instant: int) -> None:
         if txn_id in self._terminals:

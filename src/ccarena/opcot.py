@@ -10,6 +10,7 @@ unsynchronized client clocks never matter.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .core import (
     History,
@@ -22,6 +23,10 @@ from .core import (
     Outcome,
     log_validate,
 )
+
+
+# enum members bound once: looking one up on OpKind costs more than the test
+_BEGIN, _COMMIT, _READ = OpKind.BEGIN, OpKind.COMMIT, OpKind.READ
 
 
 class ClockRegressionError(ValueError):
@@ -42,16 +47,17 @@ def client_record_op(log: OperatorLog, op: Operation, now: int,
     if now < prev_op_instant:
         raise ClockRegressionError(
             f"client clock regressed: now={now} < previous operator at {prev_op_instant}")
-    if log.records and log.records[-1].op.kind is OpKind.COMMIT:
-        raise InvalidLogError("log already contains Commit")
-    if op.kind is OpKind.BEGIN:
-        if log.records:
+    records = log.records
+    if records:
+        if records[-1].op.kind is _COMMIT:
+            raise InvalidLogError("log already contains Commit")
+        if op.kind is _BEGIN:
             raise InvalidLogError("Begin must be the first record")
-        log.records.append(LogRecord(op, 0))
+        records.append(LogRecord(op, now - prev_op_instant))
+    elif op.kind is _BEGIN:
+        records.append(LogRecord(op, 0))
     else:
-        if not log.records:
-            raise InvalidLogError("first record must be Begin")
-        log.records.append(LogRecord(op, now - prev_op_instant))
+        raise InvalidLogError("first record must be Begin")
     return log, now
 
 
@@ -64,20 +70,25 @@ def rebase_to_server_time(log: OperatorLog, receipt: int) -> list[int]:
 
         abs[last] = receipt
         abs[k]    = abs[k+1] - rel[k+1]
+
+    Unrolled, abs[k] = receipt - (rel[k+1] + ... + rel[last]). With
+    prefix[k] = rel[0] + ... + rel[k] and span = prefix[last], that is the
+    forward prefix form
+
+        abs[k] = receipt - span + prefix[k]
+
+    which gives the same integers and is computed here in one forward pass.
     """
     violation = log_validate(log)
     if violation is not None:
         raise InvalidLogError(violation)
-    span = log.total_span()
+    rels = [rec.rel_ts for rec in log.records]
+    span = sum(rels)
     if receipt < span:
         raise RebaseUnderflowError(
             f"receipt {receipt} precedes the log's relative span {span}")
-    n = len(log.records)
-    instants = [0] * n
-    instants[-1] = receipt
-    for k in range(n - 2, -1, -1):
-        instants[k] = instants[k + 1] - log.records[k + 1].rel_ts
-    return instants
+    rels[0] = receipt - span  # the Begin record's rel_ts is 0, so this adds the base
+    return list(accumulate(rels))
 
 
 @dataclass
@@ -110,32 +121,31 @@ def validate_commit(registry: ItemRegistry, log: OperatorLog,
     (the conditions are strict), staged values are visible to later records of
     the same log, and Begin/Commit records are no-ops.
     """
-    staged: dict[int, list[int]] = {}
-
-    def stamps_for(item_id: int) -> list[int]:
-        if item_id not in staged:
-            state = registry.get(item_id)  # raises UnknownItemError on workload bugs
-            staged[item_id] = [state.t_read, state.t_write]
-        return staged[item_id]
-
+    staged: dict[int, list[int]] = {}  # item -> [t_read, t_write], visible to later records
     for index, (rec, t) in enumerate(zip(log.records, instants)):
-        if not rec.op.is_data:
+        op = rec.op
+        if not op.is_data:
             continue
-        pair = stamps_for(rec.op.item_id)
-        if rec.op.kind is OpKind.READ:
+        item = op.item_id
+        pair = staged.get(item)
+        if pair is None:
+            state = registry.get(item)  # raises UnknownItemError on workload bugs
+            pair = staged[item] = [state.t_read, state.t_write]
+        if op.kind is _READ:
             if t < pair[1]:
                 return CommitDecision(
                     Outcome.ABORTED, abort_index=index,
-                    reason=f"read of item {rec.op.item_id} at {t} precedes last write {pair[1]}")
-            pair[0] = max(pair[0], t)
+                    reason=f"read of item {item} at {t} precedes last write {pair[1]}")
+            if t > pair[0]:
+                pair[0] = t
         else:
             if t < pair[1] or t < pair[0]:
                 bound = "write" if t < pair[1] else "read"
                 last = pair[1] if t < pair[1] else pair[0]
                 return CommitDecision(
                     Outcome.ABORTED, abort_index=index,
-                    reason=f"write of item {rec.op.item_id} at {t} precedes last {bound} {last}")
-            pair[1] = max(pair[1], t)
+                    reason=f"write of item {item} at {t} precedes last {bound} {last}")
+            pair[1] = t  # t >= pair[1] here
     updates = [(item, pair[0], pair[1]) for item, pair in sorted(staged.items())]
     return CommitDecision(Outcome.COMMITTED, updates=updates)
 
@@ -155,8 +165,10 @@ def commit_transaction(registry: ItemRegistry, log: OperatorLog, receipt: int,
         for item, t_read, t_write in decision.updates:
             registry.apply_update(item, t_read=t_read, t_write=t_write)
     if history is not None:
+        record_op, txn_id = history.record_op, log.txn_id
         for rec, t in zip(log.records, instants):
-            if rec.op.is_data:
-                history.record_op(log.txn_id, rec.op, t)
+            op = rec.op
+            if op.is_data:
+                record_op(txn_id, op, t)
         history.record_terminal(log.txn_id, decision.outcome, receipt)
     return decision

@@ -438,8 +438,10 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     specs = gen_workload(cfg, master.spawn(1))
     arrivals = master.spawn(2)
     offsets_rng = master.spawn(3)
-    offsets = {c: offsets_rng.randint(-_CLIENT_CLOCK_SKEW_MS, _CLIENT_CLOCK_SKEW_MS)
-               for c in range(cfg.n_clients)}
+    # client c runs transactions c, c + n_clients, ..., so only the first
+    # min(n_clients, n_txns) clients ever run one; only they draw an offset
+    offsets = [offsets_rng.randint(-_CLIENT_CLOCK_SKEW_MS, _CLIENT_CLOCK_SKEW_MS)
+               for _ in range(min(cfg.n_clients, cfg.n_txns))]
 
     sim = _Sim(cfg)
     timings = []

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from ccarena.core import (
@@ -13,6 +15,7 @@ from ccarena.core import (
     OpEvent,
     OpKind,
     Outcome,
+    TerminalEvent,
     UnknownItemError,
     log_from_text,
     log_to_text,
@@ -53,8 +56,36 @@ class TestOperation:
             assert op != Operation(kind, item + 1)
 
     def test_negative_rel_ts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             LogRecord(read(1), -1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "rel_ts must be >= 0, got -1"
+
+
+class TestLogRecord:
+    """A log record keeps the contract of a frozen dataclass."""
+
+    def test_repr_names_the_fields(self):
+        assert repr(LogRecord(read(4), 7)) == f"LogRecord(op={read(4)!r}, rel_ts=7)"
+        assert repr(LogRecord(op=BEGIN, rel_ts=0)) == f"LogRecord(op={BEGIN!r}, rel_ts=0)"
+
+    def test_fields_cannot_be_assigned(self):
+        rec = LogRecord(read(4), 7)
+        with pytest.raises(AttributeError):
+            rec.rel_ts = 8
+        with pytest.raises(AttributeError):
+            rec.op = write(4)
+        assert (rec.op, rec.rel_ts) == (read(4), 7)
+
+    def test_equal_records_compare_and_hash_equal(self):
+        rec, same = LogRecord(read(4), 7), LogRecord(read(4), 7)
+        assert rec == same and hash(rec) == hash(same)
+        assert rec != LogRecord(read(4), 8) and rec != LogRecord(write(4), 7)
+
+    def test_pickle_round_trip(self):
+        for rec in (LogRecord(BEGIN, 0), LogRecord(write(3), 12), LogRecord(COMMIT, 5)):
+            again = pickle.loads(pickle.dumps(rec))
+            assert type(again) is LogRecord and again == rec and repr(again) == repr(rec)
 
 
 class TestLogValidate:
@@ -80,6 +111,21 @@ class TestLogValidate:
 
     def test_empty_log(self):
         assert log_validate(OperatorLog(0)) is not None
+
+    @pytest.mark.parametrize("records, message", [
+        ([], "log is empty"),
+        ([(read(1), 0), (COMMIT, 5)], "log does not start with Begin"),
+        ([(BEGIN, 4), (COMMIT, 1)], "Begin record must have rel_ts 0"),
+        ([(BEGIN, 0), (read(1), 1)], "log does not end with Commit"),
+        ([(BEGIN, 0), (read(1), 1), (BEGIN, 0), (COMMIT, 1)],
+         "Begin appears after the first record"),
+        ([(BEGIN, 0), (COMMIT, 0), (write(1), 1), (COMMIT, 1)],
+         "Commit appears before the last record"),
+        ([(BEGIN, 0), (COMMIT, 0), (BEGIN, 0), (COMMIT, 1)],
+         "Commit appears before the last record"),
+    ])
+    def test_first_violation_message(self, records, message):
+        assert log_validate(make_log(records)) == message
 
 
 class TestLogText:
@@ -166,6 +212,7 @@ class TestHistory:
         hist.record_op(1, read(4), 3)
         hist.record_terminal(1, Outcome.COMMITTED, 9)
         op_ev, end_ev = hist.events
+        assert type(op_ev) is OpEvent and type(end_ev) is TerminalEvent
         for ev in (op_ev, end_ev):
             with pytest.raises(AttributeError):
                 ev.instant = 0

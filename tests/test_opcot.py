@@ -70,6 +70,30 @@ class TestClientRecordOp:
         with pytest.raises(InvalidLogError):
             client_record_op(log, BEGIN, 510, prev)
 
+    @pytest.mark.parametrize("prefix, op, now, error, message", [
+        ([BEGIN, COMMIT], read(1), 520, InvalidLogError, "log already contains Commit"),
+        ([BEGIN, COMMIT], BEGIN, 520, InvalidLogError, "log already contains Commit"),
+        ([BEGIN], BEGIN, 510, InvalidLogError, "Begin must be the first record"),
+        ([], read(1), 510, InvalidLogError, "first record must be Begin"),
+        ([], COMMIT, 510, InvalidLogError, "first record must be Begin"),
+        ([BEGIN], read(7), 499, ClockRegressionError,
+         "client clock regressed: now=499 < previous operator at 500"),
+        # a clock regression is reported before any shape fault
+        ([BEGIN, COMMIT], BEGIN, 499, ClockRegressionError,
+         "client clock regressed: now=499 < previous operator at 500"),
+        ([], read(1), 499, ClockRegressionError,
+         "client clock regressed: now=499 < previous operator at 500"),
+    ])
+    def test_error_precedence(self, prefix, op, now, error, message):
+        log, prev = OperatorLog(1), 500
+        for rec_op in prefix:
+            log, prev = client_record_op(log, rec_op, 500, prev)
+        before = list(log.records)
+        with pytest.raises(error) as exc:
+            client_record_op(log, op, now, prev)
+        assert type(exc.value) is error and str(exc.value) == message
+        assert log.records == before  # a refused operator leaves the log as it was
+
 
 class TestRebase:
     def test_single_record_anchors_at_receipt(self):

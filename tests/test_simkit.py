@@ -395,6 +395,35 @@ class TestServerStateAfterRun:
         assert len(sim.book.commit_writes) == result.committed
 
 
+class TestClientOffsets:
+    @pytest.mark.parametrize("n_clients, n_txns", [(10**9, 5), (3, 5), (5, 5)])
+    def test_only_clients_that_run_draw_an_offset(self, n_clients, n_txns, monkeypatch):
+        # client c runs transactions c, c + n_clients, ...; a client that runs
+        # none draws no clock offset, so n_clients costs nothing beyond n_txns
+        spawned = []
+        spawn = DetRng.spawn
+
+        def spy(self, salt):
+            child = spawn(self, salt)
+            if salt == 3:  # the offsets stream
+                spawned.append((child, child._state))
+            return child
+
+        monkeypatch.setattr(DetRng, "spawn", spy)
+        result = run_simulation(quiet_cfg(n_clients=n_clients, n_txns=n_txns))
+        (stream, start), = spawned
+        replay, draws = DetRng.__new__(DetRng), 0
+        replay._state = start
+        while replay._state != stream._state and draws <= n_txns:
+            replay.next_u64()
+            draws += 1
+        assert draws == min(n_clients, n_txns)
+        if n_clients >= n_txns:  # every transaction has a client to itself either way
+            same = run_simulation(quiet_cfg(n_clients=n_txns, n_txns=n_txns))
+            assert result.history.to_text() == same.history.to_text()
+            assert result.timings == same.timings
+
+
 class TestClockSkewInvariance:
     @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
     def test_skew_never_changes_a_run(self, protocol, monkeypatch):
