@@ -47,6 +47,7 @@ class _Request:
 class _ItemLocks:
     granted: dict[int, LockMode] = field(default_factory=dict)
     queue: list[_Request] = field(default_factory=list)
+    successors: dict[int, list[int]] = field(default_factory=dict)   # waiter -> sorted waits_on
 
 
 class LockTable:
@@ -57,10 +58,12 @@ class LockTable:
     table only grants or queues: find_cycle and youngest_of find a deadlock
     and name its victim, and the caller ends it. A transaction waits on at
     most one request, as a client does while its lock round-trip is open, so
-    the waits-for graph is never stored: waits_on derives one waiter's
-    out-edges on demand from the one queue it sits in. A waiter points at
-    every conflicting granted holder and at every conflicting request queued
-    ahead of it.
+    waits_on derives one waiter's out-edges from the one queue it sits in. A
+    waiter points at every conflicting granted holder and at every
+    conflicting request queued ahead of it. The search keeps each waiter's
+    sorted out-edges on its item until a grant or release on that item, or an
+    in-place upgrade there, changes them; an enqueue only adds a request
+    behind every waiter, so it changes none.
     """
 
     def __init__(self):
@@ -106,6 +109,7 @@ class LockTable:
         if held is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
             if len(locks.granted) == 1:
                 locks.granted[txn_id] = LockMode.EXCLUSIVE
+                locks.successors.clear()   # shared waiters now wait on txn_id
                 return Granted()
         elif not locks.queue and all(compatible(h, mode) for h in locks.granted.values()):
             locks.granted[txn_id] = mode
@@ -135,6 +139,7 @@ class LockTable:
             if item_id == waiting:
                 locks.queue = [r for r in locks.queue if r.txn_id != txn_id]
             granted.extend((t, item_id, m) for t, m in self._grant_heads(item_id))
+            locks.successors.clear()
         return granted
 
     def _grant_heads(self, item_id: int) -> list[tuple[int, LockMode]]:
@@ -178,6 +183,18 @@ class LockTable:
                 blockers.add(ahead.txn_id)
         return blockers
 
+    def _successors(self, txn_id: int) -> list[int]:
+        """sorted(waits_on(txn_id)), or [] when txn_id does not wait; kept on
+        the waited-on item until a grant or release there clears it."""
+        item_id = self._waiting.get(txn_id)
+        if item_id is None:
+            return []
+        cache = self._items[item_id].successors
+        succ = cache.get(txn_id)
+        if succ is None:
+            succ = cache[txn_id] = sorted(self.waits_on(txn_id))
+        return succ
+
     def _has_waiters(self, txn_id: int) -> bool:
         """Whether any other transaction waits on txn_id: some other queued
         request conflicts with a lock txn_id holds on that item, or sits
@@ -203,7 +220,8 @@ class LockTable:
         When start is given only cycles through it are searched, which is all
         an acquire can create when the graph was acyclic beforehand. A cycle
         through a root needs an edge into it, so a root nobody waits on is
-        skipped without a search. Out-edges are derived per visited node, so
+        skipped without a search. Out-edges are read per visited node, from
+        the successor list its item keeps until a grant or release there, so
         the cost scales with the waiters reachable from a root, not with the
         whole table.
         """
@@ -211,7 +229,7 @@ class LockTable:
         for root in roots:
             if not self._has_waiters(root):
                 continue
-            stack = [(root, iter(sorted(self.waits_on(root))))]
+            stack = [(root, iter(self._successors(root)))]
             on_path = [root]
             seen = {root}
             while stack:
@@ -224,7 +242,7 @@ class LockTable:
                         continue
                     seen.add(nxt)
                     on_path.append(nxt)
-                    stack.append((nxt, iter(sorted(self.waits_on(nxt)))))
+                    stack.append((nxt, iter(self._successors(nxt))))
                     advanced = True
                     break
                 if not advanced:

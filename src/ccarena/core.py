@@ -175,6 +175,8 @@ class ItemState:
 class ItemRegistry:
     """The server's table of items, keyed 0..n_items-1.
 
+    An item's state is built on its first get, so a run costs only the
+    items its commits validate; stamps() still lists every item.
     Read/write stamps only ever move forward across committed transactions;
     apply_update enforces that.
     """
@@ -183,12 +185,15 @@ class ItemRegistry:
         if n_items < 1:
             raise ConfigError(f"n_items must be >= 1, got {n_items}")
         self.n_items = n_items
-        self._items = {i: ItemState(i) for i in range(n_items)}
+        self._items: dict[int, ItemState] = {}
 
     def get(self, item_id: int) -> ItemState:
         try:
             return self._items[item_id]
         except KeyError:
+            if isinstance(item_id, int) and 0 <= item_id < self.n_items:
+                state = self._items[item_id] = ItemState(item_id)
+                return state
             raise UnknownItemError(item_id) from None
 
     def __len__(self) -> int:
@@ -209,8 +214,11 @@ class ItemRegistry:
             state.t_write = t_write
 
     def stamps(self) -> dict[int, tuple[int, int]]:
-        """Snapshot of (t_read, t_write) per item, for audits and tests."""
-        return {i: (s.t_read, s.t_write) for i, s in self._items.items()}
+        """Snapshot of (t_read, t_write) per item, for audits and tests;
+        (0, 0) for an item no commit has touched."""
+        stamps = dict.fromkeys(range(self.n_items), (0, 0))
+        stamps.update((i, (s.t_read, s.t_write)) for i, s in self._items.items())
+        return stamps
 
 
 class Outcome(Enum):

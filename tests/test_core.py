@@ -9,6 +9,7 @@ from ccarena.core import (
     History,
     InvalidLogError,
     ItemRegistry,
+    ItemState,
     LogRecord,
     Operation,
     OperatorLog,
@@ -181,6 +182,29 @@ class TestRegistry:
     def test_unknown_item(self):
         with pytest.raises(UnknownItemError):
             ItemRegistry(2).get(5)
+
+    @pytest.mark.parametrize("item_id", [-1, 4, "0", None])
+    def test_ids_outside_the_table_build_no_state(self, item_id):
+        reg = ItemRegistry(4)
+        with pytest.raises(UnknownItemError) as err:
+            reg.get(item_id)
+        assert err.value.args == (item_id,)
+        assert reg._items == {}
+
+    def test_stamps_match_an_eagerly_built_table(self):
+        # states are built on first get, but stamps() lists every item as a
+        # table holding all of them up front would
+        reg = ItemRegistry(5)
+        eager = {i: ItemState(i) for i in range(5)}
+        for item, t_read, t_write in [(3, 7, None), (0, None, 4), (3, 9, 8)]:
+            reg.apply_update(item, t_read=t_read, t_write=t_write)
+            state = eager[item]
+            state.t_read = t_read if t_read is not None else state.t_read
+            state.t_write = t_write if t_write is not None else state.t_write
+        assert sorted(reg._items) == [0, 3]
+        assert reg.get(4) == eager[4]
+        assert reg.stamps() == {i: (s.t_read, s.t_write) for i, s in eager.items()}
+        assert list(reg.stamps()) == list(range(5))
 
     def test_stamps_never_move_backwards(self):
         reg = ItemRegistry(1)

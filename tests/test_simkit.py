@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from ccarena.core import ConfigError, OpKind, Outcome
+from ccarena.core import ConfigError, OpEvent, OpKind, Outcome
 from ccarena.harness import compute_waiting_time
 from ccarena.oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
 from ccarena.rng import DetRng
@@ -383,7 +383,8 @@ class TestServerStateAfterRun:
         assert table._presence == {}
         assert table._waiting == {}
         assert sim.parked == {}
-        assert all(not locks.granted and not locks.queue for locks in table._items.values())
+        assert all(not locks.granted and not locks.queue and not locks.successors
+                   for locks in table._items.values())
 
     @pytest.mark.parametrize("shape", sorted({s for s, p in _GOLDEN if p == "occ"}))
     def test_occ_book_holds_the_committed_commit_instants(self, shape, monkeypatch):
@@ -393,6 +394,31 @@ class TestServerStateAfterRun:
                    if getattr(e, "outcome", None) is Outcome.COMMITTED]
         assert sim.book.commit_instants == commits
         assert len(sim.book.commit_writes) == result.committed
+
+    @pytest.mark.parametrize("shape", sorted({s for s, p in _GOLDEN if p == "opcot"}))
+    def test_opcot_stamps_are_the_committed_maxima(self, shape, monkeypatch):
+        # each item's stamps are the latest committed read and write instants
+        # in the history, and 0 where no committed transaction did either
+        result, sim = _run_keeping_sim(
+            quiet_cfg(protocol="opcot", **_GOLDEN_SHAPES[shape]), monkeypatch)
+        committed = result.history.committed()
+        assert 0 < len(committed) < result.config.n_txns
+        expected = {i: [0, 0] for i in range(result.config.n_items)}
+        for ev in result.history:
+            if isinstance(ev, OpEvent) and ev.txn_id in committed:
+                slot = 0 if ev.op.kind is OpKind.READ else 1
+                stamps = expected[ev.op.item_id]
+                stamps[slot] = max(stamps[slot], ev.instant)
+        assert sim.registry.stamps() == {i: tuple(s) for i, s in expected.items()}
+
+    @pytest.mark.parametrize("n_items", [10**6, 10**9])
+    def test_opcot_registry_holds_only_touched_items(self, n_items, monkeypatch):
+        # the registry builds an item's state on first touch, so a huge item
+        # count costs nothing beyond the items the transactions name
+        result, sim = _run_keeping_sim(quiet_cfg(n_items=n_items, n_txns=5), monkeypatch)
+        assert result.committed == 5
+        touched = {ev.op.item_id for ev in result.history if isinstance(ev, OpEvent)}
+        assert set(sim.registry._items) == touched
 
 
 class TestClientOffsets:
