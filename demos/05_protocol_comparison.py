@@ -7,15 +7,7 @@ before its numbers are used. Expect the optimistic baseline to abort the
 most, locking to wait the most, and the commit-order validator to do neither.
 """
 
-import statistics
-
-from ccarena.harness import (
-    MatrixConfig,
-    cell_means,
-    compute_waiting_time,
-    rows_to_gnuplot,
-    run_matrix,
-)
+from ccarena.harness import MatrixConfig, rows_to_gnuplot, run_matrix
 from ccarena.simkit import SimConfig
 
 matrix = MatrixConfig(
@@ -31,12 +23,6 @@ matrix = MatrixConfig(
 
 print(f"running {len(matrix.cells())} simulations (oracle-checked)...\n")
 rows = run_matrix(matrix)
-
-print(f"{'protocol':<10}{'txns':>6}{'mean aborts':>14}{'mean wait ms':>14}")
-for protocol in matrix.protocols:
-    for n_txns in matrix.n_txns_list:
-        aborts, wait = cell_means(rows, protocol, 50, n_txns)
-        print(f"{protocol:<10}{n_txns:>6}{aborts:>14.1f}{wait:>14.1f}")
 
 print("\ngnuplot-ready blocks:\n")
 print(rows_to_gnuplot(rows))

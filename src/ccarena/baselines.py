@@ -55,15 +55,16 @@ class LockTable:
 
     Transactions never release before their terminal event; release_all drops
     everything at commit/abort and re-grants compatible queue heads. The
-    table only grants or queues: find_cycle and youngest_of find a deadlock
-    and name its victim, and the caller ends it. A transaction waits on at
-    most one request, as a client does while its lock round-trip is open, so
-    waits_on derives one waiter's out-edges from the one queue it sits in. A
-    waiter points at every conflicting granted holder and at every
-    conflicting request queued ahead of it. The search keeps each waiter's
-    sorted out-edges on its item until a grant or release on that item, or an
-    in-place upgrade there, changes them; an enqueue only adds a request
-    behind every waiter, so it changes none.
+    table only grants or queues: after an enqueue, find_cycle searches for a
+    deadlock through the requester only, youngest_of names its victim, and
+    the caller ends it. A transaction waits on at most one request, as a
+    client does while its lock round-trip is open, so waits_on derives one
+    waiter's out-edges from the one queue it sits in. A waiter points at
+    every conflicting granted holder and at every conflicting request queued
+    ahead of it. The search keeps each waiter's sorted out-edges on its item
+    until a grant or release on that item, or an in-place upgrade there,
+    changes them; an enqueue only adds a request behind every waiter, so it
+    changes none.
     """
 
     def __init__(self):
@@ -214,40 +215,34 @@ class LockTable:
                     return True
         return False
 
-    def find_cycle(self, start: int | None = None) -> list[int] | None:
-        """Return one waits-for cycle as a transaction list, or None.
+    def find_cycle(self, root: int) -> list[int] | None:
+        """Return one waits-for cycle through root, as a transaction list
+        starting at root, or None.
 
-        When start is given only cycles through it are searched, which is all
-        an acquire can create when the graph was acyclic beforehand. A cycle
-        through a root needs an edge into it, so a root nobody waits on is
-        skipped without a search. Out-edges are read per visited node, from
-        the successor list its item keeps until a grant or release there, so
-        the cost scales with the waiters reachable from a root, not with the
-        whole table.
+        An acquire by root can only close cycles through root when the graph
+        was acyclic before it. A cycle needs an edge into root, so a root
+        nobody waits on is answered without a search. The search reads each
+        node's sorted out-edges from the list its item keeps until a grant or
+        release there, so its cost scales with the waiters reachable from root.
         """
-        roots = [start] if start is not None else sorted(self._presence)
-        for root in roots:
-            if not self._has_waiters(root):
-                continue
-            stack = [(root, iter(self._successors(root)))]
-            on_path = [root]
-            seen = {root}
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt == root:
-                        return list(on_path)
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    on_path.append(nxt)
-                    stack.append((nxt, iter(self._successors(nxt))))
-                    advanced = True
-                    break
-                if not advanced:
-                    stack.pop()
-                    on_path.pop()
+        if not self._has_waiters(root):
+            return None
+        stack = [iter(self._successors(root))]
+        on_path = [root]
+        seen = {root}
+        while stack:
+            for nxt in stack[-1]:
+                if nxt == root:
+                    return on_path
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                on_path.append(nxt)
+                stack.append(iter(self._successors(nxt)))
+                break
+            else:
+                stack.pop()
+                on_path.pop()
         return None
 
     def assert_safety(self) -> None:

@@ -4,8 +4,9 @@
     ccarena matrix --config matrix.cfg --out results.csv [--gnuplot]
     ccarena check --history dump.history
 
-Exit codes: 0 all runs clean, 1 configuration error (including an input or
-output path that cannot be read or written as text), 2 oracle violation.
+Exit codes: 0 all runs clean, 1 configuration or usage error (including an
+input or output path that cannot be read or written as text), 2 oracle
+violation.
 Output paths are checked before the first simulation runs. A violating
 history is dumped next to `--out`, or to the working directory without it.
 """
@@ -22,9 +23,9 @@ from .harness import (
     gate_run,
     metrics_for_run,
     rows_to_csv,
+    rows_to_gnuplot,
     run_matrix,
-    write_csv,
-    write_gnuplot,
+    write_text,
 )
 from .oracle import (
     BRUTE_FORCE_LIMIT,
@@ -40,9 +41,16 @@ EXIT_CONFIG = 1
 EXIT_ORACLE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, so it exits 1 like any other
+    bad input; argparse's own exit code 2 is the oracle-violation code."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ccarena",
-                                     description="concurrency-control arena")
+    parser = _Parser(prog="ccarena", description="concurrency-control arena")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute one simulation and emit its CSV row")
@@ -94,15 +102,14 @@ def _cmd_run(args) -> int:
     _check_writable(*filter(None, (args.out, args.dump_history)))
     result = run_simulation(cfg)
     if args.dump_history:
-        with open(args.dump_history, "w", encoding="utf-8") as fh:
-            fh.write(result.history.to_text())
+        write_text(args.dump_history, result.history.to_text())
     violation, _ = gate_run(result, _dump_dir(args.out))
     if violation is not None:
         print(f"oracle violation: {violation}", file=sys.stderr)
         return EXIT_ORACLE
     rows = [metrics_for_run(result)]
     if args.out:
-        write_csv(rows, args.out)
+        write_text(args.out, rows_to_csv(rows))
     else:
         sys.stdout.write(rows_to_csv(rows))
     return EXIT_OK
@@ -112,9 +119,9 @@ def _cmd_matrix(args) -> int:
     matrix = MatrixConfig.from_file(args.config)
     _check_writable(args.out, *([args.out + ".dat"] if args.gnuplot else []))
     rows = run_matrix(matrix, workers=args.workers, dump_dir=_dump_dir(args.out))
-    write_csv(rows, args.out)
+    write_text(args.out, rows_to_csv(rows))
     if args.gnuplot:
-        write_gnuplot(rows, args.out + ".dat")
+        write_text(args.out + ".dat", rows_to_gnuplot(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -143,8 +150,8 @@ def _cmd_check(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "matrix":

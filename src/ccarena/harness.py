@@ -126,6 +126,7 @@ class MatrixConfig:
     When arrival_window_ms is set, each cell's arrival mean becomes
     window / n_txns, so adding transactions to a fixed submission window
     raises contention, which is how the txn-count axis is meant to scale.
+    A negative window is a ConfigError.
     """
 
     protocols: list[str] = field(default_factory=lambda: list(PROTOCOLS))
@@ -136,6 +137,8 @@ class MatrixConfig:
     arrival_window_ms: int | None = None
 
     def cells(self) -> list[SimConfig]:
+        if self.arrival_window_ms is not None and self.arrival_window_ms < 0:
+            raise ConfigError("arrival_window_ms must be >= 0")
         out = []
         for protocol in self.protocols:
             for n_items in self.n_items_list:
@@ -216,8 +219,7 @@ def gate_run(result: RunResult, dump_dir: str = os.curdir) -> tuple[str | None, 
                                   f"_txns{cfg.n_txns}_seed{cfg.seed}.history")
     shown = os.path.relpath(dump)
     try:
-        with open(dump, "w", encoding="utf-8") as fh:
-            fh.write(result.history.to_text())
+        write_text(dump, result.history.to_text())
     except OSError as exc:
         return f"{violation} (history not dumped to {shown}: {exc})", None
     return f"{violation} (history dumped to {shown})", dump
@@ -261,11 +263,6 @@ def rows_to_csv(rows: list[RunMetrics]) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in rows]) + "\n"
 
 
-def write_csv(rows: list[RunMetrics], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))
-
-
 def rows_to_gnuplot(rows: list[RunMetrics]) -> str:
     """Plain-text blocks for direct plotting: one block per (protocol, items),
     one line per txn count with seed-averaged aborts and waiting time."""
@@ -284,17 +281,7 @@ def rows_to_gnuplot(rows: list[RunMetrics]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def write_gnuplot(rows: list[RunMetrics], path: str) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, with newlines left as they are."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_gnuplot(rows))
-
-
-def cell_means(rows: list[RunMetrics], protocol: str, n_items: int,
-               n_txns: int) -> tuple[float, float]:
-    """Seed-averaged (aborted, mean_wait_ms) for one cell of a matrix."""
-    cell = [r for r in rows if r.protocol == protocol and r.n_items == n_items
-            and r.n_txns == n_txns]
-    if not cell:
-        raise ConfigError(f"no rows for cell ({protocol}, items={n_items}, txns={n_txns})")
-    return (sum(r.aborted for r in cell) / len(cell),
-            sum(r.mean_wait_ms for r in cell) / len(cell))
+        fh.write(text)

@@ -58,13 +58,9 @@ class DetRng:
         self._state = state = (self._state * _LCG_A + _LCG_C) & _MASK64
         return int((state >> 11) * 2.0 ** -53 * n)
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
-        return lo + self.randrange(hi - lo + 1)
-
     def uniform_ms(self, bounds: tuple[int, int]) -> int:
         """Uniform integer milliseconds over an inclusive (lo, hi) range:
-        randint(lo, hi)."""
+        lo + randrange(hi - lo + 1)."""
         lo, hi = bounds
         n = hi - lo + 1
         if n <= 0:

@@ -161,24 +161,16 @@ def parse_value(key: str, raw: str, kind):
         raise ConfigError(f"bad value for {key}: {exc}") from None
 
 
-@dataclass
-class TxnSpec:
-    """One planned transaction: its reads and writes, without Begin and Commit."""
-
-    txn_id: int
-    client_id: int
-    ops: list[Operation]
-
-
-def gen_workload(cfg: SimConfig, rng: DetRng) -> list[TxnSpec]:
-    """Draw n_txns specs: lengths are floor(Normal(mean_len, sd_len)) clamped
-    to >= 2, items uniform over the table, and read ops spread evenly through
-    the list so the read/write counts match read_fraction as closely as the
-    length allows. Equal (kind, item) operators share one Operation."""
-    specs = []
+def gen_workload(cfg: SimConfig, rng: DetRng) -> list[list[Operation]]:
+    """Draw n_txns operator lists, indexed by txn id, without Begin and Commit:
+    lengths are floor(Normal(mean_len, sd_len)) clamped to >= 2, items
+    uniform over the table, and read ops spread evenly through the list so
+    the read/write counts match read_fraction as closely as the length
+    allows. Equal (kind, item) operators share one Operation."""
+    workload = []
     shared: dict[tuple[bool, int], Operation] = {}
     reads: list[bool] = []  # whether position k reads; a function of k alone
-    for txn_id in range(cfg.n_txns):
+    for _ in range(cfg.n_txns):
         n_ops = max(2, math.floor(rng.normal(cfg.mean_len, cfg.sd_len)))
         for k in range(len(reads), n_ops):
             reads.append(math.floor((k + 1) * cfg.read_fraction) > math.floor(k * cfg.read_fraction))
@@ -189,8 +181,8 @@ def gen_workload(cfg: SimConfig, rng: DetRng) -> list[TxnSpec]:
             if op is None:
                 op = shared[is_read, item] = core.read(item) if is_read else core.write(item)
             ops.append(op)
-        specs.append(TxnSpec(txn_id, txn_id % cfg.n_clients, ops))
-    return specs
+        workload.append(ops)
+    return workload
 
 
 class EventQueue:
@@ -284,7 +276,7 @@ class _Sim(EventQueue):
             heappush(heap, (self.now + cmd, next(seq), (gen, None)))
 
 
-def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: int):
+def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, offset: int):
     """The one client loop; a fresh policy per attempt plays the server."""
     cfg = sim.cfg
     new_policy = _POLICIES[cfg.protocol]
@@ -294,12 +286,12 @@ def _txn_process(sim: _Sim, spec: TxnSpec, run: TxnTiming, rng: DetRng, offset: 
                                    cfg.reconnect_delay_ms)
     outcome = Outcome.ABORTED
     for attempt in range(cfg.retries + 1):
-        aid = spec.txn_id if attempt == 0 else next(sim.attempt_ids)
+        aid = run.txn_id if attempt == 0 else next(sim.attempt_ids)
         run.attempts += 1
         policy = new_policy(sim, aid, offset)
         record, lock = policy.record, policy.lock
         connected = True
-        for op in spec.ops:
+        for op in ops:
             if random() < disconnect_prob:  # rolled even when offline
                 connected = False
             if lock:
@@ -435,23 +427,22 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     """
     cfg.validate()
     master = DetRng(cfg.seed)
-    specs = gen_workload(cfg, master.spawn(1))
+    workload = gen_workload(cfg, master.spawn(1))
     arrivals = master.spawn(2)
     offsets_rng = master.spawn(3)
     # client c runs transactions c, c + n_clients, ..., so only the first
     # min(n_clients, n_txns) clients ever run one; only they draw an offset
-    offsets = [offsets_rng.randint(-_CLIENT_CLOCK_SKEW_MS, _CLIENT_CLOCK_SKEW_MS)
+    offsets = [offsets_rng.uniform_ms((-_CLIENT_CLOCK_SKEW_MS, _CLIENT_CLOCK_SKEW_MS))
                for _ in range(min(cfg.n_clients, cfg.n_txns))]
 
     sim = _Sim(cfg)
     timings = []
     submit = 0
-    for spec in specs:
+    for txn_id, ops in enumerate(workload):
         submit += round(arrivals.exponential(cfg.arrival_mean))
-        run = TxnTiming(spec.txn_id, spec.client_id, submit_ms=submit)
+        run = TxnTiming(txn_id, txn_id % cfg.n_clients, submit_ms=submit)
         timings.append(run)
-        gen = _txn_process(sim, spec, run, master.spawn(1000 + spec.txn_id),
-                           offsets[spec.client_id])
+        gen = _txn_process(sim, ops, run, master.spawn(1000 + txn_id), offsets[run.client_id])
         sim.push(submit, (gen, None))
     sim.run_loop()
 

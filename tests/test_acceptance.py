@@ -30,7 +30,6 @@ from ccarena.core import (
 from ccarena.harness import (
     MatrixConfig,
     compute_abort_rate,
-    compute_waiting_time,
     rows_to_csv,
     run_matrix,
 )
@@ -307,11 +306,11 @@ def test_criterion_11_message_economy():
 
     s2pl_cfg = SimConfig(protocol="s2pl", n_txns=300, n_items=50, seed=5, **DESK)
     s2pl_run = run_simulation(s2pl_cfg)
-    specs = {s.txn_id: s for s in gen_workload(s2pl_cfg, DetRng(s2pl_cfg.seed).spawn(1))}
+    workload = gen_workload(s2pl_cfg, DetRng(s2pl_cfg.seed).spawn(1))
     completed = [t for t in s2pl_run.timings if t.outcome is Outcome.COMMITTED]
     assert completed, "the locking run must commit something"
     for t in completed:
-        n_ops = len(specs[t.txn_id].ops)
+        n_ops = len(workload[t.txn_id])
         assert t.messages >= 2 * n_ops, \
             "locking must exchange at least two messages per data operation"
         assert t.messages == 2 * n_ops + 2  # one exchange per lock, one to commit

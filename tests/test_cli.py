@@ -338,6 +338,7 @@ BAD_MATRIX_FILES = {
     "sd-len-inf": "sd_len = inf\n",
     "sd-len-huge": "sd_len = 1e308\n",
     "window-too-large": "arrival_window_ms = " + "9" * 311 + "\n",
+    "window-negative": "arrival_window_ms = -100\n",
     "seed-range-empty": "seeds = 5:1\n",
     # divides, but the 1e308 ms mean times an exponential draw overflows
     "window-mean-huge": "txns = 5\narrival_window_ms = 5" + "0" * 308 + "\n",
@@ -353,6 +354,31 @@ def test_bad_matrix_value_exits_1(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+# argparse's own exit code is 2, the oracle-violation code
+USAGE_ERRORS = {
+    "unknown-command": ["bogus"],
+    "txns-not-a-number": ["run", "--txns", "abc"],
+    "unknown-protocol": ["run", "--protocol", "foo"],
+    "matrix-without-config": ["matrix", "--out", "x.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ccarena")
 
 
 @pytest.mark.parametrize("text", ["mean_len = nan\n", "sd_len = inf\n", "mean_len = 1e308\n"] + [

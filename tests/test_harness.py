@@ -8,8 +8,6 @@ from ccarena.harness import (
     CSV_HEADER,
     MatrixConfig,
     OracleViolation,
-    _run_cell,
-    cell_means,
     compute_abort_rate,
     compute_waiting_time,
     rows_to_csv,
@@ -159,6 +157,12 @@ class TestRunMatrix:
             tiny_matrix(arrival_window_ms=10 ** 300).cells()
         assert tiny_matrix(arrival_window_ms=MAX_MS).cells()
 
+    def test_a_negative_window_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="arrival_window_ms must be >= 0"):
+            tiny_matrix(arrival_window_ms=-100).cells()
+        # a zero window submits every transaction at the smallest mean
+        assert {c.arrival_mean for c in tiny_matrix(arrival_window_ms=0).cells()} == {1}
+
     def test_arrival_window_scales_contention(self):
         mx = tiny_matrix(protocols=["opcot"], n_txns_list=[10, 20], seeds=[1],
                          arrival_window_ms=2000)
@@ -167,17 +171,21 @@ class TestRunMatrix:
         assert cells[20].arrival_mean == 100
 
     def test_gnuplot_blocks(self):
-        rows = run_matrix(tiny_matrix(protocols=["opcot", "s2pl"], seeds=[1]))
-        text = rows_to_gnuplot(rows)
-        assert "# protocol=opcot items=8" in text
-        assert "# protocol=s2pl items=8" in text
-
-    def test_cell_means(self):
-        rows = run_matrix(tiny_matrix(protocols=["occ"]))
-        aborts, wait = cell_means(rows, "occ", 8, 12)
-        assert aborts >= 0.0 and wait >= 0.0
-        with pytest.raises(ConfigError):
-            cell_means(rows, "opcot", 8, 12)
+        # one block per (protocol, items), one line per txn count holding the
+        # means over the two seeds of aborted and mean_wait_ms
+        rows = run_matrix(tiny_matrix(n_txns_list=[12, 20]))
+        blocks = rows_to_gnuplot(rows).split("\n\n")
+        assert len(blocks) == 3
+        for block, protocol in zip(blocks, sorted(["opcot", "occ", "s2pl"])):
+            lines = block.rstrip("\n").split("\n")
+            assert lines[:2] == [f"# protocol={protocol} items=8",
+                                 "# n_txns mean_aborted mean_wait_ms"]
+            for line, n_txns in zip(lines[2:], [12, 20], strict=True):
+                a, b = (r for r in rows if r.protocol == protocol and r.n_txns == n_txns)
+                assert a.seed != b.seed
+                aborted = (a.aborted + b.aborted) / 2
+                wait = (a.mean_wait_ms + b.mean_wait_ms) / 2
+                assert line == f"{n_txns} {aborted:.3f} {wait:.3f}"
 
 
 class TestOracleGate:

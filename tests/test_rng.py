@@ -1,4 +1,3 @@
-import math
 import statistics
 
 import pytest
@@ -84,7 +83,6 @@ class TestDrawsFollowTheRecipe:
             lo, hi = bounds[k % len(bounds)]
             assert got_rng.random() == uniform()
             assert got_rng.randrange(hi - lo + 1) == integer(0, hi - lo)
-            assert got_rng.randint(lo, hi) == integer(lo, hi)
             assert got_rng.uniform_ms((lo, hi)) == integer(lo, hi)
         assert got_rng.next_u64() == ref_rng.next_u64()  # both consumed alike
 

@@ -106,45 +106,45 @@ class TestWorkload:
 
     def test_length_distribution_mean(self):
         cfg = quiet_cfg(n_txns=10_000, mean_len=50, sd_len=10, n_items=1000)
-        specs = gen_workload(cfg, DetRng(123).spawn(1))
-        mean = statistics.fmean(len(s.ops) for s in specs)
+        workload = gen_workload(cfg, DetRng(123).spawn(1))
+        mean = statistics.fmean(len(ops) for ops in workload)
         assert 49 <= mean <= 51
 
     def test_degenerate_key_space(self):
         cfg = quiet_cfg(n_items=1)
-        for spec in gen_workload(cfg, DetRng(5).spawn(1)):
-            assert all(op.item_id == 0 for op in spec.ops)
+        for ops in gen_workload(cfg, DetRng(5).spawn(1)):
+            assert all(op.item_id == 0 for op in ops)
 
     def test_equal_mix_at_default_fraction(self):
         cfg = quiet_cfg(n_txns=200, mean_len=9, sd_len=3)
-        for spec in gen_workload(cfg, DetRng(11).spawn(1)):
-            reads = sum(1 for op in spec.ops if op.kind is OpKind.READ)
-            writes = len(spec.ops) - reads
+        for ops in gen_workload(cfg, DetRng(11).spawn(1)):
+            reads = sum(1 for op in ops if op.kind is OpKind.READ)
+            writes = len(ops) - reads
             assert abs(reads - writes) <= 1
 
     def test_equal_operators_are_one_object_per_call(self):
         cfg = quiet_cfg(n_txns=300, mean_len=8, sd_len=4, n_items=5)
         first, again = (gen_workload(cfg, DetRng(3).spawn(1)) for _ in range(2))
         seen = {}
-        for spec in first:
-            for op in spec.ops:
+        for ops in first:
+            for op in ops:
                 assert seen.setdefault((op.kind, op.item_id), op) is op
         assert len(seen) == 10  # every (kind, item) pair occurs
         assert all(op is not seen[op.kind, op.item_id]  # not a module-level cache
-                   for spec in again for op in spec.ops)
+                   for ops in again for op in ops)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 2 / 3, 1.0])
     def test_read_positions_follow_the_fraction(self, fraction):
         cfg = quiet_cfg(n_txns=200, mean_len=9, sd_len=6, read_fraction=fraction)
-        for spec in gen_workload(cfg, DetRng(4).spawn(1)):
-            for k, op in enumerate(spec.ops):
+        for ops in gen_workload(cfg, DetRng(4).spawn(1)):
+            for k, op in enumerate(ops):
                 is_read = math.floor((k + 1) * fraction) > math.floor(k * fraction)
                 assert (op.kind is OpKind.READ) is is_read
 
     def test_shape_and_min_length(self):
         cfg = quiet_cfg(n_txns=500, mean_len=2, sd_len=3)
-        for spec in gen_workload(cfg, DetRng(2).spawn(1)):
-            assert len(spec.ops) >= 2
+        for ops in gen_workload(cfg, DetRng(2).spawn(1)):
+            assert len(ops) >= 2
 
 
 class TestDeterminism:
@@ -208,11 +208,11 @@ class TestMessageEconomy:
     def test_s2pl_two_messages_per_op_plus_commit(self):
         cfg = quiet_cfg(protocol="s2pl", n_txns=30, n_items=40)
         result = run_simulation(cfg)
-        by_id = {s.txn_id: s for s in gen_workload(cfg, DetRng(cfg.seed).spawn(1))}
+        workload = gen_workload(cfg, DetRng(cfg.seed).spawn(1))
         committed = [t for t in result.timings if t.outcome is Outcome.COMMITTED]
         assert committed
         for t in committed:
-            n_ops = len(by_id[t.txn_id].ops)
+            n_ops = len(workload[t.txn_id])
             assert t.messages >= 2 * n_ops
             if t.attempts == 1:
                 assert t.messages == 2 * n_ops + 2
