@@ -11,6 +11,7 @@ wrote an item it read.
 """
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -68,24 +69,16 @@ class LockTable:
     """
 
     def __init__(self):
-        self._items: dict[int, _ItemLocks] = {}
+        self._items: defaultdict[int, _ItemLocks] = defaultdict(_ItemLocks)
         self._begin: dict[int, int] = {}
-        self._presence: dict[int, set[int]] = {}   # txn -> items it is granted/queued on
+        self._presence: defaultdict[int, set[int]] = defaultdict(set)  # txn -> items held/queued
         self._waiting: dict[int, int] = {}   # txn -> item of its one queued request
 
     def register_txn(self, txn_id: int, begin_instant: int) -> None:
         self._begin[txn_id] = begin_instant
 
-    def _locks(self, item_id: int) -> _ItemLocks:
-        if item_id not in self._items:
-            self._items[item_id] = _ItemLocks()
-        return self._items[item_id]
-
-    def _note_presence(self, txn_id: int, item_id: int) -> None:
-        self._presence.setdefault(txn_id, set()).add(item_id)
-
     def holds(self, txn_id: int, item_id: int, mode: LockMode) -> bool:
-        held = self._locks(item_id).granted.get(txn_id)
+        held = self._items[item_id].granted.get(txn_id)
         if held is None:
             return False
         return held is LockMode.EXCLUSIVE or mode is LockMode.SHARED
@@ -103,7 +96,7 @@ class LockTable:
         if txn_id in self._waiting:
             raise ValueError(f"txn {txn_id} requests item {item_id} while it waits "
                              f"on item {self._waiting[txn_id]}")
-        locks = self._locks(item_id)
+        locks = self._items[item_id]
         held = locks.granted.get(txn_id)
         if held is LockMode.EXCLUSIVE or held is mode:
             return Granted()
@@ -114,10 +107,10 @@ class LockTable:
                 return Granted()
         elif not locks.queue and all(compatible(h, mode) for h in locks.granted.values()):
             locks.granted[txn_id] = mode
-            self._note_presence(txn_id, item_id)
+            self._presence[txn_id].add(item_id)
             return Granted()
         locks.queue.append(_Request(txn_id, mode))
-        self._note_presence(txn_id, item_id)
+        self._presence[txn_id].add(item_id)
         self._waiting[txn_id] = item_id
         return Queued()
 
@@ -125,13 +118,13 @@ class LockTable:
         """Victim rule: the transaction with the latest begin instant."""
         return max(txns, key=lambda t: (self._begin[t], t))
 
-    def release_all(self, txn_id: int) -> list[tuple[int, int, LockMode]]:
+    def release_all(self, txn_id: int) -> list[int]:
         """Forget txn_id: drop its begin instant and every granted and queued
         entry; re-grant FIFO heads.
 
-        Returns the newly granted (txn, item, mode) triples, in grant order.
+        Returns the ids of the newly granted transactions, in grant order.
         """
-        granted: list[tuple[int, int, LockMode]] = []
+        granted: list[int] = []
         self._begin.pop(txn_id, None)
         waiting = self._waiting.pop(txn_id, None)
         for item_id in sorted(self._presence.pop(txn_id, ())):
@@ -139,13 +132,13 @@ class LockTable:
             locks.granted.pop(txn_id, None)
             if item_id == waiting:
                 locks.queue = [r for r in locks.queue if r.txn_id != txn_id]
-            granted.extend((t, item_id, m) for t, m in self._grant_heads(item_id))
+            granted.extend(self._grant_heads(item_id))
             locks.successors.clear()
         return granted
 
-    def _grant_heads(self, item_id: int) -> list[tuple[int, LockMode]]:
+    def _grant_heads(self, item_id: int) -> list[int]:
         locks = self._items[item_id]
-        newly: list[tuple[int, LockMode]] = []
+        newly: list[int] = []
         while locks.queue:
             head = locks.queue[0]
             others = [h for t, h in locks.granted.items() if t != head.txn_id]
@@ -159,7 +152,7 @@ class LockTable:
                 locks.granted.setdefault(head.txn_id, LockMode.SHARED)
             locks.queue.pop(0)
             del self._waiting[head.txn_id]
-            newly.append((head.txn_id, head.mode))
+            newly.append(head.txn_id)
         return newly
 
     def waits_on(self, txn_id: int) -> set[int]:

@@ -14,6 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 
 from .core import ConfigError, History
 from .oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
@@ -140,18 +141,14 @@ class MatrixConfig:
         if self.arrival_window_ms is not None and self.arrival_window_ms < 0:
             raise ConfigError("arrival_window_ms must be >= 0")
         out = []
-        for protocol in self.protocols:
-            for n_items in self.n_items_list:
-                for n_txns in self.n_txns_list:
-                    for seed in self.seeds:
-                        cfg = replace(self.base, protocol=protocol, n_items=n_items,
-                                      n_txns=n_txns, seed=seed)
-                        cfg.validate()
-                        if self.arrival_window_ms is not None:
-                            cfg = replace(cfg, arrival_mean_ms=_window_mean(
-                                self.arrival_window_ms, n_txns))
-                            cfg.validate()
-                        out.append(cfg)
+        for protocol, n_items, n_txns, seed in product(self.protocols, self.n_items_list,
+                                                       self.n_txns_list, self.seeds):
+            cfg = replace(self.base, protocol=protocol, n_items=n_items, n_txns=n_txns, seed=seed)
+            cfg.validate()
+            if self.arrival_window_ms is not None:
+                cfg = replace(cfg, arrival_mean_ms=_window_mean(self.arrival_window_ms, n_txns))
+                cfg.validate()
+            out.append(cfg)
         return out
 
     @classmethod
@@ -238,9 +235,11 @@ def run_matrix(matrix: MatrixConfig, workers: int = 1,
 
     Rows are sorted by (protocol, n_items, n_txns, seed) so output does not
     depend on scheduling. Any oracle violation aborts the matrix; a violating
-    history is dumped to `dump_dir`. The pool gets at most one worker per
-    cell, since it may start all of them at once.
+    history is dumped to `dump_dir`. `workers` must be at least 1; the pool
+    gets at most one worker per cell, since it may start all of them at once.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     cells = matrix.cells()
     workers = min(workers, len(cells))
     if workers > 1:

@@ -19,6 +19,7 @@ alone and builds the skeleton only to name a cycle in a failing run.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from itertools import permutations
 from operator import itemgetter
 
@@ -54,14 +55,6 @@ class SerializationGraph:
 
     def add_edge(self, src: int, dst: int, label: EdgeLabel) -> None:
         self.edges.setdefault((src, dst), []).append(label)
-
-    def successors(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for src, dst in self.edges:
-            adj[src].append(dst)
-        for lst in adj.values():
-            lst.sort()
-        return adj
 
 
 _KIND = (OpKind.READ, OpKind.WRITE)  # indexed by an op's is_write flag
@@ -154,32 +147,18 @@ class CycleCheck:
 
 
 def is_acyclic(graph: SerializationGraph) -> CycleCheck:
-    """Depth-first cycle search; returns one witness cycle when cyclic."""
-    adj = graph.successors()
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
-    for root in sorted(graph.nodes):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = GREY
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    return CycleCheck(False, path[path.index(nxt):])
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
+    """Cycle search; when cyclic, the witness is the cycle closed by the first
+    back edge of a depth-first search that takes roots and successors in
+    ascending order."""
+    sorter = TopologicalSorter()
+    for node in sorted(graph.nodes):
+        sorter.add(node)
+    for src, dst in sorted(graph.edges):
+        sorter.add(dst, src)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        return CycleCheck(False, exc.args[1][:-1])
     return CycleCheck(True)
 
 

@@ -127,16 +127,21 @@ class SimConfig:
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse flat `key = value` lines; '#' starts a comment."""
+    """Parse flat `key = value` lines; '#' starts a comment. A key given
+    twice is a ConfigError."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {first_line[key]}")
+        first_line[key] = lineno
+        mapping[key] = value
     return mapping
 
 
@@ -254,7 +259,7 @@ class _Sim(EventQueue):
     def s2pl_end(self, aid: int, outcome: Outcome, instant: int) -> None:
         """Record aid's terminal, drop its locks, wake the new grantees."""
         self.history.record_terminal(aid, outcome, instant)
-        for txn_id, _item, _mode in self.table.release_all(aid):
+        for txn_id in self.table.release_all(aid):
             gen = self.parked.pop(txn_id, None)
             if gen is not None:
                 self.push(self.now, (gen, None))

@@ -146,7 +146,8 @@ class TestAcquire:
             with pytest.raises(ValueError, match=f"txn 2 requests item {item_id} "
                                                  "while it waits on item 0"):
                 table.acquire(2, item_id, mode)
-        assert table.release_all(1) == [(2, 0, S)]
+        assert table.release_all(1) == [2]
+        assert table.holds(2, 0, S) and not table.holds(2, 0, X)
         assert table.acquire(2, 1, X) == Granted()  # granted, so no longer waiting
 
     def test_no_barging_past_a_queue(self):
@@ -163,7 +164,9 @@ class TestReleaseAll:
         table.acquire(2, 0, S)
         table.acquire(3, 0, S)
         granted = table.release_all(1)
-        assert granted == [(2, 0, S), (3, 0, S)]
+        assert granted == [2, 3]
+        assert table.holds(2, 0, S) and table.holds(3, 0, S)
+        assert not table.holds(2, 0, X) and not table.holds(3, 0, X)
         table.assert_safety()
 
     def test_empty_queue_grants_nothing(self):
@@ -177,7 +180,8 @@ class TestReleaseAll:
         table.acquire(2, 0, X)
         table.acquire(3, 0, S)
         granted = table.release_all(1)
-        assert granted == [(2, 0, X)]
+        assert granted == [2]
+        assert table.holds(2, 0, X)
         assert not table.holds(3, 0, S)
 
     def test_release_unblocks_waiting_upgrade(self):
@@ -186,7 +190,7 @@ class TestReleaseAll:
         table.acquire(2, 0, S)
         table.acquire(2, 0, X)  # queued upgrade
         granted = table.release_all(1)
-        assert granted == [(2, 0, X)]
+        assert granted == [2]
         assert table.holds(2, 0, X)
 
     def test_strictness_until_release(self):
@@ -208,13 +212,13 @@ class TestLockInvariants:
         rng = DetRng(31337)
         table = LockTable()
         active: dict[int, bool] = {}
-        waiting: set[int] = set()
+        waiting: dict[int, tuple[int, LockMode]] = {}   # txn -> its queued (item, mode)
         next_txn = cycles = 0
 
         def release(txn):
-            for t, _item, _mode in table.release_all(txn):
-                waiting.discard(t)
-            waiting.discard(txn)
+            for t in table.release_all(txn):
+                assert table.holds(t, *waiting.pop(t))
+            waiting.pop(txn, None)
             del active[txn]
 
         for step in range(600):
@@ -230,8 +234,9 @@ class TestLockInvariants:
                 next_txn += 1
             txn = idle[rng.randrange(len(idle))]
             mode = S if rng.random() < 0.5 else X
-            if table.acquire(txn, rng.randrange(8), mode) == Queued():
-                waiting.add(txn)
+            item = rng.randrange(8)
+            if table.acquire(txn, item, mode) == Queued():
+                waiting[txn] = (item, mode)
             while cycle := table.find_cycle(txn):
                 cycles += 1
                 victim = table.youngest_of(cycle)
@@ -240,7 +245,7 @@ class TestLockInvariants:
                     break
             table.assert_safety()
             assert reference_find_cycle(reference_waits_for_edges(table)) is None
-            assert waiting == set(table._waiting)
+            assert {t: item for t, (item, _) in waiting.items()} == table._waiting
         assert cycles > 0
 
     # seeds 11 and 14 upgrade a sole shared holder in place while a shared

@@ -205,7 +205,7 @@ RUN_ARGS = ("run", "--protocol", "occ", "--clients", "2", "--items", "5",
 
 
 def _no_simulation(*args, **kwargs):
-    raise AssertionError("a cell ran before the output path was checked")
+    raise AssertionError("a simulation ran before its command line was checked")
 
 
 class TestOutputCheckedFirst:
@@ -340,6 +340,7 @@ BAD_MATRIX_FILES = {
     "window-too-large": "arrival_window_ms = " + "9" * 311 + "\n",
     "window-negative": "arrival_window_ms = -100\n",
     "seed-range-empty": "seeds = 5:1\n",
+    "key-given-twice": "txns = 5\ntxns = 7\n",
     # divides, but the 1e308 ms mean times an exponential draw overflows
     "window-mean-huge": "txns = 5\narrival_window_ms = 5" + "0" * 308 + "\n",
     **HUGE_MS_FILES,
@@ -354,6 +355,19 @@ def test_bad_matrix_value_exits_1(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_matrix_worker_count_below_one_exits_1(tmp_path, capsys, monkeypatch, workers):
+    import ccarena.harness as harness
+    monkeypatch.setattr(harness, "_run_cell", _no_simulation)
+    cfg = tmp_path / "matrix.cfg"
+    cfg.write_text(MATRIX_CFG, encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert run_cli("matrix", "--config", str(cfg), "--out", str(out), "--workers", workers) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 # argparse's own exit code is 2, the oracle-violation code

@@ -1,6 +1,7 @@
 from types import ModuleType
 
 import pytest
+from test_cli import _no_simulation
 from test_oracle import random_history, tangled_history
 
 from ccarena.core import ConfigError, History, Outcome, read, write
@@ -144,6 +145,13 @@ class TestRunMatrix:
         assert sizes == [2]
         run_matrix(tiny_matrix(protocols=["occ"], seeds=[1]), workers=5000)
         assert sizes == [2]   # one cell runs in-process, with no pool
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_rejected_before_any_cell(self, monkeypatch, workers):
+        import ccarena.harness as harness
+        monkeypatch.setattr(harness, "_run_cell", _no_simulation)
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            run_matrix(tiny_matrix(), workers=workers)
 
     def test_cells_validate_before_the_window_divides(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,27 @@ class TestIsAcyclic:
                  ("w", 3, 0, 5), ("c", 3, 6))
         check = is_acyclic(build_serialization_graph(h))
         assert check and check.cycle is None
+
+    def test_witness_does_not_depend_on_insertion_order(self):
+        # random digraphs with more than one cycle (one is left after the
+        # witness's first edge is dropped), rebuilt with their nodes and edges
+        # inserted in shuffled orders, give the same verdict and witness
+        rng = random.Random(16)
+        multi = 0
+        for _ in range(800):
+            ids = rng.sample(range(1000), rng.randint(3, 8))
+            edges = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.3]
+            witness = is_acyclic(SerializationGraph(set(ids), dict.fromkeys(edges, ()))).cycle
+            if witness is None or is_acyclic(SerializationGraph(
+                    set(ids), dict.fromkeys(e for e in edges if e != tuple(witness[:2])))):
+                continue
+            multi += 1
+            for _ in range(3):
+                rng.shuffle(ids)
+                rng.shuffle(edges)
+                check = is_acyclic(SerializationGraph(set(ids), dict.fromkeys(edges, ())))
+                assert (check.acyclic, check.cycle) == (False, witness)
+        assert multi >= 300, multi
 
 
 class TestCommitmentOrdering:
@@ -210,6 +233,7 @@ class TestOracleAgreement:
             witnessed += 1
             cycle = check.cycle
             assert len(cycle) >= 2
+            assert len(set(cycle)) == len(cycle), f"witness {cycle} repeats a node"
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 assert (a, b) in g.edges, f"witness step {a}->{b} is not an edge"
         assert witnessed > 50

@@ -95,6 +95,8 @@ class TestConfig:
         assert mapping == {"a": "1", "b": "2"}
         with pytest.raises(ConfigError):
             parse_kv_text("not a pair\n")
+        with pytest.raises(ConfigError, match="line 3: n_txns is already set on line 1"):
+            parse_kv_text("n_txns = 5\nseed = 2\n n_txns=7  # again\n")
 
 
 class TestWorkload:
