@@ -11,6 +11,7 @@ directory, and aborts the whole matrix.
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -186,7 +187,8 @@ _LIST_KEYS = {"protocols": ("protocols", "protocol"), "txns": ("n_txns_list", "n
 
 def _parse_list(base: SimConfig, key: str, name: str, raw: str) -> list:
     """Comma list of field `name` values, each parsed and checked as the field
-    is; `seeds` also takes an inclusive range `lo:hi`."""
+    is; `seeds` also takes an inclusive range `lo:hi`. A value listed twice,
+    as parsed (`occ, OCC`), is a ConfigError: it would run its cells again."""
     kind = FIELD_TYPES[name]
     if key == "seeds" and ":" in raw:
         lo, hi = (parse_value(key, part, kind) for part in raw.split(":", 1))
@@ -197,6 +199,9 @@ def _parse_list(base: SimConfig, key: str, name: str, raw: str) -> list:
         raise ConfigError(f"{key} = {raw} lists no values, so the matrix has no cells")
     for value in values:
         replace(base, **{name: value}).validate()
+    repeated = [value for value, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"{key} = {raw} lists {repeated[0]} more than once")
     return values
 
 

@@ -19,6 +19,12 @@ Client clocks carry large fixed offsets from the server clock; only relative
 operator timestamps ever cross the wire, so those offsets are harmless by
 construction and the simulation exercises exactly that.
 
+Events run in (instant, scheduling order) order. Each transaction's arrival
+is scheduled up front, in txn order, and waits in a list; the heap holds only
+the events of started processes. The clock moves when the queue pops an
+event, or when a process's delay ends strictly before every pending event:
+that process would be popped next anyway, so it resumes at once.
+
 Everything is a pure function of SimConfig: workload, arrivals, latencies and
 disconnects are drawn from named sub-streams of one seeded generator, and
 per-transaction streams are pre-split so runtime interleaving cannot perturb
@@ -26,6 +32,7 @@ the draws.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from itertools import count
@@ -192,19 +199,36 @@ def gen_workload(cfg: SimConfig, rng: DetRng) -> list[list[Operation]]:
 
 class EventQueue:
     """Priority queue of (instant, seq, payload); seq breaks instant ties by
-    insertion order, so dequeue order is deterministic. Every push draws its
-    seq from the one counter `_seq`."""
+    scheduling order, so dequeue order is deterministic. Every event draws
+    its seq from the one counter `_seq`.
+
+    Arrivals wait in their own list, in instant order, so the heap holds
+    only the events of processes already started. pop() takes the smaller
+    (instant, seq) of the two heads, the order one heap over both would
+    give, and moves the clock `now` to it. It is the one place a queued
+    event leaves and the one check that the clock never moves backwards."""
 
     def __init__(self):
         self._heap: list[tuple[int, int, object]] = []
+        self._arrivals: deque[tuple[int, int, object]] = deque()
         self._seq = count()
         self.now = 0
+
+    def arrive(self, instant: int, payload) -> None:
+        """Queue a process's first event; arrivals come in instant order."""
+        if self._arrivals and instant < self._arrivals[-1][0]:
+            raise ValueError(f"arrival at {instant} after one at {self._arrivals[-1][0]}")
+        self._arrivals.append((instant, next(self._seq), payload))
 
     def push(self, instant: int, payload) -> None:
         heappush(self._heap, (instant, next(self._seq), payload))
 
     def pop(self):
-        instant, _, payload = heappop(self._heap)
+        heap, arrivals = self._heap, self._arrivals
+        if arrivals and (not heap or arrivals[0] < heap[0]):
+            instant, _, payload = arrivals.popleft()
+        else:
+            instant, _, payload = heappop(heap)
         if instant < self.now:
             raise AssertionError(f"event clock moved backwards: {instant} < {self.now}")
         self.now = instant
@@ -266,19 +290,32 @@ class _Sim(EventQueue):
 
     def run_loop(self) -> None:
         """Resume each process with its event's value: None after a delay or
-        a grant, Outcome.ABORTED for a parked deadlock victim. Every event
-        goes through pop(), the one place the clock moves."""
-        heap, pop, parked, seq = self._heap, self.pop, self.parked, self._seq
-        while heap:
+        a grant, Outcome.ABORTED for a parked deadlock victim. A delay that
+        ends strictly before every pending event resumes its process at
+        once, with no seq and no pop, since pop() would return it next
+        anyway. Every other event, a negative delay included, goes through
+        pop(), which moves the clock and checks that it never moves back."""
+        heap, arrivals, parked, seq = self._heap, self._arrivals, self.parked, self._seq
+        pop = self.pop
+        while heap or arrivals:
             gen, value = pop()
-            try:
-                cmd = gen.send(value)
-            except StopIteration:
-                continue
-            if isinstance(cmd, tuple):  # ("park", aid): wait for an external wake
-                parked[cmd[1]] = gen
-                continue
-            heappush(heap, (self.now + cmd, next(seq), (gen, None)))
+            now = self.now
+            while True:
+                try:
+                    cmd = gen.send(value)
+                except StopIteration:
+                    break
+                if isinstance(cmd, tuple):  # ("park", aid): wait for an external wake
+                    parked[cmd[1]] = gen
+                    break
+                at = now + cmd
+                if now <= at and (not heap or at < heap[0][0]) \
+                        and (not arrivals or at < arrivals[0][0]):
+                    self.now = now = at
+                    value = None
+                    continue
+                heappush(heap, (at, next(seq), (gen, None)))
+                break
 
 
 def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, offset: int):
@@ -448,7 +485,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         run = TxnTiming(txn_id, txn_id % cfg.n_clients, submit_ms=submit)
         timings.append(run)
         gen = _txn_process(sim, ops, run, master.spawn(1000 + txn_id), offsets[run.client_id])
-        sim.push(submit, (gen, None))
+        sim.arrive(submit, (gen, None))
     sim.run_loop()
 
     committed = sum(1 for t in timings if t.outcome is Outcome.COMMITTED)

@@ -341,6 +341,7 @@ BAD_MATRIX_FILES = {
     "window-negative": "arrival_window_ms = -100\n",
     "seed-range-empty": "seeds = 5:1\n",
     "key-given-twice": "txns = 5\ntxns = 7\n",
+    "value-repeated": "txns = 5, 05\n",
     # divides, but the 1e308 ms mean times an exponential draw overflows
     "window-mean-huge": "txns = 5\narrival_window_ms = 5" + "0" * 308 + "\n",
     **HUGE_MS_FILES,

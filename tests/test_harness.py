@@ -304,6 +304,10 @@ class TestMatrixConfigFile:
         ("txns", "5, 0", "n_txns must be >= 1"),
         ("items", "-3", "n_items must be >= 1"),
         ("seeds", "5:1", "seeds = 5:1 lists no values"),
+        # a repeated value would run its cells again; values compare as parsed
+        ("protocols", "occ, OCC", "protocols = occ, OCC lists occ more than once"),
+        ("seeds", "1, 1", "seeds = 1, 1 lists 1 more than once"),
+        ("txns", "5, 7, 05", "txns = 5, 7, 05 lists 5 more than once"),
     ])
     def test_bad_list_values_name_their_key(self, key, raw, message):
         with pytest.raises(ConfigError, match=message):

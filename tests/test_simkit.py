@@ -1,7 +1,10 @@
 import hashlib
+import inspect
 import math
 import statistics
 from dataclasses import fields
+from heapq import heappop
+from itertools import product
 
 import pytest
 
@@ -13,6 +16,7 @@ from ccarena.simkit import (
     MAX_MS,
     MAX_TXN_LEN,
     SimConfig,
+    _Sim,
     gen_workload,
     parse_kv_text,
     run_simulation,
@@ -332,20 +336,21 @@ class TestGoldenRuns:
         assert victims["parked"] > 0 and victims["self"] > 0
 
 
-def _run_keeping_sim(cfg, monkeypatch):
-    """Run cfg and return the result with the _Sim it ran on, as the event
-    loop left it."""
+def _run_keeping_sim(cfg, monkeypatch, sim_class=_Sim):
+    """Run cfg on a sim_class and return the result with the sim it ran on,
+    as the event loop left it."""
     import ccarena.simkit as simkit
 
     sims = []
-    run_loop = simkit._Sim.run_loop
 
-    def kept_loop(sim):
-        run_loop(sim)
-        sims.append(sim)
+    class Kept(sim_class):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            sims.append(self)
 
-    monkeypatch.setattr(simkit._Sim, "run_loop", kept_loop)
-    result = run_simulation(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(simkit, "_Sim", Kept)
+        result = run_simulation(cfg)
     (sim,) = sims
     return result, sim
 
@@ -353,8 +358,9 @@ def _run_keeping_sim(cfg, monkeypatch):
 class TestEventCountBoundary:
     @pytest.mark.parametrize("shape,protocol", sorted(_GOLDEN))
     def test_every_pushed_event_is_popped_through_pop(self, shape, protocol, monkeypatch):
-        # the benchmark counts events by wrapping EventQueue.pop on the class,
-        # so the event loop must pop each event through it, once
+        # the benchmark counts queued events by wrapping EventQueue.pop on the
+        # class, so the event loop must pop each queued event through it,
+        # once; a direct resume takes no seq and no pop
         import ccarena.simkit as simkit
 
         pops = 0
@@ -365,11 +371,99 @@ class TestEventCountBoundary:
             pops += 1
             return pop(queue)
 
+        states = []  # of each process pushed onto the heap, when pushed
+        heappush = simkit.heappush
+
+        def watched_push(heap, entry):
+            states.append(inspect.getgeneratorstate(entry[2][0]))
+            heappush(heap, entry)
+
         monkeypatch.setattr(simkit.EventQueue, "pop", counted)
+        monkeypatch.setattr(simkit, "heappush", watched_push)
         _, sim = _run_keeping_sim(quiet_cfg(protocol=protocol, **_GOLDEN_SHAPES[shape]),
                                   monkeypatch)
         assert pops == next(sim._seq) > 0
-        assert sim._heap == []
+        assert sim._heap == [] and not sim._arrivals
+        # arrivals wait in their own list, so the heap holds only processes
+        # already started and is bounded by those in flight, not by n_txns
+        assert states and inspect.GEN_CREATED not in states
+
+
+class _ReferenceSim(_Sim):
+    """The event loop that queues every arrival up front and every resume:
+    one heap over all events, each popped in (instant, seq) order."""
+
+    def arrive(self, instant, payload):
+        self.push(instant, payload)
+
+    def run_loop(self):
+        heap = self._heap
+        while heap:
+            instant, _, (gen, value) = heappop(heap)
+            assert instant >= self.now
+            self.now = instant
+            try:
+                cmd = gen.send(value)
+            except StopIteration:
+                continue
+            if isinstance(cmd, tuple):
+                self.parked[cmd[1]] = gen
+                continue
+            self.push(self.now + cmd, (gen, None))
+
+
+def _run_on(sim_class, cfg, monkeypatch):
+    """Run cfg on sim_class: (history text, repr of timings, events queued)."""
+    result, sim = _run_keeping_sim(cfg, monkeypatch, sim_class)
+    return result.history.to_text(), repr(result.timings), next(sim._seq)
+
+
+_LOOP_SHAPES = {
+    **_GOLDEN_SHAPES,
+    # zero service time and zero latencies: nearly every event shares its
+    # instant with others, so only the tie order decides
+    "tie_storm": dict(n_txns=30, mean_len=3, op_service_ms=0, arrival_mean_ms=2, seed=5),
+}
+
+
+class TestLoopMatchesTheOneHeapLoop:
+    @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+    @pytest.mark.parametrize("shape", sorted(_LOOP_SHAPES))
+    def test_same_history_and_timings(self, shape, protocol, monkeypatch):
+        fewer = []
+        for disconnect_prob, retries, n_items in product((0.0, 1.0), range(4), range(1, 4)):
+            cfg = quiet_cfg(**{**_LOOP_SHAPES[shape], "protocol": protocol, "retries": retries,
+                               "disconnect_prob": disconnect_prob, "n_items": n_items})
+            *want, ref_events = _run_on(_ReferenceSim, cfg, monkeypatch)
+            *got, events = _run_on(_Sim, cfg, monkeypatch)
+            assert got == want, cfg
+            assert events <= ref_events
+            fewer.append(events < ref_events)
+        assert any(fewer)  # direct resumes fired
+
+
+def _stub_process(*delays):
+    yield from delays
+
+
+class TestClockGuard:
+    @pytest.mark.parametrize("pending", [False, True], ids=["queue-empty", "queue-busy"])
+    def test_a_negative_delay_is_caught(self, pending):
+        # the delay of 5 resumes at once whether or not another arrival is
+        # pending at 100; the delay of -1 would move the clock from 5 to 4
+        sim = _Sim(quiet_cfg())
+        sim.arrive(0, (_stub_process(5, -1), None))
+        if pending:
+            sim.arrive(100, (_stub_process(1), None))
+        with pytest.raises(AssertionError, match="event clock moved backwards: 4 < 5"):
+            sim.run_loop()
+
+    def test_arrivals_come_in_instant_order(self):
+        sim = _Sim(quiet_cfg())
+        sim.arrive(5, (_stub_process(), None))
+        sim.arrive(5, (_stub_process(), None))
+        with pytest.raises(ValueError, match="arrival at 4 after one at 5"):
+            sim.arrive(4, (_stub_process(), None))
 
 
 class TestServerStateAfterRun:
