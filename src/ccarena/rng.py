@@ -81,7 +81,4 @@ class DetRng:
         if mean <= 0.0:
             self.next_u64()  # keep stream consumption independent of the mean
             return 0.0
-        u = self.random()
-        if u >= 1.0:
-            u = 1.0 - 2.0 ** -53
-        return -mean * math.log(1.0 - u)
+        return -mean * math.log(1.0 - self.random())

@@ -7,6 +7,7 @@ experiment's contention ratios at a tenth of its size: 50 clients against
 submission window so that raising the transaction count raises contention.
 """
 
+import dataclasses
 import statistics
 import time
 from pathlib import Path
@@ -316,3 +317,28 @@ def test_criterion_11_message_economy():
         assert t.messages == 2 * n_ops + 2  # one exchange per lock, one to commit
     report(11, "opcot: exactly 2 messages per txn; s2pl: 2 per data op plus "
                "the commit exchange")
+
+
+def test_criterion_12_opcot_aborts_do_not_grow_with_the_disconnection():
+    """The paper's motivating problem: a client disconnected for an unknown
+    duration. opcot rebases its log to the commit's receipt, so a longer
+    reconnect delay does not widen the span its operations validate in;
+    occ's validation window and s2pl's lock holding both stretch with it."""
+    short, long = (100, 300), (5000, 15000)
+    seeds = range(1, 6)
+    base = SimConfig(**DESK, n_items=100, n_txns=1000, arrival_mean_ms=200)
+    aborted = {(p, delay, seed): run_simulation(dataclasses.replace(
+                   base, protocol=p, reconnect_delay_ms=delay, seed=seed)).aborted
+               for p in ("opcot", "occ", "s2pl") for delay in (short, long) for seed in seeds}
+    mean = {(p, delay): statistics.fmean(aborted[p, delay, s] for s in seeds)
+            for p in ("opcot", "occ", "s2pl") for delay in (short, long)}
+    assert mean["opcot", long] <= 1.5 * mean["opcot", short], \
+        f"opcot aborts grew {mean['opcot', short]:.1f} -> {mean['opcot', long]:.1f}"
+    for p in ("occ", "s2pl"):
+        assert mean[p, long] >= 4 * mean[p, short], \
+            f"{p} aborts grew only {mean[p, short]:.1f} -> {mean[p, long]:.1f}"
+        losses = [s for s in seeds if aborted["opcot", long, s] >= aborted[p, long, s]]
+        assert losses == [], f"opcot aborts no fewer than {p} at the long delay in seeds {losses}"
+    report(12, "reconnect 100-300 -> 5000-15000 ms, mean aborts: " + "; ".join(
+        f"{p} {mean[p, short]:.1f}->{mean[p, long]:.1f}" for p in ("opcot", "occ", "s2pl"))
+        + "; opcot fewest in 5/5 seeds")

@@ -1,12 +1,18 @@
 import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_oracle import random_history, tangled_history
 
+import ccarena
 from ccarena.cli import main
 from ccarena.harness import CSV_HEADER, verify_run
 from ccarena.oracle import build_serialization_graph
 from ccarena.rng import DetRng
+from ccarena.simkit import PROTOCOLS
 
 
 def run_cli(*argv):
@@ -126,6 +132,10 @@ class TestMatrixCommand:
         assert not out.exists()  # no CSV row for a failed run
 
 
+CYCLE_HISTORY = ("OP 1 R 0 5\nOP 2 R 0 6\nOP 1 W 0 20\nOP 2 W 0 21\n"
+                 "END 1 COMMITTED 30\nEND 2 COMMITTED 31\n")
+
+
 class TestCheckCommand:
     def test_clean_history_exits_0(self, tmp_path, capsys):
         path = tmp_path / "ok.history"
@@ -146,16 +156,16 @@ class TestCheckCommand:
 
     def test_cycle_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cyc.history"
-        path.write_text("OP 1 R 0 5\nOP 2 R 0 6\nOP 1 W 0 20\nOP 2 W 0 21\n"
-                        "END 1 COMMITTED 30\nEND 2 COMMITTED 31\n", encoding="utf-8")
+        path.write_text(CYCLE_HISTORY, encoding="utf-8")
         assert run_cli("check", "--history", str(path)) == 2
         out = capsys.readouterr().out
         assert "NO" in out
         assert "brute-force serializable: NO" in out
 
-    def test_malformed_history_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("line", ["OP nope", "OP 1 R x 3"])
+    def test_malformed_history_exits_1(self, tmp_path, line):
         path = tmp_path / "bad.history"
-        path.write_text("OP nope\n", encoding="utf-8")
+        path.write_text(line + "\n", encoding="utf-8")
         assert run_cli("check", "--history", str(path)) == 1
 
     @pytest.mark.parametrize("make", [random_history, tangled_history])
@@ -342,16 +352,26 @@ BAD_MATRIX_FILES = {
     "seed-range-empty": "seeds = 5:1\n",
     "key-given-twice": "txns = 5\ntxns = 7\n",
     "value-repeated": "txns = 5, 05\n",
+    "protocols-repeated": "protocols = occ, OCC\n",
     # divides, but the 1e308 ms mean times an exponential draw overflows
     "window-mean-huge": "txns = 5\narrival_window_ms = 5" + "0" * 308 + "\n",
     **HUGE_MS_FILES,
 }
 
 
+def matrix_cfg_with(text):
+    """MATRIX_CFG with each key that text sets taken from text, so a bad
+    value is not hidden behind a key given twice."""
+    keys = {line.partition("=")[0].strip() for line in text.splitlines()}
+    kept = [line for line in MATRIX_CFG.splitlines(keepends=True)
+            if line.partition("=")[0].strip() not in keys]
+    return "".join(kept) + text
+
+
 @pytest.mark.parametrize("text", BAD_MATRIX_FILES.values(), ids=BAD_MATRIX_FILES.keys())
 def test_bad_matrix_value_exits_1(tmp_path, capsys, text):
     cfg = tmp_path / "matrix.cfg"
-    cfg.write_text(MATRIX_CFG.replace("txns = 5\n", "") + text, encoding="utf-8")
+    cfg.write_text(matrix_cfg_with(text), encoding="utf-8")
     assert run_cli("matrix", "--config", str(cfg), "--out", str(tmp_path / "o.csv")) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
@@ -404,3 +424,52 @@ def test_bad_run_config_value_exits_1(tmp_path, capsys, text):
     assert run_cli(*RUN_ARGS, "--config", str(cfg)) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+# the directory holding the imported package, so a fresh interpreter runs
+# this same code
+PACKAGE_ROOT = str(Path(ccarena.__file__).resolve().parents[1])
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def fresh_python(*args, cwd):
+    """Run args in a new interpreter; 60 s bounds even a huge count."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": PACKAGE_ROOT}, timeout=60)
+
+
+GATE_ARGS = ("--clients", "4", "--items", "8", "--txns", "40", "--seed", "1", "--retries", "1")
+HUGE = "1000000000"
+# each row: commands run one after another through python -m ccarena, each
+# with its exit code
+ENTRY_POINT_ROWS = {
+    **{f"gate-{p}": [(("run", "--protocol", p, *GATE_ARGS, "--dump-history", "run.history"), 0),
+                     (("check", "--history", "run.history"), 0)] for p in PROTOCOLS},
+    "huge-client-count": [(("run", "--protocol", "opcot", "--clients", HUGE,
+                            "--txns", "5", "--seed", "1"), 0)],
+    **{f"huge-item-count-{p}": [(("run", "--protocol", p, "--items", HUGE,
+                                  "--txns", "5", "--seed", "1"), 0)] for p in PROTOCOLS},
+    "bad-matrix-value": [(("matrix", "--config", "bad.cfg", "--out", "o.csv"), 1)],
+    "unknown-command": [(("bogus",), 1)],
+    "violating-history": [(("check", "--history", "cycle.history"), 2)],
+    "help": [(("--help",), 0)],
+}
+
+
+@pytest.mark.parametrize("steps", ENTRY_POINT_ROWS.values(), ids=ENTRY_POINT_ROWS.keys())
+def test_entry_point_exit_code(tmp_path, steps):
+    (tmp_path / "bad.cfg").write_text(matrix_cfg_with(BAD_MATRIX_FILES["mean-len-nan"]),
+                                      encoding="utf-8")
+    (tmp_path / "cycle.history").write_text(CYCLE_HISTORY, encoding="utf-8")
+    for argv, code in steps:
+        proc = fresh_python("-m", "ccarena", *argv, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 1:
+            assert proc.stderr.splitlines()[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    proc = fresh_python(str(demo), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,9 @@
+import math
 import statistics
 
 import pytest
 
-from ccarena.rng import DetRng, mix_seed
+from ccarena.rng import _LCG_A, _LCG_C, DetRng, mix_seed
 
 
 class TestDeterminism:
@@ -48,6 +49,16 @@ class TestDistributions:
         xs = [rng.exponential(100) for _ in range(20_000)]
         assert all(x >= 0 for x in xs)
         assert abs(statistics.fmean(xs) - 100) < 3.0
+
+    def test_largest_uniform_stays_below_one(self):
+        # the state one step before an all-ones draw: random() is at most
+        # 1 - 2**-53, so exponential's log(1 - u) needs no clamp
+        state = (2**64 - 1 - _LCG_C) * pow(_LCG_A, -1, 2**64) % 2**64
+        rng = DetRng(0)
+        rng._state = state
+        assert rng.random() == 1 - 2**-53
+        rng._state = state
+        assert math.isfinite(rng.exponential(100.0))
 
     def test_exponential_zero_mean_degenerates(self):
         rng = DetRng(5)
