@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    ccarena run --protocol opcot --clients 50 --items 100 --txns 200 --seed 1
+    ccarena run --protocol opcot --items 100 --txns 200 --seed 1
     ccarena matrix --config matrix.cfg --out results.csv [--gnuplot]
     ccarena check --history dump.history
 
@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one simulation and emit its CSV row")
     run_p.add_argument("--protocol", dest="protocol", choices=PROTOCOLS)
-    run_p.add_argument("--clients", dest="n_clients", type=int)
     run_p.add_argument("--items", dest="n_items", type=int)
     run_p.add_argument("--txns", dest="n_txns", type=int)
     run_p.add_argument("--seed", dest="seed", type=int)

@@ -128,7 +128,8 @@ class MatrixConfig:
     When arrival_window_ms is set, each cell's arrival mean becomes
     window / n_txns, so adding transactions to a fixed submission window
     raises contention, which is how the txn-count axis is meant to scale.
-    A negative window is a ConfigError.
+    A negative window, or a window with a base arrival_mean_ms, is a
+    ConfigError.
     """
 
     protocols: list[str] = field(default_factory=lambda: list(PROTOCOLS))
@@ -141,6 +142,9 @@ class MatrixConfig:
     def cells(self) -> list[SimConfig]:
         if self.arrival_window_ms is not None and self.arrival_window_ms < 0:
             raise ConfigError("arrival_window_ms must be >= 0")
+        if self.arrival_window_ms is not None and self.base.arrival_mean_ms is not None:
+            raise ConfigError("arrival_mean_ms and arrival_window_ms both set the arrival "
+                              "mean; set only one")
         out = []
         for protocol, n_items, n_txns, seed in product(self.protocols, self.n_items_list,
                                                        self.n_txns_list, self.seeds):
@@ -154,7 +158,11 @@ class MatrixConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "MatrixConfig":
-        """Build a matrix from key=value text; non-matrix keys form the base."""
+        """Build a matrix from key=value text; non-matrix keys form the base.
+        A base key that an axis sets for every cell (n_txns) is a ConfigError."""
+        for key, (_, name) in _LIST_KEYS.items():
+            if name in mapping:
+                raise ConfigError(f"{name} is a matrix axis; set {key} = {mapping[name]}")
         window = "arrival_window_ms"
         mx = cls(base=SimConfig.from_mapping({key: raw for key, raw in mapping.items()
                                               if key not in _LIST_KEYS and key != window}))

@@ -15,9 +15,9 @@ a deadlock victim.
 
 Client mobility is abstracted into per-operation disconnect rolls plus a
 reconnect delay that is paid only when a server exchange is actually needed.
-Client clocks carry large fixed offsets from the server clock; only relative
-operator timestamps ever cross the wire, so those offsets are harmless by
-construction and the simulation exercises exactly that.
+Each transaction's client clock carries a large fixed offset from the server
+clock; only relative operator timestamps ever cross the wire, so those offsets
+are harmless by construction and the simulation exercises exactly that.
 
 Events run in (instant, scheduling order) order. Each transaction's arrival
 is scheduled up front, in txn order, and waits in a list; the heap holds only
@@ -66,7 +66,6 @@ class SimConfig:
     """Knobs of one simulation run; see README for the full story."""
 
     protocol: str = "opcot"
-    n_clients: int = 50
     n_items: int = 100
     n_txns: int = 200
     mean_len: float = 50.0
@@ -84,8 +83,8 @@ class SimConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        for name, low in (("n_clients", 1), ("n_items", 1), ("n_txns", 1), ("mean_len", 2),
-                          ("sd_len", 0), ("op_service_ms", 0), ("retries", 0)):
+        for name, low in (("n_items", 1), ("n_txns", 1), ("mean_len", 2), ("sd_len", 0),
+                          ("op_service_ms", 0), ("retries", 0)):
             value = getattr(self, name)
             if not low <= value < math.inf:  # also false for nan
                 raise ConfigError(f"{name} must be >= {low} and finite, got {value}")
@@ -240,7 +239,6 @@ class TxnTiming:
     """Per-transaction accounting over all of its attempts."""
 
     txn_id: int
-    client_id: int
     submit_ms: int
     terminal_ms: int = 0
     service_ms: int = 0
@@ -472,19 +470,16 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     workload = gen_workload(cfg, master.spawn(1))
     arrivals = master.spawn(2)
     offsets_rng = master.spawn(3)
-    # client c runs transactions c, c + n_clients, ..., so only the first
-    # min(n_clients, n_txns) clients ever run one; only they draw an offset
-    offsets = [offsets_rng.uniform_ms((-_CLIENT_CLOCK_SKEW_MS, _CLIENT_CLOCK_SKEW_MS))
-               for _ in range(min(cfg.n_clients, cfg.n_txns))]
 
     sim = _Sim(cfg)
     timings = []
     submit = 0
     for txn_id, ops in enumerate(workload):
         submit += round(arrivals.exponential(cfg.arrival_mean))
-        run = TxnTiming(txn_id, txn_id % cfg.n_clients, submit_ms=submit)
+        run = TxnTiming(txn_id, submit_ms=submit)
         timings.append(run)
-        gen = _txn_process(sim, ops, run, master.spawn(1000 + txn_id), offsets[run.client_id])
+        offset = offsets_rng.uniform_ms((-_CLIENT_CLOCK_SKEW_MS, _CLIENT_CLOCK_SKEW_MS))
+        gen = _txn_process(sim, ops, run, master.spawn(1000 + txn_id), offset)
         sim.arrive(submit, (gen, None))
     sim.run_loop()
 

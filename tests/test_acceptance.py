@@ -2,9 +2,9 @@
 
 Each test prints a single "[criterion N] PASS" line (visible with -s, or via
 the captured output on failure). The desk-scale matrix keeps the published
-experiment's contention ratios at a tenth of its size: 50 clients against
-100/1000 items, transaction length scaled with the table, and a fixed
-submission window so that raising the transaction count raises contention.
+experiment's contention ratios at a tenth of its size: 100/1000 items,
+transaction length scaled with the table, and a fixed submission window so
+that raising the transaction count raises contention.
 """
 
 import dataclasses
@@ -48,7 +48,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SEEDS = list(range(1, 21))
 
 # desk-scale knobs shared by the matrix criteria; calibrated once, pinned here
-DESK = dict(n_clients=50, mean_len=5.0, sd_len=1.0, op_service_ms=10,
+DESK = dict(mean_len=5.0, sd_len=1.0, op_service_ms=10,
             uplink_latency_ms=(20, 60), downlink_latency_ms=(20, 60),
             disconnect_prob=0.10, reconnect_delay_ms=(100, 300))
 WINDOW_MS = 200_000
@@ -68,7 +68,6 @@ def property_sweep():
     t0 = time.time()
     for seed in range(1, 1001):
         cfg = SimConfig(protocol="opcot",
-                        n_clients=5 + seed % 11,
                         n_items=10 + seed % 11,
                         n_txns=20 + seed % 31,
                         mean_len=float(4 + seed % 9), sd_len=2.0,

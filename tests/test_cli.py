@@ -22,32 +22,28 @@ def run_cli(*argv):
 class TestRunCommand:
     def test_run_writes_a_csv_row(self, tmp_path, capsys):
         out = tmp_path / "row.csv"
-        code = run_cli("run", "--protocol", "opcot", "--clients", "4",
-                       "--items", "8", "--txns", "10", "--seed", "3",
-                       "--out", str(out))
+        code = run_cli("run", "--protocol", "opcot", "--items", "8", "--txns", "10",
+                       "--seed", "3", "--out", str(out))
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("opcot,3,10,8,")
 
     def test_run_to_stdout(self, capsys):
-        code = run_cli("run", "--protocol", "occ", "--clients", "2",
-                       "--items", "5", "--txns", "5", "--seed", "1")
+        code = run_cli("run", "--protocol", "occ", "--items", "5", "--txns", "5", "--seed", "1")
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
 
     def test_run_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
-            assert run_cli("run", "--protocol", "s2pl", "--clients", "3",
-                           "--items", "6", "--txns", "8", "--seed", "5",
-                           "--out", str(path)) == 0
+            assert run_cli("run", "--protocol", "s2pl", "--items", "6", "--txns", "8",
+                           "--seed", "5", "--out", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_run_dump_then_check_round_trip(self, tmp_path):
         dump = tmp_path / "run.history"
-        code = run_cli("run", "--protocol", "opcot", "--clients", "4",
-                       "--items", "6", "--txns", "15", "--seed", "11",
+        code = run_cli("run", "--protocol", "opcot", "--items", "6", "--txns", "15", "--seed", "11",
                        "--out", str(tmp_path / "row.csv"),
                        "--dump-history", str(dump))
         assert code == 0
@@ -55,7 +51,7 @@ class TestRunCommand:
 
     def test_config_file_plus_overrides(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("protocol = occ\nn_clients = 3\nn_items = 6\n"
+        cfg.write_text("protocol = occ\nn_items = 6\n"
                        "n_txns = 5\nmean_len = 4\nsd_len = 1\nseed = 2\n",
                        encoding="utf-8")
         out = tmp_path / "row.csv"
@@ -79,7 +75,7 @@ class TestRunCommand:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(harness, "verify_run", lambda h, p: "injected failure")
         out = tmp_path / "row.csv"
-        assert run_cli("run", "--protocol", "occ", "--clients", "2", "--items", "5",
+        assert run_cli("run", "--protocol", "occ", "--items", "5",
                        "--txns", "6", "--seed", "4", "--out", str(out)) == 2
         assert not out.exists()  # no CSV row for a failed run
         dump = tmp_path / "oracle_violation_occ_items5_txns6_seed4.history"
@@ -91,7 +87,7 @@ class TestMatrixCommand:
         cfg = tmp_path / "matrix.cfg"
         cfg.write_text(
             "protocols = opcot, occ\ntxns = 8\nitems = 6\nseeds = 1,2\n"
-            "n_clients = 3\nmean_len = 4\nsd_len = 1\nop_service_ms = 5\n",
+            "mean_len = 4\nsd_len = 1\nop_service_ms = 5\n",
             encoding="utf-8")
         out = tmp_path / "results.csv"
         code = run_cli("matrix", "--config", str(cfg), "--out", str(out),
@@ -105,7 +101,7 @@ class TestMatrixCommand:
     def test_output_does_not_depend_on_the_worker_count(self, tmp_path):
         cfg = tmp_path / "matrix.cfg"
         cfg.write_text("protocols = opcot, occ, s2pl\ntxns = 6, 12\nitems = 5\nseeds = 1:2\n"
-                       "n_clients = 3\nmean_len = 4\nsd_len = 1\ndisconnect_prob = 0.2\n"
+                       "mean_len = 4\nsd_len = 1\ndisconnect_prob = 0.2\n"
                        "retries = 1\n", encoding="utf-8")
         outputs = []
         for workers in ("1", "2"):
@@ -126,7 +122,7 @@ class TestMatrixCommand:
         monkeypatch.setattr(harness, "verify_run", lambda h, p: "injected failure")
         cfg = tmp_path / "matrix.cfg"
         cfg.write_text("protocols = opcot\ntxns = 5\nitems = 5\nseeds = 1\n"
-                       "n_clients = 2\nmean_len = 3\nsd_len = 1\n", encoding="utf-8")
+                       "mean_len = 3\nsd_len = 1\n", encoding="utf-8")
         out = tmp_path / "results.csv"
         assert run_cli("matrix", "--config", str(cfg), "--out", str(out)) == 2
         assert not out.exists()  # no CSV row for a failed run
@@ -197,8 +193,7 @@ class TestCheckCommand:
 @pytest.mark.parametrize("argv", [
     ("check", "--history", "{dir}"),
     ("check", "--history", "{latin1}"),
-    ("run", "--protocol", "occ", "--clients", "2", "--items", "5",
-     "--txns", "5", "--seed", "1", "--out", "{dir}"),
+    ("run", "--protocol", "occ", "--items", "5", "--txns", "5", "--seed", "1", "--out", "{dir}"),
 ], ids=["check-directory", "check-non-utf8", "run-out-directory"])
 def test_unreadable_path_exits_1(tmp_path, capsys, argv):
     latin1 = tmp_path / "latin1.history"
@@ -209,9 +204,8 @@ def test_unreadable_path_exits_1(tmp_path, capsys, argv):
 
 
 MATRIX_CFG = ("protocols = occ\ntxns = 5\nitems = 5\nseeds = 1\n"
-              "n_clients = 2\nmean_len = 3\nsd_len = 1\n")
-RUN_ARGS = ("run", "--protocol", "occ", "--clients", "2", "--items", "5",
-            "--txns", "5", "--seed", "1")
+              "mean_len = 3\nsd_len = 1\n")
+RUN_ARGS = ("run", "--protocol", "occ", "--items", "5", "--txns", "5", "--seed", "1")
 
 
 def _no_simulation(*args, **kwargs):
@@ -356,6 +350,14 @@ BAD_MATRIX_FILES = {
     # divides, but the 1e308 ms mean times an exponential draw overflows
     "window-mean-huge": "txns = 5\narrival_window_ms = 5" + "0" * 308 + "\n",
     **HUGE_MS_FILES,
+    # each axis sets its field in every cell, so a base value would be dropped
+    "base-protocol": "protocol = s2pl\n",
+    "base-n-txns": "n_txns = 7\n",
+    "base-n-items": "n_items = 3\n",
+    "base-seed": "seed = 9\n",
+    # the window sets every cell's arrival mean, so a base mean would be dropped
+    "arrival-mean-and-window": "arrival_mean_ms = 7\narrival_window_ms = 2000\n",
+    "n-clients": "n_clients = 50\n",
 }
 
 
@@ -397,6 +399,7 @@ USAGE_ERRORS = {
     "txns-not-a-number": ["run", "--txns", "abc"],
     "unknown-protocol": ["run", "--protocol", "foo"],
     "matrix-without-config": ["matrix", "--out", "x.csv"],
+    "clients-flag": ["run", "--clients", "4"],
 }
 
 
@@ -416,7 +419,8 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: ccarena")
 
 
-@pytest.mark.parametrize("text", ["mean_len = nan\n", "sd_len = inf\n", "mean_len = 1e308\n"] + [
+@pytest.mark.parametrize("text", ["mean_len = nan\n", "sd_len = inf\n", "mean_len = 1e308\n",
+                                  "n_clients = 50\n"] + [
     pytest.param(text, id=name) for name, text in HUGE_MS_FILES.items()])
 def test_bad_run_config_value_exits_1(tmp_path, capsys, text):
     cfg = tmp_path / "sim.cfg"
@@ -438,15 +442,15 @@ def fresh_python(*args, cwd):
                           env={**os.environ, "PYTHONPATH": PACKAGE_ROOT}, timeout=60)
 
 
-GATE_ARGS = ("--clients", "4", "--items", "8", "--txns", "40", "--seed", "1", "--retries", "1")
+GATE_ARGS = ("--items", "8", "--txns", "40", "--seed", "1", "--retries", "1")
 HUGE = "1000000000"
 # each row: commands run one after another through python -m ccarena, each
 # with its exit code
 ENTRY_POINT_ROWS = {
     **{f"gate-{p}": [(("run", "--protocol", p, *GATE_ARGS, "--dump-history", "run.history"), 0),
                      (("check", "--history", "run.history"), 0)] for p in PROTOCOLS},
-    "huge-client-count": [(("run", "--protocol", "opcot", "--clients", HUGE,
-                            "--txns", "5", "--seed", "1"), 0)],
+    "clients-flag": [(("run", "--protocol", "opcot", "--clients", HUGE,
+                       "--txns", "5", "--seed", "1"), 1)],
     **{f"huge-item-count-{p}": [(("run", "--protocol", p, "--items", HUGE,
                                   "--txns", "5", "--seed", "1"), 0)] for p in PROTOCOLS},
     "bad-matrix-value": [(("matrix", "--config", "bad.cfg", "--out", "o.csv"), 1)],

@@ -62,31 +62,31 @@ class TestAbortRate:
 
 class TestWaitingTime:
     def test_no_waiting(self):
-        t = TxnTiming(0, 0, submit_ms=0, terminal_ms=500, service_ms=500)
+        t = TxnTiming(0, submit_ms=0, terminal_ms=500, service_ms=500)
         assert compute_waiting_time(t) == 0
 
     def test_simple_subtraction(self):
-        t = TxnTiming(0, 0, submit_ms=0, terminal_ms=620, service_ms=500)
+        t = TxnTiming(0, submit_ms=0, terminal_ms=620, service_ms=500)
         assert compute_waiting_time(t) == 120
 
     def test_lock_queue_plus_latency(self):
         # 300 ms blocked in lock queues plus 40 ms of message latency
-        t = TxnTiming(0, 0, submit_ms=100, terminal_ms=100 + 500 + 300 + 40,
+        t = TxnTiming(0, submit_ms=100, terminal_ms=100 + 500 + 300 + 40,
                       service_ms=500)
         assert compute_waiting_time(t) == 340
 
     def test_clamped_at_zero(self):
-        t = TxnTiming(0, 0, submit_ms=0, terminal_ms=400, service_ms=500)
+        t = TxnTiming(0, submit_ms=0, terminal_ms=400, service_ms=500)
         assert compute_waiting_time(t) == 0
 
     def test_terminal_before_submit_is_an_error(self):
-        t = TxnTiming(0, 0, submit_ms=10, terminal_ms=5, service_ms=0)
+        t = TxnTiming(0, submit_ms=10, terminal_ms=5, service_ms=0)
         with pytest.raises(ConfigError):
             compute_waiting_time(t)
 
 
 def tiny_matrix(**kw):
-    base = SimConfig(n_clients=4, n_items=8, mean_len=4, sd_len=1,
+    base = SimConfig(n_items=8, mean_len=4, sd_len=1,
                      op_service_ms=5, uplink_latency_ms=(1, 3),
                      downlink_latency_ms=(1, 3), disconnect_prob=0.1,
                      reconnect_delay_ms=(5, 15))
@@ -171,6 +171,13 @@ class TestRunMatrix:
         # a zero window submits every transaction at the smallest mean
         assert {c.arrival_mean for c in tiny_matrix(arrival_window_ms=0).cells()} == {1}
 
+    def test_a_window_with_a_base_arrival_mean_is_a_config_error(self):
+        # the window would silently override the base mean in every cell
+        mx = tiny_matrix(arrival_window_ms=2000)
+        mx.base.arrival_mean_ms = 7
+        with pytest.raises(ConfigError, match="arrival_mean_ms and arrival_window_ms"):
+            mx.cells()
+
     def test_arrival_window_scales_contention(self):
         mx = tiny_matrix(protocols=["opcot"], n_txns_list=[10, 20], seeds=[1],
                          arrival_window_ms=2000)
@@ -223,7 +230,7 @@ class TestOracleGate:
     def test_baseline_runs_pass_the_whole_gate(self, protocol, seed):
         # disconnects, retries and real contention; the gate includes the
         # commit-order check for these protocols too
-        cfg = SimConfig(protocol=protocol, n_clients=6, n_items=6, n_txns=40,
+        cfg = SimConfig(protocol=protocol, n_items=6, n_txns=40,
                         mean_len=4, sd_len=1, disconnect_prob=0.3,
                         reconnect_delay_ms=(20, 60), uplink_latency_ms=(2, 10),
                         downlink_latency_ms=(2, 10), arrival_mean_ms=15,
@@ -278,7 +285,6 @@ class TestMatrixConfigFile:
             "items = 8\n"
             "seeds = 1:3\n"
             "arrival_window_ms = 4000\n"
-            "n_clients = 4\n"
             "mean_len = 4\n"
             "sd_len = 1\n",
             encoding="utf-8")
@@ -287,7 +293,7 @@ class TestMatrixConfigFile:
         assert mx.n_txns_list == [10, 20]
         assert mx.seeds == [1, 2, 3]
         assert mx.arrival_window_ms == 4000
-        assert mx.base.n_clients == 4
+        assert mx.base.mean_len == 4
         assert len(mx.cells()) == 2 * 2 * 1 * 3
 
     def test_list_elements_use_their_field_syntax(self):
@@ -308,6 +314,11 @@ class TestMatrixConfigFile:
         ("protocols", "occ, OCC", "protocols = occ, OCC lists occ more than once"),
         ("seeds", "1, 1", "seeds = 1, 1 lists 1 more than once"),
         ("txns", "5, 7, 05", "txns = 5, 7, 05 lists 5 more than once"),
+        # an axis sets its field in every cell; the error names the list key
+        ("protocol", "occ", "protocol is a matrix axis; set protocols = occ"),
+        ("n_txns", "7", "n_txns is a matrix axis; set txns = 7"),
+        ("n_items", "3", "n_items is a matrix axis; set items = 3"),
+        ("seed", "9", "seed is a matrix axis; set seeds = 9"),
     ])
     def test_bad_list_values_name_their_key(self, key, raw, message):
         with pytest.raises(ConfigError, match=message):

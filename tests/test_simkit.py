@@ -25,7 +25,7 @@ from ccarena.simkit import (
 
 def quiet_cfg(**kw):
     """Small, zero-noise baseline the tests perturb."""
-    base = dict(protocol="opcot", n_clients=5, n_items=10, n_txns=20,
+    base = dict(protocol="opcot", n_items=10, n_txns=20,
                 mean_len=5, sd_len=1, op_service_ms=10,
                 uplink_latency_ms=(0, 0), downlink_latency_ms=(0, 0),
                 disconnect_prob=0.0, reconnect_delay_ms=(0, 0), seed=7)
@@ -172,7 +172,7 @@ class TestDeterminism:
 
 class TestTimings:
     def test_opcot_zero_noise_has_zero_waiting(self):
-        cfg = quiet_cfg(n_clients=1, n_txns=1, arrival_mean_ms=0)
+        cfg = quiet_cfg(n_txns=1, arrival_mean_ms=0)
         result = run_simulation(cfg)
         assert result.committed == 1
         assert compute_waiting_time(result.timings[0]) == 0
@@ -180,7 +180,7 @@ class TestTimings:
     def test_second_writer_blocks_behind_first_under_s2pl(self):
         # two single-write transactions on one item, submitted together with
         # zero latencies: the second writer waits out the first's lock hold
-        cfg = quiet_cfg(protocol="s2pl", n_clients=2, n_items=1, n_txns=2,
+        cfg = quiet_cfg(protocol="s2pl", n_items=1, n_txns=2,
                         mean_len=2, sd_len=0, read_fraction=0.0,
                         arrival_mean_ms=0)
         result = run_simulation(cfg)
@@ -301,12 +301,12 @@ _GOLDEN_SHAPES = {
 # (test_s2pl_shapes_break_deadlocks_both_ways checks it). Any change to event
 # order, tie breaking, message or service accounting shows.
 _GOLDEN = {
-    ("disconnects", "opcot"): ("79898b733e5375f9", "d777f5585707e5dd"),
-    ("disconnects", "occ"): ("3eebbb9d2bef7820", "8252c3f722dd7f18"),
-    ("disconnects", "s2pl"): ("54c9cfb76b42f087", "7ebd749e3f61377d"),
-    ("zero_latency", "opcot"): ("334472d5af73fe01", "2b09cafb99f7951d"),
-    ("zero_latency", "occ"): ("39d6ffe18c7c8575", "e2f990b76fe86f64"),
-    ("zero_latency", "s2pl"): ("617526f6de517266", "4c022fcb8744d37f"),
+    ("disconnects", "opcot"): ("79898b733e5375f9", "78a0e51a8a1ac96c"),
+    ("disconnects", "occ"): ("3eebbb9d2bef7820", "eaf566c84d365717"),
+    ("disconnects", "s2pl"): ("54c9cfb76b42f087", "8612aed546984d9f"),
+    ("zero_latency", "opcot"): ("334472d5af73fe01", "12c01eb9dc99c49e"),
+    ("zero_latency", "occ"): ("39d6ffe18c7c8575", "e4f44a7eac77a36f"),
+    ("zero_latency", "s2pl"): ("617526f6de517266", "76cbfce7b7aa1148"),
 }
 
 
@@ -518,10 +518,10 @@ class TestServerStateAfterRun:
 
 
 class TestClientOffsets:
-    @pytest.mark.parametrize("n_clients, n_txns", [(10**9, 5), (3, 5), (5, 5)])
-    def test_only_clients_that_run_draw_an_offset(self, n_clients, n_txns, monkeypatch):
-        # client c runs transactions c, c + n_clients, ...; a client that runs
-        # none draws no clock offset, so n_clients costs nothing beyond n_txns
+    @pytest.mark.parametrize("n_txns", [1, 5, 40, 60])
+    def test_each_transaction_draws_one_offset(self, n_txns, monkeypatch):
+        # every transaction runs on its own client clock, so the offsets
+        # stream is drawn exactly once per transaction
         spawned = []
         spawn = DetRng.spawn
 
@@ -532,18 +532,14 @@ class TestClientOffsets:
             return child
 
         monkeypatch.setattr(DetRng, "spawn", spy)
-        result = run_simulation(quiet_cfg(n_clients=n_clients, n_txns=n_txns))
+        run_simulation(quiet_cfg(n_txns=n_txns))
         (stream, start), = spawned
         replay, draws = DetRng.__new__(DetRng), 0
         replay._state = start
         while replay._state != stream._state and draws <= n_txns:
             replay.next_u64()
             draws += 1
-        assert draws == min(n_clients, n_txns)
-        if n_clients >= n_txns:  # every transaction has a client to itself either way
-            same = run_simulation(quiet_cfg(n_clients=n_txns, n_txns=n_txns))
-            assert result.history.to_text() == same.history.to_text()
-            assert result.timings == same.timings
+        assert draws == n_txns
 
 
 class TestClockSkewInvariance:
