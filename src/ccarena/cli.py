@@ -97,12 +97,11 @@ def _cmd_run(args) -> int:
     cfg = SimConfig.from_file(args.config) if args.config else SimConfig()
     cfg = replace(cfg, **{name: value for name, value in vars(args).items()
                           if name in FIELD_TYPES and value is not None})
-    cfg.validate()
     _check_writable(*filter(None, (args.out, args.dump_history)))
     result = run_simulation(cfg)
     if args.dump_history:
         write_text(args.dump_history, result.history.to_text())
-    violation, _ = gate_run(result, _dump_dir(args.out))
+    violation = gate_run(result, _dump_dir(args.out))
     if violation is not None:
         print(f"oracle violation: {violation}", file=sys.stderr)
         return EXIT_ORACLE

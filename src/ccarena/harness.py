@@ -29,10 +29,6 @@ CSV_HEADER = ("protocol,seed,n_txns,n_items,committed,aborted,abort_rate,"
 class OracleViolation(RuntimeError):
     """A run produced a history that fails its correctness checks."""
 
-    def __init__(self, message: str, dump_path: str | None = None):
-        super().__init__(message)
-        self.dump_path = dump_path
-
 
 @dataclass
 class RunMetrics:
@@ -149,10 +145,8 @@ class MatrixConfig:
         for protocol, n_items, n_txns, seed in product(self.protocols, self.n_items_list,
                                                        self.n_txns_list, self.seeds):
             cfg = replace(self.base, protocol=protocol, n_items=n_items, n_txns=n_txns, seed=seed)
-            cfg.validate()
             if self.arrival_window_ms is not None:
                 cfg = replace(cfg, arrival_mean_ms=_window_mean(self.arrival_window_ms, n_txns))
-                cfg.validate()
             out.append(cfg)
         return out
 
@@ -191,55 +185,61 @@ def _window_mean(window: int, n_txns: int) -> int:
 # matrix list key -> (MatrixConfig attribute, SimConfig field of each element)
 _LIST_KEYS = {"protocols": ("protocols", "protocol"), "txns": ("n_txns_list", "n_txns"),
               "items": ("n_items_list", "n_items"), "seeds": ("seeds", "seed")}
+# most seeds a `seeds = lo:hi` range may span; a longer one is refused before
+# it is built
+MAX_SEED_RANGE = 100_000
 
 
 def _parse_list(base: SimConfig, key: str, name: str, raw: str) -> list:
     """Comma list of field `name` values, each parsed and checked as the field
-    is; `seeds` also takes an inclusive range `lo:hi`. A value listed twice,
-    as parsed (`occ, OCC`), is a ConfigError: it would run its cells again."""
+    is; `seeds` also takes an inclusive range `lo:hi` of at most MAX_SEED_RANGE
+    seeds. A value listed twice, as parsed (`occ, OCC`), is a ConfigError: it
+    would run its cells again."""
     kind = FIELD_TYPES[name]
     if key == "seeds" and ":" in raw:
         lo, hi = (parse_value(key, part, kind) for part in raw.split(":", 1))
+        if hi - lo >= MAX_SEED_RANGE:
+            raise ConfigError(f"{key} = {raw} spans more than {MAX_SEED_RANGE} seeds")
         values = list(range(lo, hi + 1))
     else:
         values = [parse_value(key, part.strip(), kind) for part in raw.split(",")]
     if not values:
         raise ConfigError(f"{key} = {raw} lists no values, so the matrix has no cells")
     for value in values:
-        replace(base, **{name: value}).validate()
+        replace(base, **{name: value})
     repeated = [value for value, n in Counter(values).items() if n > 1]
     if repeated:
         raise ConfigError(f"{key} = {raw} lists {repeated[0]} more than once")
     return values
 
 
-def gate_run(result: RunResult, dump_dir: str = os.curdir) -> tuple[str | None, str | None]:
-    """Oracle gate for one run: (violation, dump path), both None when clean.
+def gate_run(result: RunResult, dump_dir: str = os.curdir) -> str | None:
+    """Oracle gate for one run: the violation text, or None when clean.
 
     A failing history is written to `dump_dir` for `ccarena check`. The
     violation text ends with where it went, relative to the working
-    directory, or, when it could not be written, why not; the dump path is
-    then None. A failed dump never hides the violation.
+    directory, or, when it could not be written, why not. A failed dump
+    never hides the violation.
     """
     cfg = result.config
     violation = verify_run(result.history, cfg.protocol)
     if violation is None:
-        return None, None
+        return None
     dump = os.path.join(dump_dir, f"oracle_violation_{cfg.protocol}_items{cfg.n_items}"
                                   f"_txns{cfg.n_txns}_seed{cfg.seed}.history")
     shown = os.path.relpath(dump)
     try:
         write_text(dump, result.history.to_text())
     except OSError as exc:
-        return f"{violation} (history not dumped to {shown}: {exc})", None
-    return f"{violation} (history dumped to {shown})", dump
+        return f"{violation} (history not dumped to {shown}: {exc})"
+    return f"{violation} (history dumped to {shown})"
 
 
-def _run_cell(cfg: SimConfig, dump_dir: str) -> tuple[RunMetrics | None, str | None, str | None]:
-    """Worker body: run, verify, summarize. Returns (metrics, violation, dump)."""
+def _run_cell(cfg: SimConfig, dump_dir: str) -> tuple[RunMetrics | None, str | None]:
+    """Worker body: run, verify, summarize. Returns (metrics, violation)."""
     result = run_simulation(cfg)
-    violation, dump = gate_run(result, dump_dir)
-    return (metrics_for_run(result) if violation is None else None), violation, dump
+    violation = gate_run(result, dump_dir)
+    return (metrics_for_run(result) if violation is None else None), violation
 
 
 def run_matrix(matrix: MatrixConfig, workers: int = 1,
@@ -261,11 +261,11 @@ def run_matrix(matrix: MatrixConfig, workers: int = 1,
     else:
         outcomes = [_run_cell(cfg, dump_dir) for cfg in cells]
     rows = []
-    for cfg, (metrics, violation, dump) in zip(cells, outcomes):
+    for cfg, (metrics, violation) in zip(cells, outcomes):
         if violation is not None:
             raise OracleViolation(
                 f"{cfg.protocol} seed={cfg.seed} items={cfg.n_items} txns={cfg.n_txns}: "
-                f"{violation}", dump_path=dump)
+                f"{violation}")
         rows.append(metrics)
     rows.sort(key=RunMetrics.sort_key)
     return rows

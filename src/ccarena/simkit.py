@@ -61,9 +61,9 @@ MAX_TXN_LEN = 10_000
 MAX_MS = 2**53
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Knobs of one simulation run; see README for the full story."""
+    """Knobs of one simulation run, checked whenever one is built; see README."""
 
     protocol: str = "opcot"
     n_items: int = 100
@@ -80,7 +80,7 @@ class SimConfig:
     retries: int = 0
     seed: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         for name, low in (("n_items", 1), ("n_txns", 1), ("mean_len", 2), ("sd_len", 0),
@@ -122,9 +122,7 @@ class SimConfig:
             if key not in FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             kwargs[key] = parse_value(key, raw, FIELD_TYPES[key])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str) -> "SimConfig":
@@ -465,7 +463,6 @@ def run_simulation(cfg: SimConfig) -> RunResult:
     Returns the complete history plus one timing record per transaction.
     Deterministic: identical configs (seed included) yield identical results.
     """
-    cfg.validate()
     master = DetRng(cfg.seed)
     workload = gen_workload(cfg, master.spawn(1))
     arrivals = master.spawn(2)

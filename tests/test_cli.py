@@ -1,5 +1,6 @@
 import ast
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -436,10 +437,11 @@ PACKAGE_ROOT = str(Path(ccarena.__file__).resolve().parents[1])
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
-def fresh_python(*args, cwd):
+def fresh_python(*args, cwd, preexec_fn=None):
     """Run args in a new interpreter; 60 s bounds even a huge count."""
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": PACKAGE_ROOT}, timeout=60)
+                          env={**os.environ, "PYTHONPATH": PACKAGE_ROOT}, timeout=60,
+                          preexec_fn=preexec_fn)
 
 
 GATE_ARGS = ("--items", "8", "--txns", "40", "--seed", "1", "--retries", "1")
@@ -471,6 +473,22 @@ def test_entry_point_exit_code(tmp_path, steps):
         assert "Traceback" not in proc.stderr
         if code == 1:
             assert proc.stderr.splitlines()[0].startswith("config error:")
+
+
+def _cap_address_space():
+    """Runs in the child only: 600 MB of address space, so building a huge
+    list fails fast instead of taking the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+
+def test_huge_seed_range_exits_1_before_it_is_built(tmp_path):
+    (tmp_path / "m.cfg").write_text(matrix_cfg_with("seeds = 1:100000000\n"), encoding="utf-8")
+    proc = fresh_python("-m", "ccarena", "matrix", "--config", "m.cfg", "--out", "o.csv",
+                        cwd=tmp_path, preexec_fn=_cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines()[0] == ("config error: seeds = 1:100000000 spans more "
+                                           "than 100000 seeds")
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

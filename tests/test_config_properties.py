@@ -11,8 +11,8 @@ from ccarena.core import ConfigError
 from ccarena.harness import MatrixConfig
 from ccarena.simkit import SimConfig
 
-# Short atoms keep every integer small: a `seeds = lo:hi` range is
-# materialized, and the matrix's cells are built from it.
+# Short atoms keep every integer small: the matrix builds one cell per seed
+# of a `seeds = lo:hi` range, and a range may span MAX_SEED_RANGE seeds.
 ATOMS = st.one_of(
     st.integers(-20, 300).map(str),
     st.text(alphabet="0123456789-.,:aexyz", max_size=3),
@@ -30,10 +30,9 @@ MATRIX_KEYS = ["protocols", "txns", "items", "seeds", "arrival_window_ms"]
 @given(raw=VALUES)
 def test_sim_config_value_parses_or_is_a_config_error(key, raw):
     try:
-        cfg = SimConfig.from_mapping({key: raw})
+        SimConfig.from_mapping({key: raw})
     except ConfigError:
-        return
-    cfg.validate()
+        pass
 
 
 @pytest.mark.parametrize("key", MATRIX_KEYS)
@@ -45,5 +44,3 @@ def test_matrix_value_parses_or_is_a_config_error(key, raw):
     except ConfigError:
         return
     assert cells        # an empty range such as `seeds = 2:1` is a config error
-    for cfg in cells:
-        cfg.validate()

@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from types import ModuleType
 
 import pytest
@@ -174,7 +176,7 @@ class TestRunMatrix:
     def test_a_window_with_a_base_arrival_mean_is_a_config_error(self):
         # the window would silently override the base mean in every cell
         mx = tiny_matrix(arrival_window_ms=2000)
-        mx.base.arrival_mean_ms = 7
+        mx.base = replace(mx.base, arrival_mean_ms=7)
         with pytest.raises(ConfigError, match="arrival_mean_ms and arrival_window_ms"):
             mx.cells()
 
@@ -272,8 +274,8 @@ class TestOracleGate:
         monkeypatch.setattr(harness, "verify_run", broken_verify)
         with pytest.raises(OracleViolation) as exc:
             run_matrix(tiny_matrix(protocols=["opcot"], seeds=[1]))
-        assert exc.value.dump_path is not None
-        assert (tmp_path / exc.value.dump_path).exists()
+        dumped = re.fullmatch(r".*\(history dumped to (\S+)\)", str(exc.value)).group(1)
+        assert (tmp_path / dumped).exists()
 
 
 class TestMatrixConfigFile:
@@ -310,6 +312,7 @@ class TestMatrixConfigFile:
         ("txns", "5, 0", "n_txns must be >= 1"),
         ("items", "-3", "n_items must be >= 1"),
         ("seeds", "5:1", "seeds = 5:1 lists no values"),
+        ("seeds", "0:100000", "seeds = 0:100000 spans more than 100000 seeds"),
         # a repeated value would run its cells again; values compare as parsed
         ("protocols", "occ, OCC", "protocols = occ, OCC lists occ more than once"),
         ("seeds", "1, 1", "seeds = 1, 1 lists 1 more than once"),
@@ -323,6 +326,13 @@ class TestMatrixConfigFile:
     def test_bad_list_values_name_their_key(self, key, raw, message):
         with pytest.raises(ConfigError, match=message):
             MatrixConfig.from_mapping({key: raw})
+
+    def test_a_seed_range_may_span_max_seed_range_seeds(self, monkeypatch):
+        import ccarena.harness as harness
+        monkeypatch.setattr(harness, "MAX_SEED_RANGE", 3)
+        assert MatrixConfig.from_mapping({"seeds": "-1:1"}).seeds == [-1, 0, 1]
+        with pytest.raises(ConfigError, match="seeds = -1:2 spans more than 3 seeds"):
+            MatrixConfig.from_mapping({"seeds": "-1:2"})
 
     def test_unknown_protocol_rejected(self, tmp_path):
         path = tmp_path / "matrix.cfg"

@@ -2,7 +2,7 @@ import hashlib
 import inspect
 import math
 import statistics
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from heapq import heappop
 from itertools import product
 
@@ -36,15 +36,25 @@ def quiet_cfg(**kw):
 class TestConfig:
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
-            SimConfig(n_items=0).validate()
+            SimConfig(n_items=0)
         with pytest.raises(ConfigError):
-            SimConfig(mean_len=1).validate()
+            SimConfig(mean_len=1)
         with pytest.raises(ConfigError):
-            SimConfig(read_fraction=1.5).validate()
+            SimConfig(read_fraction=1.5)
         with pytest.raises(ConfigError):
-            SimConfig(protocol="mvcc").validate()
+            SimConfig(protocol="mvcc")
         with pytest.raises(ConfigError):
-            SimConfig(uplink_latency_ms=(5, 2)).validate()
+            SimConfig(uplink_latency_ms=(5, 2))
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(ConfigError, match="n_items must be >= 1"):
+            replace(SimConfig(), n_items=0)
+
+    def test_a_config_cannot_be_changed_after_its_checks(self):
+        cfg = SimConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.n_items = 0
+        assert cfg.n_items == 100
 
     @pytest.mark.parametrize("key", ["mean_len", "sd_len"])
     @pytest.mark.parametrize("raw, message", [
