@@ -31,6 +31,7 @@ from .oracle import (
     BRUTE_FORCE_LIMIT,
     brute_force_serializable,
     check_commitment_ordering,
+    commit_order_holds,
     conflict_skeleton,
     is_acyclic,
 )
@@ -127,7 +128,9 @@ def _cmd_matrix(args) -> int:
 def _cmd_check(args) -> int:
     with open(args.history, encoding="utf-8") as fh:
         history = History.from_text(fh.read())
-    # a commit-ordered history is acyclic, so only a failing scan needs the graph
+    # the scan, not the gate's replay, because it names the violation and
+    # counts ties; a commit-ordered history is acyclic, so only a failing scan
+    # needs the graph
     co = check_commitment_ordering(history)
     acyclic = bool(co) or is_acyclic(conflict_skeleton(history))
     n_committed = len(history.committed())
@@ -142,6 +145,9 @@ def _cmd_check(args) -> int:
         if brute != bool(acyclic):
             print("oracle disagreement between graph and brute force!", file=sys.stderr)
             return EXIT_ORACLE
+    if commit_order_holds(history) != bool(co):
+        print("oracle disagreement between replay and scan!", file=sys.stderr)
+        return EXIT_ORACLE
     if not acyclic or not co:
         return EXIT_ORACLE
     return EXIT_OK

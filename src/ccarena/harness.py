@@ -2,10 +2,11 @@
 
 Every simulation run is checked before its metrics row is emitted: the
 committed history must be conflict-serializable and must satisfy the
-commit-order property, whichever protocol produced it. The gate decides on the
-commit-order scan, which implies an acyclic conflict graph; it builds the
-conflict skeleton only when the scan fails, to name a cycle if there is one. A
-violation dumps the offending history to a file, by default in the working
+commit-order property, whichever protocol produced it. The gate decides on a
+replay of the commits in commit order, which implies an acyclic conflict
+graph. Only a failing run runs the commit-order scan, which names the
+violation, and builds the conflict skeleton, to name a cycle if there is one.
+A violation dumps the offending history to a file, by default in the working
 directory, and aborts the whole matrix.
 """
 
@@ -18,7 +19,8 @@ from functools import partial
 from itertools import product
 
 from .core import ConfigError, History
-from .oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
+from .oracle import (check_commitment_ordering, commit_order_holds, conflict_skeleton,
+                     is_acyclic)
 from .simkit import (FIELD_TYPES, PROTOCOLS, RunResult, SimConfig, TxnTiming, parse_kv_text,
                      parse_value, run_simulation)
 
@@ -102,15 +104,19 @@ def verify_run(history: History, protocol: str) -> str | None:
     commit, and backward-validation OCC installs its writes at commit. The
     protocol does not change which checks run.
 
-    The commit-order scan decides. When it passes, every conflict edge points
-    to a strictly later commit, so commit order is a topological order and the
-    graph is acyclic (Raz's commitment-ordering argument). Only a failing run
+    The commit-order replay decides. When it passes, every conflict edge
+    points to a strictly later commit, so commit order is a topological order
+    and the graph is acyclic (Raz's commitment-ordering argument). Only a
+    failing run runs the commit-order scan, which explains the failure, and
     builds the conflict skeleton, to report a cycle ahead of the commit-order
-    violation when there is one.
+    violation when there is one. A scan that passes where the replay failed
+    raises AssertionError: the two deciders must never disagree.
     """
+    if commit_order_holds(history):
+        return None
     co = check_commitment_ordering(history)
     if co:
-        return None
+        raise AssertionError("the commit-order replay failed a history the scan passes")
     check = is_acyclic(conflict_skeleton(history))
     if not check:
         return f"serialization graph has a cycle: {check.cycle}"
@@ -201,11 +207,14 @@ def _parse_list(base: SimConfig, key: str, name: str, raw: str) -> list:
         if hi - lo >= MAX_SEED_RANGE:
             raise ConfigError(f"{key} = {raw} spans more than {MAX_SEED_RANGE} seeds")
         values = list(range(lo, hi + 1))
+        # every check on an int field is an interval test, so a range passes
+        # when its two ends do
+        checked = values[:1] + values[-1:]
     else:
-        values = [parse_value(key, part.strip(), kind) for part in raw.split(",")]
+        values = checked = [parse_value(key, part.strip(), kind) for part in raw.split(",")]
     if not values:
         raise ConfigError(f"{key} = {raw} lists no values, so the matrix has no cells")
-    for value in values:
+    for value in checked:
         replace(base, **{name: value})
     repeated = [value for value, n in Counter(values).items() if n > 1]
     if repeated:

@@ -159,6 +159,22 @@ class TestCheckCommand:
         assert "NO" in out
         assert "brute-force serializable: NO" in out
 
+    @pytest.mark.parametrize("text, code", [("OP 1 W 0 10\nEND 1 COMMITTED 12\n", 0),
+                                            (CYCLE_HISTORY, 2)], ids=["clean", "cycle"])
+    def test_replay_and_scan_disagreement_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  text, code):
+        import ccarena.cli as cli
+        path = tmp_path / "h.history"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("check", "--history", str(path)) == code
+        agreed = capsys.readouterr()
+        assert agreed.err == ""
+        replay = cli.commit_order_holds
+        monkeypatch.setattr(cli, "commit_order_holds", lambda history: not replay(history))
+        assert run_cli("check", "--history", str(path)) == 2
+        assert capsys.readouterr() == (agreed.out,
+                                       "oracle disagreement between replay and scan!\n")
+
     @pytest.mark.parametrize("line", ["OP nope", "OP 1 R x 3"])
     def test_malformed_history_exits_1(self, tmp_path, line):
         path = tmp_path / "bad.history"

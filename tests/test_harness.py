@@ -205,6 +205,13 @@ class TestRunMatrix:
                 assert line == f"{n_txns} {aborted:.3f} {wait:.3f}"
 
 
+# disconnects, retries and real contention: every protocol aborts here, and
+# s2pl picks deadlock victims
+CONTENDED = SimConfig(n_items=6, n_txns=40, mean_len=4, sd_len=1, disconnect_prob=0.3,
+                      reconnect_delay_ms=(20, 60), uplink_latency_ms=(2, 10),
+                      downlink_latency_ms=(2, 10), arrival_mean_ms=15, retries=2)
+
+
 class TestOracleGate:
     def test_violating_history_fails_loudly(self, tmp_path, monkeypatch):
         # verify_run itself: a hand-built commit-order violation, acyclic
@@ -230,13 +237,8 @@ class TestOracleGate:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("protocol", ["occ", "s2pl"])
     def test_baseline_runs_pass_the_whole_gate(self, protocol, seed):
-        # disconnects, retries and real contention; the gate includes the
-        # commit-order check for these protocols too
-        cfg = SimConfig(protocol=protocol, n_items=6, n_txns=40,
-                        mean_len=4, sd_len=1, disconnect_prob=0.3,
-                        reconnect_delay_ms=(20, 60), uplink_latency_ms=(2, 10),
-                        downlink_latency_ms=(2, 10), arrival_mean_ms=15,
-                        retries=2, seed=seed)
+        # the gate includes the commit-order check for these protocols too
+        cfg = replace(CONTENDED, protocol=protocol, seed=seed)
         result = run_simulation(cfg)
         assert result.aborted > 0
         assert sum(t.attempts for t in result.timings) > cfg.n_txns  # retried
@@ -263,6 +265,38 @@ class TestOracleGate:
         monkeypatch.setattr(harness, "conflict_skeleton", no_skeleton)
         result = run_simulation(SimConfig(n_txns=60, n_items=20, mean_len=5, sd_len=2))
         assert verify_run(result.history, "opcot") is None
+
+    @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+    def test_clean_runs_run_no_scan(self, monkeypatch, protocol):
+        import ccarena.harness as harness
+
+        def no_scan(history):
+            raise AssertionError("a passing commit-order replay needs no scan")
+
+        monkeypatch.setattr(harness, "check_commitment_ordering", no_scan)
+        result = run_simulation(replace(CONTENDED, protocol=protocol))
+        assert result.aborted > 0
+        assert verify_run(result.history, protocol) is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+    def test_committed_terminals_strictly_increase(self, protocol, seed):
+        # the replay decides alone only on such histories; s2pl's deadlock
+        # victims are recorded at the current instant, which may lie below an
+        # earlier commit, so only committed terminals are in order
+        result = run_simulation(replace(CONTENDED, protocol=protocol, seed=seed))
+        assert sum(t.attempts for t in result.timings) > result.config.n_txns  # retried
+        commits = [ev.instant for ev in result.history.events
+                   if getattr(ev, "outcome", None) is Outcome.COMMITTED]
+        assert len(commits) == result.committed
+        assert all(a < b for a, b in zip(commits, commits[1:]))
+
+    def test_a_replay_that_disagrees_with_the_scan_raises(self, monkeypatch):
+        import ccarena.harness as harness
+        monkeypatch.setattr(harness, "commit_order_holds", lambda history: False)
+        result = run_simulation(SimConfig(n_txns=30, n_items=20, mean_len=5, sd_len=2))
+        with pytest.raises(AssertionError, match="replay failed a history the scan passes"):
+            verify_run(result.history, "opcot")
 
     def test_matrix_aborts_and_dumps_on_violation(self, tmp_path, monkeypatch):
         import ccarena.harness as harness
@@ -333,6 +367,20 @@ class TestMatrixConfigFile:
         assert MatrixConfig.from_mapping({"seeds": "-1:1"}).seeds == [-1, 0, 1]
         with pytest.raises(ConfigError, match="seeds = -1:2 spans more than 3 seeds"):
             MatrixConfig.from_mapping({"seeds": "-1:2"})
+
+    def test_a_seed_range_checks_only_its_ends(self, monkeypatch):
+        built = []
+        post_init = SimConfig.__post_init__
+
+        def counting(cfg):
+            built.append(cfg.seed)
+            post_init(cfg)
+
+        monkeypatch.setattr(SimConfig, "__post_init__", counting)
+        mx = MatrixConfig.from_mapping({"seeds": "1:1000"})
+        assert mx.seeds == list(range(1, 1001))
+        assert sorted(set(built)) == [1, 1000]
+        assert len(built) <= 3   # the base, then the two ends
 
     def test_unknown_protocol_rejected(self, tmp_path):
         path = tmp_path / "matrix.cfg"

@@ -14,6 +14,7 @@ from ccarena.oracle import (
     brute_force_serializable,
     build_serialization_graph,
     check_commitment_ordering,
+    commit_order_holds,
     conflict_skeleton,
     is_acyclic,
 )
@@ -437,3 +438,102 @@ class TestCommitOrderDecides:
             assert acyclic
         if acyclic:
             assert brute_force_serializable(h)
+
+
+def ordered_commit_history(rng: DetRng, max_txns=6, max_ops=5, n_items=3) -> History:
+    """Random interleaving whose committed terminals strictly increase along
+    the history, as every simulated one does. Operations crowd onto few
+    instants, in no order within a transaction, and a transaction sometimes
+    touches one item twice at one instant. Aborted terminals take any
+    instant; some transactions never end."""
+    n_txns = 1 + rng.randrange(max_txns)
+    queues = []
+    for txn in range(1, n_txns + 1):
+        events, prev = [], None
+        for _ in range(1 + rng.randrange(max_ops)):
+            if prev is not None and rng.random() < 0.25:
+                item, instant = prev
+            else:
+                item, instant = rng.randrange(n_items), rng.randrange(6)
+            events.append(("r" if rng.random() < 0.5 else "w", txn, item, instant))
+            prev = item, instant
+        end = rng.random()
+        if end < 0.75:
+            events.append(("c", txn))
+        elif end < 0.9:
+            events.append(("a", txn, rng.randrange(12)))
+        queues.append(events)
+    h = History()
+    commit = rng.randrange(6)
+    while queues:
+        events = queues[rng.randrange(len(queues))]
+        ev = events.pop(0)
+        if ev[0] == "c":
+            h.record_terminal(ev[1], Outcome.COMMITTED, commit)
+            commit += 1 + rng.randrange(2)
+        elif ev[0] == "a":
+            h.record_terminal(ev[1], Outcome.ABORTED, ev[2])
+        else:
+            h.record_op(ev[1], read(ev[2]) if ev[0] == "r" else write(ev[2]), ev[3])
+        if not events:
+            queues.remove(events)
+    return h
+
+
+def _goes_back_in_time(h: History) -> bool:
+    """Some committed transaction has an operation on an item at an instant
+    below one of its earlier operations on that item."""
+    commits, first = h.committed(), {}
+    for e in h.events:
+        if isinstance(e, OpEvent) and e.txn_id in commits:
+            key = e.txn_id, e.op.item_id
+            if e.instant < first.setdefault(key, e.instant):
+                return True
+    return False
+
+
+class TestCommitOrderReplay:
+    """commit_order_holds must reach check_commitment_ordering's verdict on
+    every history: by replay when commits increase, by the scan otherwise."""
+
+    def test_replay_agrees_with_the_scan_when_commits_increase(self):
+        rng = DetRng(2101)
+        seen = dict(holds=0, fails=0, ties=0, repeats=0, back_in_time=0)
+        for _ in range(4000):
+            h = ordered_commit_history(rng)
+            co = check_commitment_ordering(h)
+            assert commit_order_holds(h) == co.ok, h.to_text()
+            seen["holds" if co.ok else "fails"] += 1
+            seen["ties"] += bool(co.ties)
+            seen["repeats"] += _repeats_at_one_instant(h)
+            seen["back_in_time"] += _goes_back_in_time(h)
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("make", [tangled_history, random_history])
+    def test_replay_agrees_with_the_scan_on_any_commit_order(self, make):
+        rng = DetRng(2102)
+        seen = dict(holds=0, fails=0)
+        for _ in range(1000):
+            h = make(rng)
+            ok = check_commitment_ordering(h).ok
+            assert commit_order_holds(h) == ok, h.to_text()
+            seen["holds" if ok else "fails"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_own_operations_never_bound_each_other(self):
+        # one transaction writes, then reads and writes below its own write
+        h = hist(("w", 1, 0, 9), ("r", 1, 0, 3), ("w", 1, 0, 2), ("c", 1, 10),
+                 ("r", 2, 0, 9), ("c", 2, 11))
+        assert commit_order_holds(h) and check_commitment_ordering(h)
+
+    @pytest.mark.parametrize("kinds, instant, holds", [
+        ("wr", 4, False), ("rw", 4, False), ("ww", 4, False), ("rr", 4, True),
+        # a tie is directed by commit order, so it is no violation
+        ("wr", 5, True), ("rw", 5, True), ("ww", 5, True)])
+    def test_a_later_commit_may_not_conflict_below_an_earlier_one(self, kinds, instant, holds):
+        h = hist((kinds[0], 1, 0, 5), ("c", 1, 6), (kinds[1], 2, 0, instant), ("c", 2, 7))
+        assert commit_order_holds(h) == holds == check_commitment_ordering(h).ok
+
+    def test_aborted_and_unfinished_transactions_are_dropped(self):
+        h = hist(("w", 1, 0, 9), ("a", 1, 0), ("w", 3, 0, 9), ("r", 2, 0, 4), ("c", 2, 7))
+        assert commit_order_holds(h) and check_commitment_ordering(h)
