@@ -41,7 +41,7 @@ print("\nwhy accepted reads raise the read stamp with max() rather than")
 print("assigning unconditionally: an old-but-valid read must not drag the")
 print("stamp backwards and let a conflicting write slip under a newer read.")
 reg2 = ItemRegistry(1)
-reg2.apply_update(0, t_read=60)
+reg2.apply_updates([(0, 60, 0)])
 print("  registry read stamp 60, left by a read committed at instant 60")
 d4 = commit_transaction(reg2, log_from_text("BEGIN - 0\nR 0 3\nCOMMIT - 15\n", 4), 58)
 print(f"  T4 reads item 0 at instant 43 -> {d4.outcome.value}, "

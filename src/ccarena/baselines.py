@@ -238,13 +238,6 @@ class LockTable:
                 on_path.pop()
         return None
 
-    def assert_safety(self) -> None:
-        """No two conflicting grants may coexist on one item."""
-        for item_id, locks in self._items.items():
-            modes = list(locks.granted.values())
-            if any(m is LockMode.EXCLUSIVE for m in modes) and len(modes) > 1:
-                raise AssertionError(f"conflicting grants on item {item_id}: {locks.granted}")
-
 
 @dataclass
 class OccBook:

@@ -4,8 +4,13 @@ Time is integer milliseconds on a logical clock; no wall clocks anywhere.
 Items carry no payload: only their read/write stamps matter to the protocols.
 """
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from itertools import repeat
+from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 
@@ -77,8 +82,9 @@ class LogRecord(_LogRecordFields):
 
     A named tuple, built once per opcot operator: immutable, hashable, equal
     by value, repr `LogRecord(op=..., rel_ts=...)`. Construction rejects a
-    negative rel_ts; `_make` and `_replace` skip that check, and nothing in
-    the package calls them.
+    negative rel_ts. `_make` and `_replace` skip that check, and nothing in
+    the package calls them; `opcot.client_record_op` skips it too, after its
+    own clock check has ruled a negative rel_ts out.
     """
 
     __slots__ = ()
@@ -96,10 +102,6 @@ class OperatorLog:
 
     txn_id: int
     records: list[LogRecord] = field(default_factory=list)
-
-    def total_span(self) -> int:
-        """Sum of all relative timestamps (client-side duration of the log)."""
-        return sum(r.rel_ts for r in self.records)
 
 
 def log_validate(log: OperatorLog) -> str | None:
@@ -176,9 +178,10 @@ class ItemRegistry:
     """The server's table of items, keyed 0..n_items-1.
 
     An item's state is built on its first get, so a run costs only the
-    items its commits validate; stamps() still lists every item.
-    Read/write stamps only ever move forward across committed transactions;
-    apply_update enforces that.
+    items its commits validate; stamps() still lists every item, and `held`
+    is a read-only view of the states built so far. Read/write stamps only
+    ever move forward across committed transactions; apply_updates enforces
+    that.
     """
 
     def __init__(self, n_items: int):
@@ -186,6 +189,7 @@ class ItemRegistry:
             raise ConfigError(f"n_items must be >= 1, got {n_items}")
         self.n_items = n_items
         self._items: dict[int, ItemState] = {}
+        self.held: Mapping[int, ItemState] = MappingProxyType(self._items)
 
     def get(self, item_id: int) -> ItemState:
         try:
@@ -199,18 +203,20 @@ class ItemRegistry:
     def __len__(self) -> int:
         return self.n_items
 
-    def apply_update(self, item_id: int, t_read: int | None = None,
-                     t_write: int | None = None) -> None:
-        state = self.get(item_id)
-        if t_read is not None:
+    def apply_updates(self, updates: Iterable[tuple[int, int, int]]) -> None:
+        """Set each (item_id, t_read, t_write) in order. A stamp that would
+        move backwards raises ValueError before its item changes; the items
+        before it keep their new stamps."""
+        held = self._items.get
+        for item_id, t_read, t_write in updates:
+            state = held(item_id) or self.get(item_id)
             if t_read < state.t_read:
                 raise ValueError(f"t_read of item {item_id} would move backwards "
                                  f"({state.t_read} -> {t_read})")
-            state.t_read = t_read
-        if t_write is not None:
             if t_write < state.t_write:
                 raise ValueError(f"t_write of item {item_id} would move backwards "
                                  f"({state.t_write} -> {t_write})")
+            state.t_read = t_read
             state.t_write = t_write
 
     def stamps(self) -> dict[int, tuple[int, int]]:
@@ -242,6 +248,8 @@ class TerminalEvent(NamedTuple):
 
 
 _DATA_KINDS = {OpKind.READ.value: OpKind.READ, OpKind.WRITE.value: OpKind.WRITE}
+_is_data = attrgetter("is_data")
+_new_op_event = partial(_new_tuple, OpEvent)  # OpEvent from a (txn_id, op, instant) tuple
 
 
 class History:
@@ -262,15 +270,26 @@ class History:
             raise ValueError("only Read/Write operations are history events")
         self.events.append(_new_tuple(OpEvent, (txn_id, op, instant)))
 
+    def record_ops(self, txn_id: int, ops: Sequence[Operation],
+                   instants: Sequence[int]) -> None:
+        """record_op for each op at its instant, in order, with the same
+        checks; a refused call appends nothing."""
+        if len(ops) != len(instants):
+            raise ValueError(f"{len(ops)} operations but {len(instants)} instants")
+        if not ops:
+            return
+        if txn_id in self._terminals:
+            raise ValueError(f"txn {txn_id} already has a terminal event")
+        if not all(map(_is_data, ops)):
+            raise ValueError("only Read/Write operations are history events")
+        self.events.extend(map(_new_op_event, zip(repeat(txn_id), ops, instants)))
+
     def record_terminal(self, txn_id: int, outcome: Outcome, instant: int) -> None:
         if txn_id in self._terminals:
             raise ValueError(f"txn {txn_id} already has a terminal event")
         ev = TerminalEvent(txn_id, outcome, instant)
         self.events.append(ev)
         self._terminals[txn_id] = ev
-
-    def terminal_of(self, txn_id: int) -> TerminalEvent | None:
-        return self._terminals.get(txn_id)
 
     def committed(self) -> dict[int, int]:
         """txn_id -> commit instant, for committed transactions only."""

@@ -4,8 +4,9 @@ Every simulation run is checked before its metrics row is emitted: the
 committed history must be conflict-serializable and must satisfy the
 commit-order property, whichever protocol produced it. The gate decides on a
 replay of the commits in commit order, which implies an acyclic conflict
-graph. Only a failing run runs the commit-order scan, which names the
-violation, and builds the conflict skeleton, to name a cycle if there is one.
+graph. Only a run the replay fails or cannot decide runs the commit-order
+scan, which names the violation, and only a failing scan builds the conflict
+skeleton, to name a cycle if there is one.
 A violation dumps the offending history to a file, by default in the working
 directory, and aborts the whole matrix.
 """
@@ -106,17 +107,21 @@ def verify_run(history: History, protocol: str) -> str | None:
 
     The commit-order replay decides. When it passes, every conflict edge
     points to a strictly later commit, so commit order is a topological order
-    and the graph is acyclic (Raz's commitment-ordering argument). Only a
-    failing run runs the commit-order scan, which explains the failure, and
-    builds the conflict skeleton, to report a cycle ahead of the commit-order
-    violation when there is one. A scan that passes where the replay failed
-    raises AssertionError: the two deciders must never disagree.
+    and the graph is acyclic (Raz's commitment-ordering argument). Only a run
+    that the replay fails, or cannot decide because its commits do not
+    increase, runs the commit-order scan, once; a failing scan is explained,
+    and the conflict skeleton is built to report a cycle ahead of the
+    commit-order violation when there is one. A scan that passes where the
+    replay failed raises AssertionError: the two deciders must never disagree.
     """
-    if commit_order_holds(history):
+    holds = commit_order_holds(history)
+    if holds:
         return None
     co = check_commitment_ordering(history)
     if co:
-        raise AssertionError("the commit-order replay failed a history the scan passes")
+        if holds is False:
+            raise AssertionError("the commit-order replay failed a history the scan passes")
+        return None
     check = is_acyclic(conflict_skeleton(history))
     if not check:
         return f"serialization graph has a cycle: {check.cycle}"

@@ -11,6 +11,7 @@ unsynchronized client clocks never matter.
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 
 from .core import (
     History,
@@ -27,6 +28,8 @@ from .core import (
 
 # enum members bound once: looking one up on OpKind costs more than the test
 _BEGIN, _COMMIT, _READ = OpKind.BEGIN, OpKind.COMMIT, OpKind.READ
+_new_tuple = tuple.__new__  # builds a named tuple without its generated __new__
+_op_of = itemgetter(0)  # a LogRecord's op
 
 
 class ClockRegressionError(ValueError):
@@ -53,7 +56,8 @@ def client_record_op(log: OperatorLog, op: Operation, now: int,
             raise InvalidLogError("log already contains Commit")
         if op.kind is _BEGIN:
             raise InvalidLogError("Begin must be the first record")
-        records.append(LogRecord(op, now - prev_op_instant))
+        # now >= prev_op_instant, so LogRecord's own rel_ts check would pass
+        records.append(_new_tuple(LogRecord, (op, now - prev_op_instant)))
     elif op.kind is _BEGIN:
         records.append(LogRecord(op, 0))
     else:
@@ -122,6 +126,7 @@ def validate_commit(registry: ItemRegistry, log: OperatorLog,
     the same log, and Begin/Commit records are no-ops.
     """
     staged: dict[int, list[int]] = {}  # item -> [t_read, t_write], visible to later records
+    held = registry.held.get
     for index, (rec, t) in enumerate(zip(log.records, instants)):
         op = rec.op
         if not op.is_data:
@@ -129,7 +134,8 @@ def validate_commit(registry: ItemRegistry, log: OperatorLog,
         item = op.item_id
         pair = staged.get(item)
         if pair is None:
-            state = registry.get(item)  # raises UnknownItemError on workload bugs
+            # get builds an item's state, or raises UnknownItemError on workload bugs
+            state = held(item) or registry.get(item)
             pair = staged[item] = [state.t_read, state.t_write]
         if op.kind is _READ:
             if t < pair[1]:
@@ -162,13 +168,10 @@ def commit_transaction(registry: ItemRegistry, log: OperatorLog, receipt: int,
     instants = rebase_to_server_time(log, receipt)
     decision = validate_commit(registry, log, instants)
     if decision.committed:
-        for item, t_read, t_write in decision.updates:
-            registry.apply_update(item, t_read=t_read, t_write=t_write)
+        registry.apply_updates(decision.updates)
     if history is not None:
-        record_op, txn_id = history.record_op, log.txn_id
-        for rec, t in zip(log.records, instants):
-            op = rec.op
-            if op.is_data:
-                record_op(txn_id, op, t)
+        # a rebased log is Begin, its data operators, Commit
+        ops = list(map(_op_of, log.records[1:-1]))
+        history.record_ops(log.txn_id, ops, instants[1:-1])
         history.record_terminal(log.txn_id, decision.outcome, receipt)
     return decision

@@ -15,8 +15,9 @@ per-item scans and is exact at any scale. A history that passes it is
 acyclic: every conflict edge points to a strictly later commit, so commit
 order is a topological order. commit_order_holds reaches the scan's verdict
 in one pass over the history, replaying commits in commit order, without
-sorting; the run gate decides on it, and runs the scan, which names the
-violation, and the skeleton, which names a cycle, only for a failing run.
+sorting, whenever commits increase along the history; the run gate decides on
+it, and runs the scan, which names the violation, and the skeleton, which
+names a cycle, only for a run it fails or cannot decide.
 """
 
 from collections import defaultdict
@@ -239,8 +240,9 @@ def check_commitment_ordering(history: History) -> CoCheck:
     return CoCheck(True, ties=ties)
 
 
-def commit_order_holds(history: History) -> bool:
-    """The verdict of check_commitment_ordering, in one pass over the events.
+def commit_order_holds(history: History) -> bool | None:
+    """The verdict of check_commitment_ordering, in one pass over the events,
+    or None when a commit is not above the one before it.
 
     Each transaction's operations wait in a buffer until its terminal. At a
     commit whose instant is above every earlier commit's, each buffered
@@ -255,23 +257,25 @@ def commit_order_holds(history: History) -> bool:
     c_a > c_b, and the replay fails on exactly those pairs, at the commit of
     a. A commit at or below an earlier one occurs only in hand-made
     histories and dumps (the simulated server stamps every commit above the
-    last), and there the replay defers to the scan.
+    last); there the replay returns None and leaves the verdict to the scan.
     """
     pending: defaultdict[int, list[OpEvent]] = defaultdict(list)
     max_write: dict[int, int] = {}
     max_access: dict[int, int] = {}   # over reads and writes
     committed, write_kind = Outcome.COMMITTED, OpKind.WRITE
     prev_commit = None
+    # events are indexed: OpEvent is (txn_id, op, instant), TerminalEvent
+    # (txn_id, outcome, instant)
     for ev in history.events:
         if type(ev) is OpEvent:
-            pending[ev.txn_id].append(ev)
+            pending[ev[0]].append(ev)
             continue
-        ops = pending.pop(ev.txn_id, ())
-        if ev.outcome is not committed:
+        ops = pending.pop(ev[0], ())
+        if ev[1] is not committed:
             continue
-        if prev_commit is not None and ev.instant <= prev_commit:
-            return bool(check_commitment_ordering(history))
-        prev_commit = ev.instant
+        if prev_commit is not None and ev[2] <= prev_commit:
+            return None
+        prev_commit = ev[2]
         for _, op, t in ops:
             bound = (max_access if op.kind is write_kind else max_write).get(op.item_id)
             if bound is not None and t < bound:

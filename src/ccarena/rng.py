@@ -58,6 +58,23 @@ class DetRng:
         self._state = state = (self._state * _LCG_A + _LCG_C) & _MASK64
         return int((state >> 11) * 2.0 ** -53 * n)
 
+    def randranges(self, n: int, k: int) -> list[int]:
+        """k uniform integers in [0, n): the same values, and the same final
+        state, as k calls of randrange(n). Scaling by 2**-53 is exact, so
+        folding it into n first rounds each product the same way."""
+        if n <= 0:
+            raise ValueError("randrange needs n >= 1")
+        a, c, mask = _LCG_A, _LCG_C, _MASK64
+        scale = n * 2.0 ** -53
+        state = self._state
+        out: list[int] = []
+        append = out.append
+        for _ in range(k):
+            state = (state * a + c) & mask
+            append(int((state >> 11) * scale))
+        self._state = state
+        return out
+
     def uniform_ms(self, bounds: tuple[int, int]) -> int:
         """Uniform integer milliseconds over an inclusive (lo, hi) range:
         lo + randrange(hi - lo + 1)."""

@@ -170,27 +170,35 @@ def parse_value(key: str, raw: str, kind):
         raise ConfigError(f"bad value for {key}: {exc}") from None
 
 
+class _SharedOps(dict):
+    """item -> the one Operation of a kind on that item, built on first use."""
+
+    def __init__(self, kind: OpKind):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, item: int) -> Operation:
+        op = self[item] = Operation(self.kind, item)
+        return op
+
+
 def gen_workload(cfg: SimConfig, rng: DetRng) -> list[list[Operation]]:
     """Draw n_txns operator lists, indexed by txn id, without Begin and Commit:
     lengths are floor(Normal(mean_len, sd_len)) clamped to >= 2, items
     uniform over the table, and read ops spread evenly through the list so
     the read/write counts match read_fraction as closely as the length
-    allows. Equal (kind, item) operators share one Operation."""
+    allows. Each transaction draws its length, then one item per operator in
+    operator order. Equal (kind, item) operators share one Operation."""
     workload = []
-    shared: dict[tuple[bool, int], Operation] = {}
-    reads: list[bool] = []  # whether position k reads; a function of k alone
+    reads, writes = _SharedOps(OpKind.READ), _SharedOps(OpKind.WRITE)
+    kinds: list[_SharedOps] = []  # the kind at position k; a function of k alone
     for _ in range(cfg.n_txns):
         n_ops = max(2, math.floor(rng.normal(cfg.mean_len, cfg.sd_len)))
-        for k in range(len(reads), n_ops):
-            reads.append(math.floor((k + 1) * cfg.read_fraction) > math.floor(k * cfg.read_fraction))
-        ops: list[Operation] = []
-        for is_read in reads[:n_ops]:
-            item = rng.randrange(cfg.n_items)
-            op = shared.get((is_read, item))
-            if op is None:
-                op = shared[is_read, item] = core.read(item) if is_read else core.write(item)
-            ops.append(op)
-        workload.append(ops)
+        for k in range(len(kinds), n_ops):
+            is_read = math.floor((k + 1) * cfg.read_fraction) > math.floor(k * cfg.read_fraction)
+            kinds.append(reads if is_read else writes)
+        workload.append([shared[item] for shared, item
+                         in zip(kinds, rng.randranges(cfg.n_items, n_ops))])
     return workload
 
 
@@ -323,6 +331,7 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
     uplink, downlink, reconnect = (cfg.uplink_latency_ms, cfg.downlink_latency_ms,
                                    cfg.reconnect_delay_ms)
     outcome = Outcome.ABORTED
+    served = 0  # service time over every attempt
     for attempt in range(cfg.retries + 1):
         aid = run.txn_id if attempt == 0 else next(sim.attempt_ids)
         run.attempts += 1
@@ -344,7 +353,7 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
                 run.messages += 1
                 yield uniform_ms(downlink)
             yield service_ms
-            run.service_ms += service_ms
+            served += service_ms
             record(op)
         else:
             record(core.COMMIT)
@@ -358,6 +367,7 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
         if outcome is Outcome.COMMITTED:
             break
     run.outcome = outcome
+    run.service_ms = served
     run.terminal_ms = sim.now
 
 
@@ -412,8 +422,7 @@ class _Occ:
         outcome = occ_validate(self.sim.book, self.start, self.reads,
                                {op.item_id for op in self.writes}, instant)
         if outcome is Outcome.COMMITTED:
-            for op in self.writes:
-                history.record_op(self.aid, op, instant)
+            history.record_ops(self.aid, self.writes, [instant] * len(self.writes))
         history.record_terminal(self.aid, outcome, instant)
         return outcome
 

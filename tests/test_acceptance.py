@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_opcot import total_span
 
 from ccarena.baselines import OccBook, occ_validate
 from ccarena.core import (
@@ -275,7 +276,7 @@ def test_criterion_9_rebase_recurrence_property():
             records.append(LogRecord(op, rng.randrange(2000)))
         records.append(LogRecord(COMMIT, rng.randrange(2000)))
         log = OperatorLog(0, records)
-        receipt = log.total_span() + rng.randrange(100_000)
+        receipt = total_span(log) + rng.randrange(100_000)
         instants = rebase_to_server_time(log, receipt)
         assert instants[-1] == receipt
         for k in range(1, len(records)):

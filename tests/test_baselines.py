@@ -45,6 +45,14 @@ def rebuilt_waiting(table):
     return waiting
 
 
+def assert_lock_safety(table):
+    """No two conflicting grants may coexist on one item."""
+    for item_id, locks in table._items.items():
+        modes = list(locks.granted.values())
+        if any(m is X for m in modes) and len(modes) > 1:
+            raise AssertionError(f"conflicting grants on item {item_id}: {locks.granted}")
+
+
 def reference_find_cycle(edges, start=None):
     """The DFS find_cycle ran over a prebuilt edge map."""
     roots = [start] if start is not None else sorted(edges)
@@ -109,7 +117,7 @@ class TestAcquire:
         table = table_with((1, 0), (2, 0), (3, 0))
         for txn in (1, 2, 3):
             assert table.acquire(txn, 0, S) == Granted()
-        table.assert_safety()
+        assert_lock_safety(table)
 
     def test_reacquire_is_idempotent(self):
         table = table_with((1, 0))
@@ -167,7 +175,7 @@ class TestReleaseAll:
         assert granted == [2, 3]
         assert table.holds(2, 0, S) and table.holds(3, 0, S)
         assert not table.holds(2, 0, X) and not table.holds(3, 0, X)
-        table.assert_safety()
+        assert_lock_safety(table)
 
     def test_empty_queue_grants_nothing(self):
         table = table_with((1, 0))
@@ -224,7 +232,7 @@ class TestLockInvariants:
         for step in range(600):
             if active and rng.random() < 0.25:
                 release(sorted(active)[rng.randrange(len(active))])
-                table.assert_safety()
+                assert_lock_safety(table)
                 continue
             idle = sorted(t for t in active if t not in waiting)
             if not idle or rng.random() < 0.3:
@@ -243,7 +251,7 @@ class TestLockInvariants:
                 release(victim)
                 if victim == txn:
                     break
-            table.assert_safety()
+            assert_lock_safety(table)
             assert reference_find_cycle(reference_waits_for_edges(table)) is None
             assert {t: item for t, (item, _) in waiting.items()} == table._waiting
         assert cycles > 0

@@ -175,6 +175,35 @@ class TestCheckCommand:
         assert capsys.readouterr() == (agreed.out,
                                        "oracle disagreement between replay and scan!\n")
 
+    def test_an_undecided_replay_leaves_one_scan_and_no_cross_check(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # commits that do not increase leave the verdict to the scan; it runs
+        # once, and the replay is cross-checked only where it decided
+        import ccarena.cli as cli
+        import ccarena.oracle as oracle
+        scan, scans = cli.check_commitment_ordering, []
+
+        def counted_scan(history):
+            scans.append(history)
+            return scan(history)
+
+        monkeypatch.setattr(cli, "check_commitment_ordering", counted_scan)
+        monkeypatch.setattr(oracle, "check_commitment_ordering", counted_scan)
+        rng = DetRng(2202)
+        path = tmp_path / "h.history"
+        codes = []
+        for _ in range(300):
+            h = tangled_history(rng)
+            if cli.commit_order_holds(h) is not None:
+                continue
+            path.write_text(h.to_text(), encoding="utf-8")
+            scans.clear()
+            codes.append(run_cli("check", "--history", str(path)))
+            assert len(scans) == 1
+            assert capsys.readouterr().err == ""
+            assert codes[-1] == (0 if verify_run(h, "opcot") is None else 2)
+        assert min(codes.count(0), codes.count(2)) >= 20, codes
+
     @pytest.mark.parametrize("line", ["OP nope", "OP 1 R x 3"])
     def test_malformed_history_exits_1(self, tmp_path, line):
         path = tmp_path / "bad.history"

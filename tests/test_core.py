@@ -196,24 +196,49 @@ class TestRegistry:
         # table holding all of them up front would
         reg = ItemRegistry(5)
         eager = {i: ItemState(i) for i in range(5)}
-        for item, t_read, t_write in [(3, 7, None), (0, None, 4), (3, 9, 8)]:
-            reg.apply_update(item, t_read=t_read, t_write=t_write)
+        for item, t_read, t_write in [(3, 7, 0), (0, 0, 4), (3, 9, 8)]:
+            reg.apply_updates([(item, t_read, t_write)])
             state = eager[item]
-            state.t_read = t_read if t_read is not None else state.t_read
-            state.t_write = t_write if t_write is not None else state.t_write
+            state.t_read, state.t_write = t_read, t_write
         assert sorted(reg._items) == [0, 3]
         assert reg.get(4) == eager[4]
         assert reg.stamps() == {i: (s.t_read, s.t_write) for i, s in eager.items()}
         assert list(reg.stamps()) == list(range(5))
 
-    def test_stamps_never_move_backwards(self):
-        reg = ItemRegistry(1)
-        reg.apply_update(0, t_read=10, t_write=20)
-        with pytest.raises(ValueError):
-            reg.apply_update(0, t_read=5)
-        with pytest.raises(ValueError):
-            reg.apply_update(0, t_write=19)
-        reg.apply_update(0, t_read=10, t_write=20)  # equal is fine
+    @pytest.mark.parametrize("update, message", [
+        ((0, 5, 20), "t_read of item 0 would move backwards (10 -> 5)"),
+        ((0, 12, 19), "t_write of item 0 would move backwards (20 -> 19)"),
+        # the read check comes first, as it did when each field had its own call
+        ((0, 9, 19), "t_read of item 0 would move backwards (10 -> 9)"),
+    ], ids=["read", "write", "both"])
+    def test_stamps_never_move_backwards(self, update, message):
+        reg = ItemRegistry(3)
+        reg.apply_updates([(0, 10, 20)])
+        with pytest.raises(ValueError) as err:
+            reg.apply_updates([(2, 1, 1), update, (1, 1, 1)])
+        assert str(err.value) == message
+        # the refused item keeps both stamps; the items before it took theirs,
+        # and the items after it were never reached
+        assert reg.stamps() == {0: (10, 20), 1: (0, 0), 2: (1, 1)}
+        reg.apply_updates([(0, 10, 20)])  # equal is fine
+        reg.apply_updates([])
+        assert reg.stamps()[0] == (10, 20)
+
+    def test_updates_build_states_and_refuse_unknown_items(self):
+        reg = ItemRegistry(2)
+        reg.apply_updates([(1, 3, 4)])
+        assert reg.held == {1: ItemState(1, 3, 4)}
+        with pytest.raises(UnknownItemError):
+            reg.apply_updates([(2, 0, 0)])
+        assert dict(reg.held) == {1: ItemState(1, 3, 4)}
+
+    def test_held_is_a_read_only_view(self):
+        reg = ItemRegistry(3)
+        assert reg.held.get(0) is None  # looking does not build a state
+        state = reg.get(0)
+        assert reg.held[0] is state and len(reg.held) == 1
+        with pytest.raises(TypeError):
+            reg.held[1] = ItemState(1)
 
 
 class TestHistory:
@@ -281,6 +306,63 @@ class TestHistory:
         again = History.from_text(text)
         assert again.to_text() == text
         assert again.committed() == {1: 9}
+
+
+def record_op_loop(hist, txn_id, ops, instants):
+    for op, t in zip(ops, instants):
+        hist.record_op(txn_id, op, t)
+
+
+class TestRecordOps:
+    """record_ops(txn, ops, instants) is a record_op loop that either
+    appends every operation or, when it raises, none."""
+
+    @staticmethod
+    def error_of(call, *args):
+        try:
+            call(*args)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def test_equals_a_record_op_loop(self):
+        rng = DetRng(2204)
+        pool = [read(0), write(0), read(1), write(7), BEGIN, COMMIT]
+        seen = dict(recorded=0, empty=0, ended=0, not_data=0)
+        for _ in range(1500):
+            batched, looped = History(), History()
+            ended = {2}
+            for hist in (batched, looped):
+                hist.record_op(2, read(3), 1)
+                hist.record_terminal(2, Outcome.ABORTED, 4)
+            for _ in range(1 + rng.randrange(4)):
+                txn = 1 + rng.randrange(3)
+                n = rng.randrange(4)
+                ops = [pool[rng.randrange(5 if rng.random() < 0.2 else 4)] for _ in range(n)]
+                instants = [rng.randrange(9) for _ in range(n)]
+                before = list(batched.events)
+                error = self.error_of(batched.record_ops, txn, ops, instants)
+                assert error == self.error_of(record_op_loop, looped, txn, ops, instants)
+                if error is None:
+                    assert batched.events == looped.events
+                    assert [type(e) for e in batched.events] == \
+                        [type(e) for e in looped.events]
+                    seen["recorded" if ops else "empty"] += 1
+                else:
+                    assert batched.events == before  # nothing appended
+                    seen["ended" if "terminal" in error else "not_data"] += 1
+                    looped.events[:] = before  # the loop appended a prefix
+                if rng.random() < 0.3 and txn not in ended:
+                    ended.add(txn)  # later calls for txn hit the terminal check
+                    for hist in (batched, looped):
+                        hist.record_terminal(txn, Outcome.COMMITTED, 9)
+        assert min(seen.values()) >= 20, seen
+
+    def test_ops_and_instants_must_pair_up(self):
+        hist = History()
+        with pytest.raises(ValueError, match="2 operations but 1 instants"):
+            hist.record_ops(1, [read(0), write(0)], [5])
+        assert hist.events == []
 
 
 def reference_history_from_text(text: str) -> History:

@@ -4,7 +4,7 @@ from types import ModuleType
 
 import pytest
 from test_cli import _no_simulation
-from test_oracle import random_history, tangled_history
+from test_oracle import commits_increase, random_history, tangled_history
 
 from ccarena.core import ConfigError, History, Outcome, read, write
 from ccarena.harness import (
@@ -290,6 +290,32 @@ class TestOracleGate:
                    if getattr(ev, "outcome", None) is Outcome.COMMITTED]
         assert len(commits) == result.committed
         assert all(a < b for a, b in zip(commits, commits[1:]))
+
+    def test_an_undecided_replay_leaves_one_scan(self, monkeypatch):
+        # commits that do not increase leave the verdict to the scan, which
+        # then runs once, whether the history passes or fails it
+        import ccarena.harness as harness
+        import ccarena.oracle as oracle
+        scans = []
+
+        def counted_scan(history):
+            scans.append(history)
+            return check_commitment_ordering(history)
+
+        monkeypatch.setattr(harness, "check_commitment_ordering", counted_scan)
+        monkeypatch.setattr(oracle, "check_commitment_ordering", counted_scan)
+        rng = DetRng(2201)
+        seen = dict(clean=0, violation=0)
+        for _ in range(400):
+            h = tangled_history(rng)
+            if commits_increase(h):
+                continue
+            scans.clear()
+            got = verify_run(h, "opcot")
+            assert scans == [h]
+            assert got == reference_verify_run(h, "opcot")
+            seen["clean" if got is None else "violation"] += 1
+        assert min(seen.values()) >= 20, seen
 
     def test_a_replay_that_disagrees_with_the_scan_raises(self, monkeypatch):
         import ccarena.harness as harness

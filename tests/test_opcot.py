@@ -13,6 +13,7 @@ from ccarena.core import (
     OperatorLog,
     OpKind,
     Outcome,
+    TerminalEvent,
     UnknownItemError,
     log_from_text,
     log_validate,
@@ -34,6 +35,11 @@ from ccarena.rng import DetRng
 
 def log_of(text, txn_id=0):
     return log_from_text(text, txn_id)
+
+
+def total_span(log):
+    """Sum of all relative timestamps (client-side duration of the log)."""
+    return sum(r.rel_ts for r in log.records)
 
 
 class TestClientRecordOp:
@@ -127,7 +133,7 @@ class TestRebase:
                 records.append(LogRecord(op, rng.randrange(500)))
             records.append(LogRecord(COMMIT, rng.randrange(500)))
             log = OperatorLog(1, records)
-            receipt = log.total_span() + rng.randrange(10_000)
+            receipt = total_span(log) + rng.randrange(10_000)
             instants = rebase_to_server_time(log, receipt)
             assert len(instants) == len(records)
             assert instants[-1] == receipt
@@ -144,7 +150,7 @@ def validate(reg, text, receipt):
 
 def registry_with(item, t_read=0, t_write=0):
     reg = ItemRegistry(item + 1)
-    reg.apply_update(item, t_read=t_read, t_write=t_write)
+    reg.apply_updates([(item, t_read, t_write)])
     return reg
 
 
@@ -227,8 +233,8 @@ class TestValidateCommit:
         assert not dec.committed
 
         # and the registry itself refuses a backwards stamp outright
-        with pytest.raises(ValueError):
-            reg.apply_update(0, t_read=43)
+        with pytest.raises(ValueError, match=r"t_read of item 0 would move backwards"):
+            reg.apply_updates([(0, 43, 0)])
 
 
 class TestCommitTransaction:
@@ -271,8 +277,7 @@ class TestCommitTransaction:
         commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nCOMMIT - 2\n", 5), 12, hist)
         op_events = [e for e in hist if hasattr(e, "op")]
         assert [(e.txn_id, e.instant) for e in op_events] == [(5, 10)]
-        assert hist.terminal_of(5).instant == 12
-        assert hist.terminal_of(5).outcome is Outcome.COMMITTED
+        assert hist.events[-1] == TerminalEvent(5, Outcome.COMMITTED, 12)
 
     def test_registry_stamps_monotone_across_commits(self):
         rng = DetRng(7)
@@ -286,7 +291,7 @@ class TestCommitTransaction:
                 records.append(LogRecord(op, rng.randrange(20)))
             records.append(LogRecord(COMMIT, rng.randrange(20)))
             log = OperatorLog(txn, records)
-            receipt = max(receipt + 1, log.total_span() + rng.randrange(50))
+            receipt = max(receipt + 1, total_span(log) + rng.randrange(50))
             commit_transaction(reg, log, receipt)
             for item, (t_r, t_w) in reg.stamps().items():
                 old_r, old_w = low_water[item]
@@ -310,7 +315,7 @@ def reference_rebase(log, receipt):
     violation = log_validate(log)
     if violation is not None:
         raise InvalidLogError(violation)
-    span = log.total_span()
+    span = total_span(log)
     if receipt < span:
         raise RebaseUnderflowError(
             f"receipt {receipt} precedes the log's relative span {span}")
@@ -358,8 +363,8 @@ def reference_commit_transaction(registry, log, receipt, history=None):
     abs_records = reference_rebase(log, receipt)
     decision = reference_validate(registry, abs_records)
     if decision.committed:
-        for item, t_read, t_write in decision.updates:
-            registry.apply_update(item, t_read=t_read, t_write=t_write)
+        for update in decision.updates:
+            registry.apply_updates([update])
     if history is not None:
         for rec in abs_records:
             if rec.op.is_data:
@@ -390,18 +395,18 @@ def test_in_place_commit_matches_the_reference():
             t_write = rng.randrange(30)
             t_read = t_write + rng.randrange(3)
             for reg in registries:
-                reg.apply_update(item, t_read=t_read, t_write=t_write)
+                reg.apply_updates([(item, t_read, t_write)])
         histories = History(), History()
         receipt = 0
         for txn in range(1, 2 + rng.randrange(4)):
             log = random_log(rng, txn, n_items)
-            if rng.random() < 0.03 and log.total_span() > 0:
+            if rng.random() < 0.03 and total_span(log) > 0:
                 for commit, reg in zip(commit_paths, registries):
                     with pytest.raises(RebaseUnderflowError):
-                        commit(reg, log, log.total_span() - 1)
+                        commit(reg, log, total_span(log) - 1)
                 seen["underflow"] += 1
                 continue
-            receipt = max(receipt, log.total_span()) + rng.randrange(12)
+            receipt = max(receipt, total_span(log)) + rng.randrange(12)
             instants = rebase_to_server_time(log, receipt)
             stamps = registries[1].stamps()
             seen["tie"] += any(

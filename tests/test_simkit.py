@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from ccarena import core
 from ccarena.core import ConfigError, OpEvent, OpKind, Outcome
 from ccarena.harness import compute_waiting_time
 from ccarena.oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
@@ -113,7 +114,49 @@ class TestConfig:
             parse_kv_text("n_txns = 5\nseed = 2\n n_txns=7  # again\n")
 
 
+def reference_gen_workload(cfg, rng):
+    """The workload generator with one randrange call and one (kind, item)
+    key per operator, kept as the reference the batched one must equal."""
+    workload = []
+    shared = {}
+    reads = []
+    for _ in range(cfg.n_txns):
+        n_ops = max(2, math.floor(rng.normal(cfg.mean_len, cfg.sd_len)))
+        for k in range(len(reads), n_ops):
+            reads.append(math.floor((k + 1) * cfg.read_fraction) > math.floor(k * cfg.read_fraction))
+        ops = []
+        for is_read in reads[:n_ops]:
+            item = rng.randrange(cfg.n_items)
+            op = shared.get((is_read, item))
+            if op is None:
+                op = shared[is_read, item] = core.read(item) if is_read else core.write(item)
+            ops.append(op)
+        workload.append(ops)
+    return workload
+
+
+def sharing(workload):
+    """Each operator's position in first-seen order of the distinct objects:
+    equal lists mean the same objects are shared in the same places."""
+    first = {}
+    return [[first.setdefault(id(op), len(first)) for op in ops] for ops in workload]
+
+
 class TestWorkload:
+    @pytest.mark.parametrize("n_items", [1, 3, 10, 10**12])
+    @pytest.mark.parametrize("read_fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("mean_len, sd_len", [(2, 0), (2, 3), (9, 6)])
+    def test_equals_the_reference(self, n_items, read_fraction, mean_len, sd_len):
+        cfg = quiet_cfg(n_txns=300, n_items=n_items, read_fraction=read_fraction,
+                        mean_len=mean_len, sd_len=sd_len)
+        rng, ref_rng = DetRng(2203).spawn(1), DetRng(2203).spawn(1)
+        got, want = gen_workload(cfg, rng), reference_gen_workload(cfg, ref_rng)
+        assert got == want
+        assert [[type(op) for op in ops] for ops in got] == \
+            [[type(op) for op in ops] for ops in want]
+        assert sharing(got) == sharing(want)
+        assert rng._state == ref_rng._state  # the same draws, no more
+
     def test_deterministic_for_a_seed(self):
         cfg = quiet_cfg(seed=7)
         a = gen_workload(cfg, DetRng(cfg.seed).spawn(1))
@@ -239,7 +282,7 @@ class TestLockSafetyDuringSimulation:
     def test_no_conflicting_grants_at_any_event(self, monkeypatch):
         # a lock table that audits itself after every mutation, injected into
         # a contended locking run
-        from test_baselines import rebuilt_waiting
+        from test_baselines import assert_lock_safety, rebuilt_waiting
 
         from ccarena.baselines import LockTable
         import ccarena.simkit as simkit
@@ -247,13 +290,13 @@ class TestLockSafetyDuringSimulation:
         class AuditedTable(LockTable):
             def acquire(self, txn_id, item_id, mode):
                 res = super().acquire(txn_id, item_id, mode)
-                self.assert_safety()
+                assert_lock_safety(self)
                 assert self._waiting == rebuilt_waiting(self)
                 return res
 
             def release_all(self, txn_id):
                 granted = super().release_all(txn_id)
-                self.assert_safety()
+                assert_lock_safety(self)
                 assert self._waiting == rebuilt_waiting(self)
                 return granted
 
