@@ -5,6 +5,12 @@ with fixed constants, so a given seed reproduces the same sample sequence on
 every run. Normal variates come from Box-Muller (two uniforms per sample, no
 cached spare), exponentials from inversion. The exact recipes are written out
 in the README so runs can be reproduced outside this codebase.
+
+Two hot loops step a DetRng's state inline with this module's constants
+instead of calling its methods: simkit.gen_workload (rng.normal, then
+rng.randrange per operator) and simkit._txn_process (rng.random and
+rng.uniform_ms). Each draw there is the same float expression as the method
+it stands for, so the samples are the same to the bit.
 """
 
 import math
@@ -57,23 +63,6 @@ class DetRng:
             raise ValueError("randrange needs n >= 1")
         self._state = state = (self._state * _LCG_A + _LCG_C) & _MASK64
         return int((state >> 11) * 2.0 ** -53 * n)
-
-    def randranges(self, n: int, k: int) -> list[int]:
-        """k uniform integers in [0, n): the same values, and the same final
-        state, as k calls of randrange(n). Scaling by 2**-53 is exact, so
-        folding it into n first rounds each product the same way."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
-        a, c, mask = _LCG_A, _LCG_C, _MASK64
-        scale = n * 2.0 ** -53
-        state = self._state
-        out: list[int] = []
-        append = out.append
-        for _ in range(k):
-            state = (state * a + c) & mask
-            append(int((state >> 11) * scale))
-        self._state = state
-        return out
 
     def uniform_ms(self, bounds: tuple[int, int]) -> int:
         """Uniform integer milliseconds over an inclusive (lo, hi) range:

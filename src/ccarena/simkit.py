@@ -33,6 +33,7 @@ the draws.
 
 import math
 from collections import deque
+from collections.abc import Generator
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from itertools import count
@@ -49,7 +50,7 @@ from .core import (
     Outcome,
 )
 from .opcot import client_record_op, commit_transaction
-from .rng import DetRng
+from .rng import _LCG_A, _LCG_C, _MASK64, DetRng
 
 PROTOCOLS = ("opcot", "occ", "s2pl")
 
@@ -188,22 +189,40 @@ def gen_workload(cfg: SimConfig, rng: DetRng) -> list[list[Operation]]:
     uniform over the table, and read ops spread evenly through the list so
     the read/write counts match read_fraction as closely as the length
     allows. Each transaction draws its length, then one item per operator in
-    operator order. Equal (kind, item) operators share one Operation."""
+    operator order. Equal (kind, item) operators share one Operation.
+
+    The stream is stepped inline, each draw the float expression of the
+    matching DetRng method (rng.normal, then rng.randrange per operator), and
+    left where those calls would leave it."""
     workload = []
     reads, writes = _SharedOps(OpKind.READ), _SharedOps(OpKind.WRITE)
     kinds: list[_SharedOps] = []  # the kind at position k; a function of k alone
+    a, c, mask = _LCG_A, _LCG_C, _MASK64
+    mean, sd, n_items, fraction = cfg.mean_len, cfg.sd_len, cfg.n_items, cfg.read_fraction
+    floor, log, sqrt, cos = math.floor, math.log, math.sqrt, math.cos
+    state = rng._state
     for _ in range(cfg.n_txns):
-        n_ops = max(2, math.floor(rng.normal(cfg.mean_len, cfg.sd_len)))
+        state = (state * a + c) & mask
+        u1 = (state >> 11) * 2.0 ** -53
+        state = (state * a + c) & mask
+        u2 = (state >> 11) * 2.0 ** -53
+        if u1 <= 0.0:
+            u1 = 2.0 ** -53
+        n_ops = max(2, floor(mean + sd * sqrt(-2.0 * log(u1)) * cos(2.0 * math.pi * u2)))
         for k in range(len(kinds), n_ops):
-            is_read = math.floor((k + 1) * cfg.read_fraction) > math.floor(k * cfg.read_fraction)
+            is_read = floor((k + 1) * fraction) > floor(k * fraction)
             kinds.append(reads if is_read else writes)
-        workload.append([shared[item] for shared, item
-                         in zip(kinds, rng.randranges(cfg.n_items, n_ops))])
+        ops = []
+        for shared in kinds[:n_ops]:
+            state = (state * a + c) & mask
+            ops.append(shared[int((state >> 11) * 2.0 ** -53 * n_items)])
+        workload.append(ops)
+    rng._state = state
     return workload
 
 
 class EventQueue:
-    """Priority queue of (instant, seq, payload); seq breaks instant ties by
+    """Priority queue of (instant, seq, process); seq breaks instant ties by
     scheduling order, so dequeue order is deterministic. Every event draws
     its seq from the one counter `_seq`.
 
@@ -214,30 +233,30 @@ class EventQueue:
     event leaves and the one check that the clock never moves backwards."""
 
     def __init__(self):
-        self._heap: list[tuple[int, int, object]] = []
-        self._arrivals: deque[tuple[int, int, object]] = deque()
+        self._heap: list[tuple[int, int, Generator]] = []
+        self._arrivals: deque[tuple[int, int, Generator]] = deque()
         self._seq = count()
         self.now = 0
 
-    def arrive(self, instant: int, payload) -> None:
+    def arrive(self, instant: int, gen: Generator) -> None:
         """Queue a process's first event; arrivals come in instant order."""
         if self._arrivals and instant < self._arrivals[-1][0]:
             raise ValueError(f"arrival at {instant} after one at {self._arrivals[-1][0]}")
-        self._arrivals.append((instant, next(self._seq), payload))
+        self._arrivals.append((instant, next(self._seq), gen))
 
-    def push(self, instant: int, payload) -> None:
-        heappush(self._heap, (instant, next(self._seq), payload))
+    def push(self, instant: int, gen: Generator) -> None:
+        heappush(self._heap, (instant, next(self._seq), gen))
 
-    def pop(self):
+    def pop(self) -> Generator:
         heap, arrivals = self._heap, self._arrivals
         if arrivals and (not heap or arrivals[0] < heap[0]):
-            instant, _, payload = arrivals.popleft()
+            instant, _, gen = arrivals.popleft()
         else:
-            instant, _, payload = heappop(heap)
+            instant, _, gen = heappop(heap)
         if instant < self.now:
             raise AssertionError(f"event clock moved backwards: {instant} < {self.now}")
         self.now = instant
-        return payload
+        return gen
 
 
 @dataclass
@@ -273,7 +292,7 @@ class _Sim(EventQueue):
         self.registry = ItemRegistry(cfg.n_items)
         self.table = LockTable()
         self.book = OccBook()
-        self.parked: dict[int, object] = {}
+        self.parked: dict[int, Generator] = {}
         self._last_stamp = -1
         self.attempt_ids = count(cfg.n_txns)  # ids for retries, past every first attempt
 
@@ -290,23 +309,24 @@ class _Sim(EventQueue):
         for txn_id in self.table.release_all(aid):
             gen = self.parked.pop(txn_id, None)
             if gen is not None:
-                self.push(self.now, (gen, None))
+                self.push(self.now, gen)
 
     def run_loop(self) -> None:
-        """Resume each process with its event's value: None after a delay or
-        a grant, Outcome.ABORTED for a parked deadlock victim. A delay that
-        ends strictly before every pending event resumes its process at
-        once, with no seq and no pop, since pop() would return it next
-        anyway. Every other event, a negative delay included, goes through
-        pop(), which moves the clock and checks that it never moves back."""
+        """Resume each process at its event: after a delay, a grant or a
+        deadlock abort alike, since a woken process reads its fate from the
+        lock table. A delay that ends strictly before every pending event
+        resumes its process at once, with no seq and no pop, since pop()
+        would return it next anyway. Every other event, a negative delay
+        included, goes through pop(), which moves the clock and checks that
+        it never moves back."""
         heap, arrivals, parked, seq = self._heap, self._arrivals, self.parked, self._seq
         pop = self.pop
         while heap or arrivals:
-            gen, value = pop()
+            gen = pop()
             now = self.now
             while True:
                 try:
-                    cmd = gen.send(value)
+                    cmd = next(gen)
                 except StopIteration:
                     break
                 if isinstance(cmd, tuple):  # ("park", aid): wait for an external wake
@@ -316,58 +336,72 @@ class _Sim(EventQueue):
                 if now <= at and (not heap or at < heap[0][0]) \
                         and (not arrivals or at < arrivals[0][0]):
                     self.now = now = at
-                    value = None
                     continue
-                heappush(heap, (at, next(seq), (gen, None)))
+                heappush(heap, (at, next(seq), gen))
                 break
 
 
 def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, offset: int):
-    """The one client loop; a fresh policy per attempt plays the server."""
+    """The one client loop; a fresh policy per attempt plays the server.
+
+    The transaction's own stream is stepped inline, each draw the float
+    expression of rng.random or rng.uniform_ms; nothing else reads that
+    stream, so its state is not written back."""
     cfg = sim.cfg
     new_policy = _POLICIES[cfg.protocol]
-    random, uniform_ms = rng.random, rng.uniform_ms
+    a, c, mask = _LCG_A, _LCG_C, _MASK64
+    state = rng._state
     disconnect_prob, service_ms = cfg.disconnect_prob, cfg.op_service_ms
-    uplink, downlink, reconnect = (cfg.uplink_latency_ms, cfg.downlink_latency_ms,
-                                   cfg.reconnect_delay_ms)
+    (up_lo, up_hi), (down_lo, down_hi), (re_lo, re_hi) = (
+        cfg.uplink_latency_ms, cfg.downlink_latency_ms, cfg.reconnect_delay_ms)
+    up_n, down_n, re_n = up_hi - up_lo + 1, down_hi - down_lo + 1, re_hi - re_lo + 1
     outcome = Outcome.ABORTED
-    served = 0  # service time over every attempt
+    served = messages = attempts = 0  # over every attempt
     for attempt in range(cfg.retries + 1):
         aid = run.txn_id if attempt == 0 else next(sim.attempt_ids)
-        run.attempts += 1
+        attempts += 1
         policy = new_policy(sim, aid, offset)
         record, lock = policy.record, policy.lock
         connected = True
         for op in ops:
-            if random() < disconnect_prob:  # rolled even when offline
+            state = (state * a + c) & mask
+            if (state >> 11) * 2.0 ** -53 < disconnect_prob:  # rolled even when offline
                 connected = False
             if lock:
                 if not connected:
-                    yield uniform_ms(reconnect)
+                    state = (state * a + c) & mask
+                    yield re_lo + int((state >> 11) * 2.0 ** -53 * re_n)
                     connected = True
-                run.messages += 1
-                yield uniform_ms(uplink)
+                messages += 1
+                state = (state * a + c) & mask
+                yield up_lo + int((state >> 11) * 2.0 ** -53 * up_n)
                 if not (yield from lock(op)):
                     outcome = Outcome.ABORTED  # the server recorded it and released the locks
                     break
-                run.messages += 1
-                yield uniform_ms(downlink)
+                messages += 1
+                state = (state * a + c) & mask
+                yield down_lo + int((state >> 11) * 2.0 ** -53 * down_n)
             yield service_ms
             served += service_ms
             record(op)
         else:
             record(core.COMMIT)
             if not connected:
-                yield uniform_ms(reconnect)
-            run.messages += 1
-            yield uniform_ms(uplink)
+                state = (state * a + c) & mask
+                yield re_lo + int((state >> 11) * 2.0 ** -53 * re_n)
+            messages += 1
+            state = (state * a + c) & mask
+            yield up_lo + int((state >> 11) * 2.0 ** -53 * up_n)
             outcome = policy.commit(sim.stamp(sim.now))
-        run.messages += 1
-        yield uniform_ms(downlink)
+        messages += 1
+        state = (state * a + c) & mask
+        yield down_lo + int((state >> 11) * 2.0 ** -53 * down_n)
         if outcome is Outcome.COMMITTED:
             break
     run.outcome = outcome
     run.service_ms = served
+    run.messages = messages
+    run.attempts = attempts
     run.terminal_ms = sim.now
 
 
@@ -442,7 +476,9 @@ class _S2pl:
         """Acquire op's lock, parking while blocked, record op at the grant
         and return True. The one place deadlocks are broken: while a cycle
         runs through this request, abort its youngest member; return False
-        when that is this attempt, now or while parked."""
+        when that is this attempt, now or while parked. A parked attempt is
+        woken by a grant or as a victim; the victim's release dropped its
+        request, so it does not hold the lock."""
         sim, table, aid = self.sim, self.sim.table, self.aid
         mode = LockMode.SHARED if op.kind is OpKind.READ else LockMode.EXCLUSIVE
         granted = isinstance(table.acquire(aid, op.item_id, mode), Granted)
@@ -451,10 +487,12 @@ class _S2pl:
             sim.s2pl_end(victim, Outcome.ABORTED, sim.now)
             if victim == aid:
                 return False
-            sim.push(sim.now, (sim.parked.pop(victim), Outcome.ABORTED))
+            sim.push(sim.now, sim.parked.pop(victim))
             granted = table.holds(aid, op.item_id, mode)  # the victim's release may grant it
-        if not granted and (yield ("park", aid)) is Outcome.ABORTED:
-            return False
+        if not granted:
+            yield ("park", aid)
+            if not table.holds(aid, op.item_id, mode):
+                return False
         sim.history.record_op(aid, op, sim.now)
         return True
 
@@ -486,7 +524,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         timings.append(run)
         offset = offsets_rng.uniform_ms((-_CLIENT_CLOCK_SKEW_MS, _CLIENT_CLOCK_SKEW_MS))
         gen = _txn_process(sim, ops, run, master.spawn(1000 + txn_id), offset)
-        sim.arrive(submit, (gen, None))
+        sim.arrive(submit, gen)
     sim.run_loop()
 
     committed = sum(1 for t in timings if t.outcome is Outcome.COMMITTED)

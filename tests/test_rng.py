@@ -104,31 +104,3 @@ class TestDrawsFollowTheRecipe:
         with pytest.raises(ValueError):
             rng.randrange(0)
 
-
-class TestRandranges:
-    """randranges(n, k) is k calls of randrange(n): the same values and the
-    same final state."""
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10_000, 2**53 - 1, 2**53, 2**53 + 1,
-                                   10**12, 3**40, 2**64 + 5, 10**30])
-    def test_equals_k_calls_of_randrange(self, n):
-        batched, single = DetRng(2201).spawn(3), DetRng(2201).spawn(3)
-        for k in (0, 1, 2, 5, 50, 513):
-            assert batched.randranges(n, k) == [single.randrange(n) for _ in range(k)]
-            assert batched._state == single._state
-        assert batched.next_u64() == single.next_u64()
-
-    def test_zero_draws_leave_the_state(self):
-        rng = DetRng(3)
-        state = rng._state
-        assert rng.randranges(5, 0) == []
-        assert rng._state == state
-
-    @pytest.mark.parametrize("n", [0, -1, -(2**70)])
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_an_empty_range_raises_and_draws_nothing(self, n, k):
-        rng = DetRng(4)
-        state = rng._state
-        with pytest.raises(ValueError, match="randrange needs n >= 1"):
-            rng.randranges(n, k)
-        assert rng._state == state

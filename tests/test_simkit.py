@@ -3,16 +3,17 @@ import inspect
 import math
 import statistics
 from dataclasses import FrozenInstanceError, fields, replace
-from heapq import heappop
+from heapq import heappop, heappush
 from itertools import product
 
 import pytest
 
+import ccarena.simkit as simkit
 from ccarena import core
 from ccarena.core import ConfigError, OpEvent, OpKind, Outcome
-from ccarena.harness import compute_waiting_time
+from ccarena.harness import compute_waiting_time, verify_run
 from ccarena.oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
-from ccarena.rng import DetRng
+from ccarena.rng import _LCG_A, _LCG_C, DetRng
 from ccarena.simkit import (
     MAX_MS,
     MAX_TXN_LEN,
@@ -115,8 +116,9 @@ class TestConfig:
 
 
 def reference_gen_workload(cfg, rng):
-    """The workload generator with one randrange call and one (kind, item)
-    key per operator, kept as the reference the batched one must equal."""
+    """The workload generator with one DetRng call per draw and one
+    (kind, item) key per operator, kept as the reference the inline one must
+    equal."""
     workload = []
     shared = {}
     reads = []
@@ -156,6 +158,19 @@ class TestWorkload:
             [[type(op) for op in ops] for ops in want]
         assert sharing(got) == sharing(want)
         assert rng._state == ref_rng._state  # the same draws, no more
+
+    def test_a_zero_first_uniform_is_clamped(self):
+        # the state one step before an all-zero draw: the length's first
+        # uniform is 0, which Box-Muller clamps to 2**-53 before its log
+        state = (-_LCG_C) * pow(_LCG_A, -1, 2**64) % 2**64
+        cfg = quiet_cfg(n_txns=5, mean_len=9, sd_len=3)
+        rng, ref_rng = DetRng(0), DetRng(0)
+        rng._state = ref_rng._state = state
+        assert gen_workload(cfg, rng) == reference_gen_workload(cfg, ref_rng)
+        assert rng._state == ref_rng._state
+        probe = DetRng(0)
+        probe._state = state
+        assert probe.random() == 0.0
 
     def test_deterministic_for_a_seed(self):
         cfg = quiet_cfg(seed=7)
@@ -285,7 +300,6 @@ class TestLockSafetyDuringSimulation:
         from test_baselines import assert_lock_safety, rebuilt_waiting
 
         from ccarena.baselines import LockTable
-        import ccarena.simkit as simkit
 
         class AuditedTable(LockTable):
             def acquire(self, txn_id, item_id, mode):
@@ -374,8 +388,6 @@ class TestGoldenRuns:
     def test_s2pl_shapes_break_deadlocks_both_ways(self, shape, monkeypatch):
         # an aborted attempt that is parked when it is ended was woken as a
         # victim; one that is not parked was the requester itself
-        import ccarena.simkit as simkit
-
         victims = {"parked": 0, "self": 0}
         s2pl_end = simkit._Sim.s2pl_end
 
@@ -392,8 +404,6 @@ class TestGoldenRuns:
 def _run_keeping_sim(cfg, monkeypatch, sim_class=_Sim):
     """Run cfg on a sim_class and return the result with the sim it ran on,
     as the event loop left it."""
-    import ccarena.simkit as simkit
-
     sims = []
 
     class Kept(sim_class):
@@ -414,8 +424,6 @@ class TestEventCountBoundary:
         # the benchmark counts queued events by wrapping EventQueue.pop on the
         # class, so the event loop must pop each queued event through it,
         # once; a direct resume takes no seq and no pop
-        import ccarena.simkit as simkit
-
         pops = 0
         pop = simkit.EventQueue.pop
 
@@ -428,7 +436,7 @@ class TestEventCountBoundary:
         heappush = simkit.heappush
 
         def watched_push(heap, entry):
-            states.append(inspect.getgeneratorstate(entry[2][0]))
+            states.append(inspect.getgeneratorstate(entry[2]))
             heappush(heap, entry)
 
         monkeypatch.setattr(simkit.EventQueue, "pop", counted)
@@ -446,23 +454,23 @@ class _ReferenceSim(_Sim):
     """The event loop that queues every arrival up front and every resume:
     one heap over all events, each popped in (instant, seq) order."""
 
-    def arrive(self, instant, payload):
-        self.push(instant, payload)
+    def arrive(self, instant, gen):
+        self.push(instant, gen)
 
     def run_loop(self):
         heap = self._heap
         while heap:
-            instant, _, (gen, value) = heappop(heap)
+            instant, _, gen = heappop(heap)
             assert instant >= self.now
             self.now = instant
             try:
-                cmd = gen.send(value)
+                cmd = next(gen)
             except StopIteration:
                 continue
             if isinstance(cmd, tuple):
                 self.parked[cmd[1]] = gen
                 continue
-            self.push(self.now + cmd, (gen, None))
+            self.push(self.now + cmd, gen)
 
 
 def _run_on(sim_class, cfg, monkeypatch):
@@ -476,6 +484,15 @@ _LOOP_SHAPES = {
     # zero service time and zero latencies: nearly every event shares its
     # instant with others, so only the tie order decides
     "tie_storm": dict(n_txns=30, mean_len=3, op_service_ms=0, arrival_mean_ms=2, seed=5),
+    # one-value latency ranges: each draw still steps the stream
+    "fixed_latency": dict(n_txns=30, mean_len=4, uplink_latency_ms=(7, 7),
+                          downlink_latency_ms=(3, 3), reconnect_delay_ms=(50, 50),
+                          arrival_mean_ms=15, seed=6),
+    # hi - lo + 1 = MAX_MS + 1 has no exact float, so a draw that multiplies
+    # in another order than DetRng.uniform_ms rounds differently here
+    "widest_reconnect": dict(n_txns=20, mean_len=4, uplink_latency_ms=(1, 8),
+                             downlink_latency_ms=(1, 8), reconnect_delay_ms=(0, MAX_MS),
+                             arrival_mean_ms=10, seed=8),
 }
 
 
@@ -495,6 +512,71 @@ class TestLoopMatchesTheOneHeapLoop:
         assert any(fewer)  # direct resumes fired
 
 
+def reference_txn_process(sim, ops, run, rng, offset):
+    """The client loop drawing through DetRng methods and counting into
+    `run` as it goes, kept as the reference the inline one must equal."""
+    cfg = sim.cfg
+    new_policy = simkit._POLICIES[cfg.protocol]
+    random, uniform_ms = rng.random, rng.uniform_ms
+    disconnect_prob, service_ms = cfg.disconnect_prob, cfg.op_service_ms
+    uplink, downlink, reconnect = (cfg.uplink_latency_ms, cfg.downlink_latency_ms,
+                                   cfg.reconnect_delay_ms)
+    outcome = Outcome.ABORTED
+    served = 0  # service time over every attempt
+    for attempt in range(cfg.retries + 1):
+        aid = run.txn_id if attempt == 0 else next(sim.attempt_ids)
+        run.attempts += 1
+        policy = new_policy(sim, aid, offset)
+        record, lock = policy.record, policy.lock
+        connected = True
+        for op in ops:
+            if random() < disconnect_prob:  # rolled even when offline
+                connected = False
+            if lock:
+                if not connected:
+                    yield uniform_ms(reconnect)
+                    connected = True
+                run.messages += 1
+                yield uniform_ms(uplink)
+                if not (yield from lock(op)):
+                    outcome = Outcome.ABORTED  # the server recorded it and released the locks
+                    break
+                run.messages += 1
+                yield uniform_ms(downlink)
+            yield service_ms
+            served += service_ms
+            record(op)
+        else:
+            record(core.COMMIT)
+            if not connected:
+                yield uniform_ms(reconnect)
+            run.messages += 1
+            yield uniform_ms(uplink)
+            outcome = policy.commit(sim.stamp(sim.now))
+        run.messages += 1
+        yield uniform_ms(downlink)
+        if outcome is Outcome.COMMITTED:
+            break
+    run.outcome = outcome
+    run.service_ms = served
+    run.terminal_ms = sim.now
+
+
+class TestClientLoopMatchesTheReference:
+    @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+    @pytest.mark.parametrize("shape", sorted(_LOOP_SHAPES))
+    def test_same_history_and_timings(self, shape, protocol, monkeypatch):
+        for disconnect_prob, retries in product((0.0, 1.0), range(4)):
+            cfg = quiet_cfg(**{**_LOOP_SHAPES[shape], "protocol": protocol, "retries": retries,
+                               "disconnect_prob": disconnect_prob})
+            got = run_simulation(cfg)
+            with monkeypatch.context() as m:
+                m.setattr(simkit, "_txn_process", reference_txn_process)
+                want = run_simulation(cfg)
+            assert got.history.to_text() == want.history.to_text(), cfg
+            assert repr(got.timings) == repr(want.timings), cfg
+
+
 def _stub_process(*delays):
     yield from delays
 
@@ -505,18 +587,29 @@ class TestClockGuard:
         # the delay of 5 resumes at once whether or not another arrival is
         # pending at 100; the delay of -1 would move the clock from 5 to 4
         sim = _Sim(quiet_cfg())
-        sim.arrive(0, (_stub_process(5, -1), None))
+        sim.arrive(0, _stub_process(5, -1))
         if pending:
-            sim.arrive(100, (_stub_process(1), None))
+            sim.arrive(100, _stub_process(1))
         with pytest.raises(AssertionError, match="event clock moved backwards: 4 < 5"):
             sim.run_loop()
 
     def test_arrivals_come_in_instant_order(self):
         sim = _Sim(quiet_cfg())
-        sim.arrive(5, (_stub_process(), None))
-        sim.arrive(5, (_stub_process(), None))
+        sim.arrive(5, _stub_process())
+        sim.arrive(5, _stub_process())
         with pytest.raises(ValueError, match="arrival at 4 after one at 5"):
-            sim.arrive(4, (_stub_process(), None))
+            sim.arrive(4, _stub_process())
+
+
+def assert_no_attempt_left(sim):
+    """Nothing is parked, and the lock table keeps nothing of any attempt."""
+    table = sim.table
+    assert sim.parked == {}
+    assert table._begin == {}
+    assert table._presence == {}
+    assert table._waiting == {}
+    assert all(not locks.granted and not locks.queue and not locks.successors
+               for locks in table._items.values())
 
 
 class TestServerStateAfterRun:
@@ -527,13 +620,7 @@ class TestServerStateAfterRun:
         result, sim = _run_keeping_sim(
             quiet_cfg(protocol="s2pl", **_GOLDEN_SHAPES[shape]), monkeypatch)
         assert sum(t.attempts for t in result.timings) > result.config.n_txns
-        table = sim.table
-        assert table._begin == {}
-        assert table._presence == {}
-        assert table._waiting == {}
-        assert sim.parked == {}
-        assert all(not locks.granted and not locks.queue and not locks.successors
-                   for locks in table._items.values())
+        assert_no_attempt_left(sim)
 
     @pytest.mark.parametrize("shape", sorted({s for s, p in _GOLDEN if p == "occ"}))
     def test_occ_book_holds_the_committed_commit_instants(self, shape, monkeypatch):
@@ -570,6 +657,65 @@ class TestServerStateAfterRun:
         assert set(sim.registry._items) == touched
 
 
+class _TieOrderSim(_Sim):
+    """Pops a seeded choice among the events at the smallest instant, not
+    the one scheduled first. run_loop resumes a process at once only when
+    its instant is strictly earlier than every pending one, so every tie
+    comes here."""
+
+    tie_seed = 0
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.tie_rng = DetRng(self.tie_seed)
+        self.choices = 0  # pops that chose among two or more events
+        self.parked_victims = 0
+
+    def pop(self):
+        heap, arrivals = self._heap, self._arrivals
+        instant = min(queue[0][0] for queue in (heap, arrivals) if queue)
+        tied = []
+        while heap and heap[0][0] == instant:
+            tied.append(heappop(heap))
+        while arrivals and arrivals[0][0] == instant:
+            tied.append(arrivals.popleft())
+        self.choices += len(tied) > 1
+        _, _, gen = tied.pop(self.tie_rng.randrange(len(tied)))
+        for entry in tied:  # a tied arrival waits on the heap from now on
+            heappush(heap, entry)
+        assert instant >= self.now
+        self.now = instant
+        return gen
+
+    def s2pl_end(self, aid, outcome, instant):
+        self.parked_victims += aid in self.parked
+        super().s2pl_end(aid, outcome, instant)
+
+
+class TestAnyTieOrderRunsClean:
+    @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+    def test_every_tie_order_passes_the_gate(self, protocol, monkeypatch):
+        # zero latencies put most events on shared instants; whichever tied
+        # event runs first, a woken s2pl attempt reads from the lock table
+        # whether it was granted or picked as a victim
+        choices = parked_victims = aborted = 0
+        for n_items, retries, disconnect_prob, tie_seed in product(
+                range(1, 4), range(3), (0.0, 0.5, 1.0), range(4)):
+            cfg = quiet_cfg(protocol=protocol, n_items=n_items, n_txns=8, mean_len=3,
+                            retries=retries, disconnect_prob=disconnect_prob,
+                            arrival_mean_ms=5, seed=23)
+            sim_class = type("TieOrderSim", (_TieOrderSim,), {"tie_seed": tie_seed})
+            result, sim = _run_keeping_sim(cfg, monkeypatch, sim_class)
+            assert verify_run(result.history, protocol) is None, (cfg, tie_seed)
+            assert result.committed + result.aborted == cfg.n_txns
+            assert_no_attempt_left(sim)
+            choices += sim.choices
+            parked_victims += sim.parked_victims
+            aborted += result.aborted
+        assert choices > 0 and aborted > 0
+        assert (parked_victims > 0) is (protocol == "s2pl")
+
+
 class TestClientOffsets:
     @pytest.mark.parametrize("n_txns", [1, 5, 40, 60])
     def test_each_transaction_draws_one_offset(self, n_txns, monkeypatch):
@@ -600,8 +746,6 @@ class TestClockSkewInvariance:
     def test_skew_never_changes_a_run(self, protocol, monkeypatch):
         # client clocks only ever yield relative timestamps, so how far they
         # sit from the server clock cannot matter
-        import ccarena.simkit as simkit
-
         cfg = quiet_cfg(protocol=protocol, **_NOISY)
         runs = []
         for skew in (0, 10**6, 10**9):
