@@ -29,6 +29,7 @@ from .harness import (
 )
 from .oracle import (
     BRUTE_FORCE_LIMIT,
+    OperationAfterTerminal,
     brute_force_serializable,
     check_commitment_ordering,
     commit_order_holds,
@@ -130,8 +131,13 @@ def _cmd_check(args) -> int:
         history = History.from_text(fh.read())
     # the scan, not the gate's replay, because it names the violation and
     # counts ties; a commit-ordered history is acyclic, so only a failing scan
-    # needs the graph
-    holds = commit_order_holds(history)  # None: commits do not increase
+    # needs the graph. The replay cross-checks the scan and finds an
+    # operation after its own terminal.
+    try:
+        holds = commit_order_holds(history)  # None: commits do not increase
+        late = None
+    except OperationAfterTerminal as exc:
+        holds, late = None, exc
     co = check_commitment_ordering(history)
     acyclic = bool(co) or is_acyclic(conflict_skeleton(history))
     n_committed = len(history.committed())
@@ -140,6 +146,8 @@ def _cmd_check(args) -> int:
     print(f"commitment ordered: {'yes' if co else f'NO, violation {co.violation}'}")
     if co.ties:
         print(f"instant ties (directed by commit order): {len(co.ties)}")
+    if late is not None:
+        print(f"operation after its own terminal: {late}")
     if n_committed <= BRUTE_FORCE_LIMIT:
         brute = brute_force_serializable(history)
         print(f"brute-force serializable: {'yes' if brute else 'NO'}")
@@ -149,7 +157,7 @@ def _cmd_check(args) -> int:
     if holds is not None and holds != bool(co):
         print("oracle disagreement between replay and scan!", file=sys.stderr)
         return EXIT_ORACLE
-    if not acyclic or not co:
+    if late is not None or not acyclic or not co:
         return EXIT_ORACLE
     return EXIT_OK
 

@@ -2,7 +2,8 @@
 
 Every simulation run is checked before its metrics row is emitted: the
 committed history must be conflict-serializable and must satisfy the
-commit-order property, whichever protocol produced it. The gate decides on a
+commit-order property, and no operation may come after its own
+transaction's terminal, whichever protocol produced it. The gate decides on a
 replay of the commits in commit order, which implies an acyclic conflict
 graph. Only a run the replay fails or cannot decide runs the commit-order
 scan, which names the violation, and only a failing scan builds the conflict
@@ -20,8 +21,8 @@ from functools import partial
 from itertools import product
 
 from .core import ConfigError, History
-from .oracle import (check_commitment_ordering, commit_order_holds, conflict_skeleton,
-                     is_acyclic)
+from .oracle import (OperationAfterTerminal, check_commitment_ordering, commit_order_holds,
+                     conflict_skeleton, is_acyclic)
 from .simkit import (FIELD_TYPES, PROTOCOLS, RunResult, SimConfig, TxnTiming, parse_kv_text,
                      parse_value, run_simulation)
 
@@ -113,8 +114,13 @@ def verify_run(history: History, protocol: str) -> str | None:
     and the conflict skeleton is built to report a cycle ahead of the
     commit-order violation when there is one. A scan that passes where the
     replay failed raises AssertionError: the two deciders must never disagree.
+    In the same pass the replay finds an operation that comes after its own
+    transaction's terminal, committed or aborted, which no protocol makes.
     """
-    holds = commit_order_holds(history)
+    try:
+        holds = commit_order_holds(history)
+    except OperationAfterTerminal as late:
+        return f"operation after its own terminal: {late}"
     if holds:
         return None
     co = check_commitment_ordering(history)

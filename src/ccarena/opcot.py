@@ -9,9 +9,11 @@ Clients therefore talk to the server exactly once per transaction, and
 unsynchronized client clocks never matter.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate, repeat
+from operator import attrgetter, itemgetter
 
 from .core import (
     History,
@@ -28,8 +30,10 @@ from .core import (
 
 # enum members bound once: looking one up on OpKind costs more than the test
 _BEGIN, _COMMIT, _READ = OpKind.BEGIN, OpKind.COMMIT, OpKind.READ
-_new_tuple = tuple.__new__  # builds a named tuple without its generated __new__
+# a LogRecord from an (op, rel_ts) tuple, without its generated __new__ and rel_ts check
+_new_record = partial(tuple.__new__, LogRecord)
 _op_of = itemgetter(0)  # a LogRecord's op
+_is_data = attrgetter("is_data")
 
 
 class ClockRegressionError(ValueError):
@@ -57,12 +61,35 @@ def client_record_op(log: OperatorLog, op: Operation, now: int,
         if op.kind is _BEGIN:
             raise InvalidLogError("Begin must be the first record")
         # now >= prev_op_instant, so LogRecord's own rel_ts check would pass
-        records.append(_new_tuple(LogRecord, (op, now - prev_op_instant)))
+        records.append(_new_record((op, now - prev_op_instant)))
     elif op.kind is _BEGIN:
         records.append(LogRecord(op, 0))
     else:
         raise InvalidLogError("first record must be Begin")
     return log, now
+
+
+def client_record_ops(log: OperatorLog, ops: Sequence[Operation], step: int,
+                      prev_op_instant: int) -> int:
+    """client_record_op for each op in turn, each `step` ms after the one
+    before, starting from prev_op_instant; returns the last op's instant.
+
+    Appends the records of that loop and refuses what it refuses, with the
+    same error, but a refused call appends nothing. An opcot attempt runs its
+    operators offline, one service time apart, and logs them with one such
+    call at its commit request: data operators after Begin, which need none
+    of the loop's checks."""
+    records = log.records
+    if step >= 0 and records and records[-1].op.kind is not _COMMIT \
+            and all(map(_is_data, ops)):
+        records.extend(map(_new_record, zip(ops, repeat(step))))
+        return prev_op_instant + step * len(ops)
+    staged = OperatorLog(log.txn_id, records[:])  # the loop itself, on a copy
+    for op in ops:
+        _, prev_op_instant = client_record_op(staged, op, prev_op_instant + step,
+                                              prev_op_instant)
+    records.extend(staged.records[len(records):])
+    return prev_op_instant
 
 
 def rebase_to_server_time(log: OperatorLog, receipt: int) -> list[int]:

@@ -15,9 +15,10 @@ per-item scans and is exact at any scale. A history that passes it is
 acyclic: every conflict edge points to a strictly later commit, so commit
 order is a topological order. commit_order_holds reaches the scan's verdict
 in one pass over the history, replaying commits in commit order, without
-sorting, whenever commits increase along the history; the run gate decides on
-it, and runs the scan, which names the violation, and the skeleton, which
-names a cycle, only for a run it fails or cannot decide.
+sorting, whenever commits increase along the history, and in the same pass
+finds an operation that comes after its own transaction's terminal; the run
+gate decides on it, and runs the scan, which names the violation, and the
+skeleton, which names a cycle, only for a run it fails or cannot decide.
 """
 
 from collections import defaultdict
@@ -26,7 +27,7 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import permutations
 from operator import itemgetter
 
-from .core import History, OpEvent, OpKind, Outcome
+from .core import History, OpEvent, OpKind, Operation, Outcome
 
 
 class OracleScaleError(ValueError):
@@ -240,9 +241,20 @@ def check_commitment_ordering(history: History) -> CoCheck:
     return CoCheck(True, ties=ties)
 
 
+class OperationAfterTerminal(Exception):
+    """A transaction has an operation at an instant after its own terminal."""
+
+    def __init__(self, txn_id: int, op: Operation, instant: int, terminal: int):
+        super().__init__(f"txn {txn_id} has {op.kind.value} on item {op.item_id} at {instant}, "
+                         f"after its terminal at {terminal}")
+
+
 def commit_order_holds(history: History) -> bool | None:
     """The verdict of check_commitment_ordering, in one pass over the events,
-    or None when a commit is not above the one before it.
+    or None when a commit is not above the one before it. Raises
+    OperationAfterTerminal at the first terminal, committed or aborted, that
+    an operation of its own transaction comes after, unless a failing commit
+    came first.
 
     Each transaction's operations wait in a buffer until its terminal. At a
     commit whose instant is above every earlier commit's, each buffered
@@ -257,13 +269,15 @@ def commit_order_holds(history: History) -> bool | None:
     c_a > c_b, and the replay fails on exactly those pairs, at the commit of
     a. A commit at or below an earlier one occurs only in hand-made
     histories and dumps (the simulated server stamps every commit above the
-    last); there the replay returns None and leaves the verdict to the scan.
+    last); from there on the replay only checks terminals, and returns None
+    to leave the verdict to the scan.
     """
     pending: defaultdict[int, list[OpEvent]] = defaultdict(list)
     max_write: dict[int, int] = {}
     max_access: dict[int, int] = {}   # over reads and writes
     committed, write_kind = Outcome.COMMITTED, OpKind.WRITE
     prev_commit = None
+    undecided = False
     # events are indexed: OpEvent is (txn_id, op, instant), TerminalEvent
     # (txn_id, outcome, instant)
     for ev in history.events:
@@ -271,12 +285,20 @@ def commit_order_holds(history: History) -> bool | None:
             pending[ev[0]].append(ev)
             continue
         ops = pending.pop(ev[0], ())
-        if ev[1] is not committed:
+        end = ev[2]
+        if ev[1] is not committed or undecided or (prev_commit is not None
+                                                    and end <= prev_commit):
+            # an abort, or any terminal once commits stop increasing: only
+            # the terminal check is left
+            undecided = undecided or ev[1] is committed
+            for _, op, t in ops:
+                if t > end:
+                    raise OperationAfterTerminal(ev[0], op, t, end)
             continue
-        if prev_commit is not None and ev[2] <= prev_commit:
-            return None
-        prev_commit = ev[2]
+        prev_commit = end
         for _, op, t in ops:
+            if t > end:
+                raise OperationAfterTerminal(ev[0], op, t, end)
             bound = (max_access if op.kind is write_kind else max_write).get(op.item_id)
             if bound is not None and t < bound:
                 return False
@@ -286,7 +308,7 @@ def commit_order_holds(history: History) -> bool | None:
                 max_access[item] = t
             if op.kind is write_kind and t > max_write.get(item, t - 1):
                 max_write[item] = t
-    return True
+    return None if undecided else True
 
 
 def brute_force_serializable(history: History) -> bool:

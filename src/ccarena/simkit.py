@@ -8,10 +8,11 @@ point.
 Every protocol runs the same client loop: per operator a disconnect roll and
 the service time, then one commit request and its reply, with retries as
 fresh attempts. Protocols differ only on the server, in a small policy object
-per attempt: opcot logs operators with relative timestamps and validates the
-log at commit, occ buffers writes and validates backwards, and s2pl adds a
-lock round-trip before each operator, which may park the client or pick it as
-a deadlock victim.
+per attempt: opcot logs operators with relative timestamps, built at the
+commit request, and validates the log at commit, occ buffers writes and
+validates backwards, and s2pl adds a lock round-trip before each operator,
+which may park the client or pick it as a deadlock victim. Without that
+round-trip an attempt runs its operators offline, back to back.
 
 Client mobility is abstracted into per-operation disconnect rolls plus a
 reconnect delay that is paid only when a server exchange is actually needed.
@@ -49,10 +50,12 @@ from .core import (
     OpKind,
     Outcome,
 )
-from .opcot import client_record_op, commit_transaction
+from .opcot import client_record_op, client_record_ops, commit_transaction
 from .rng import _LCG_A, _LCG_C, _MASK64, DetRng
 
 PROTOCOLS = ("opcot", "occ", "s2pl")
+# enum members bound once: looking one up on OpKind costs more than the test
+_READ, _WRITE = OpKind.READ, OpKind.WRITE
 
 _CLIENT_CLOCK_SKEW_MS = 1_000_000  # client clocks sit anywhere within +/- this
 # upper bound on mean_len and sd_len; a larger one draws lengths no run can finish
@@ -346,7 +349,10 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
 
     The transaction's own stream is stepped inline, each draw the float
     expression of rng.random or rng.uniform_ms; nothing else reads that
-    stream, so its state is not written back."""
+    stream, so its state is not written back. A lock-less attempt draws its
+    disconnect rolls together before its first operator: it draws nothing
+    else until its commit request, so the stream's order is that of a roll
+    before each operator."""
     cfg = sim.cfg
     new_policy = _POLICIES[cfg.protocol]
     a, c, mask = _LCG_A, _LCG_C, _MASK64
@@ -355,19 +361,34 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
     (up_lo, up_hi), (down_lo, down_hi), (re_lo, re_hi) = (
         cfg.uplink_latency_ms, cfg.downlink_latency_ms, cfg.reconnect_delay_ms)
     up_n, down_n, re_n = up_hi - up_lo + 1, down_hi - down_lo + 1, re_hi - re_lo + 1
-    outcome = Outcome.ABORTED
     served = messages = attempts = 0  # over every attempt
     for attempt in range(cfg.retries + 1):
         aid = run.txn_id if attempt == 0 else next(sim.attempt_ids)
         attempts += 1
         policy = new_policy(sim, aid, offset)
-        record, lock = policy.record, policy.lock
+        lock = policy.lock
         connected = True
-        for op in ops:
-            state = (state * a + c) & mask
-            if (state >> 11) * 2.0 ** -53 < disconnect_prob:  # rolled even when offline
-                connected = False
-            if lock:
+        outcome = None
+        if lock is None:  # offline: the operators cost only their service time
+            for _ in ops:
+                state = (state * a + c) & mask
+                if (state >> 11) * 2.0 ** -53 < disconnect_prob:
+                    connected = False
+            record = policy.record
+            if record is None:
+                for _ in ops:
+                    yield service_ms
+            else:
+                for op in ops:
+                    yield service_ms
+                    record(op)
+            served += service_ms * len(ops)
+            policy.request(ops)
+        else:
+            for op in ops:
+                state = (state * a + c) & mask
+                if (state >> 11) * 2.0 ** -53 < disconnect_prob:  # rolled even when offline
+                    connected = False
                 if not connected:
                     state = (state * a + c) & mask
                     yield re_lo + int((state >> 11) * 2.0 ** -53 * re_n)
@@ -381,11 +402,9 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
                 messages += 1
                 state = (state * a + c) & mask
                 yield down_lo + int((state >> 11) * 2.0 ** -53 * down_n)
-            yield service_ms
-            served += service_ms
-            record(op)
-        else:
-            record(core.COMMIT)
+                yield service_ms
+                served += service_ms
+        if outcome is None:
             if not connected:
                 state = (state * a + c) & mask
                 yield re_lo + int((state >> 11) * 2.0 ** -53 * re_n)
@@ -405,26 +424,32 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
     run.terminal_ms = sim.now
 
 
-# Server policies, one per protocol and attempt. record(op) takes the local
-# effect of each executed operator, then of COMMIT just before the commit
-# exchange; commit(instant) decides at the server's receipt instant. A policy
-# with a lock(op) generator costs the client a round-trip per operator, and
-# the generator returns False when the server ends the attempt there.
+# Server policies, one per protocol and attempt; commit(instant) decides at
+# the server's receipt instant. An attempt whose policy has a lock(op)
+# generator pays a round-trip per operator, and the generator returns False
+# when the server ends the attempt there. The others run their operators
+# offline: record(op), where a policy has one, takes each operator's local
+# effect at its instant, and request(ops) takes the attempt's at its commit
+# request, before the commit exchange.
 
 class _Opcot:
     """Log operators with relative timestamps off the skewed client clock;
     the server rebases and validates the whole log at commit."""
 
-    lock = None
+    lock = record = None
 
     def __init__(self, sim: _Sim, aid: int, offset: int):
         self.sim, self.offset = sim, offset
         self.log = OperatorLog(aid)
-        self.prev = sim.now + offset
-        self.record(core.BEGIN)
+        self.begin = sim.now + offset
+        client_record_op(self.log, core.BEGIN, self.begin, self.begin)
 
-    def record(self, op: Operation) -> None:
-        _, self.prev = client_record_op(self.log, op, self.sim.now + self.offset, self.prev)
+    def request(self, ops: list[Operation]) -> None:
+        """Log each operator at its client instant, one service time after
+        the one before it, then Commit at the client's clock."""
+        sim = self.sim
+        prev = client_record_ops(self.log, ops, sim.cfg.op_service_ms, self.begin)
+        client_record_op(self.log, core.COMMIT, sim.now + self.offset, prev)
 
     def commit(self, instant: int) -> Outcome:
         sim = self.sim
@@ -442,14 +467,14 @@ class _Occ:
         self.sim, self.aid = sim, aid
         self.start = sim.now
         self.reads: set[int] = set()
-        self.writes: list[Operation] = []
 
     def record(self, op: Operation) -> None:
-        if op.kind is OpKind.READ:
+        if op.kind is _READ:
             self.reads.add(op.item_id)
             self.sim.history.record_op(self.aid, op, self.sim.now)
-        elif op.kind is OpKind.WRITE:
-            self.writes.append(op)
+
+    def request(self, ops: list[Operation]) -> None:
+        self.writes = [op for op in ops if op.kind is _WRITE]
 
     def commit(self, instant: int) -> Outcome:
         history = self.sim.history
@@ -468,9 +493,6 @@ class _S2pl:
     def __init__(self, sim: _Sim, aid: int, offset: int):
         self.sim, self.aid = sim, aid
         sim.table.register_txn(aid, sim.now)
-
-    def record(self, op: Operation) -> None:
-        pass  # lock() records each operator at its grant
 
     def lock(self, op: Operation):
         """Acquire op's lock, parking while blocked, record op at the grant

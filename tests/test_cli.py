@@ -151,6 +151,15 @@ class TestCheckCommand:
         assert run_cli("check", "--history", str(path)) == 2
         assert "commitment ordered: NO" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("outcome", ["COMMITTED", "ABORTED"])
+    def test_an_operation_after_its_own_terminal_exits_2(self, tmp_path, capsys, outcome):
+        path = tmp_path / "late.history"
+        path.write_text(f"OP 1 R 5 10\nEND 1 {outcome} 5\n", encoding="utf-8")
+        assert run_cli("check", "--history", str(path)) == 2
+        out = capsys.readouterr().out
+        assert ("operation after its own terminal: txn 1 has R on item 5 at 10, "
+                "after its terminal at 5\n") in out
+
     def test_cycle_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cyc.history"
         path.write_text(CYCLE_HISTORY, encoding="utf-8")

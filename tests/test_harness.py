@@ -234,6 +234,16 @@ class TestOracleGate:
         cyc.record_terminal(2, Outcome.COMMITTED, 31)
         assert "cycle" in verify_run(cyc, "s2pl")
 
+    @pytest.mark.parametrize("outcome", list(Outcome))
+    @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+    def test_an_operation_after_its_own_terminal_fails(self, protocol, outcome):
+        # serializable and commit-ordered, which the replay alone catches
+        h = History()
+        h.record_op(1, read(5), 10)
+        h.record_terminal(1, outcome, 5)
+        assert verify_run(h, protocol) == ("operation after its own terminal: txn 1 has R on "
+                                           "item 5 at 10, after its terminal at 5")
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("protocol", ["occ", "s2pl"])
     def test_baseline_runs_pass_the_whole_gate(self, protocol, seed):

@@ -25,6 +25,7 @@ from ccarena.opcot import (
     CommitDecision,
     RebaseUnderflowError,
     client_record_op,
+    client_record_ops,
     commit_transaction,
     rebase_to_server_time,
     validate_commit,
@@ -99,6 +100,76 @@ class TestClientRecordOp:
             client_record_op(log, op, now, prev)
         assert type(exc.value) is error and str(exc.value) == message
         assert log.records == before  # a refused operator leaves the log as it was
+
+
+def _random_ops(rng, n, shape_faults):
+    """n data operators; with shape_faults, each may be a Begin or a Commit."""
+    ops = []
+    for _ in range(n):
+        roll = rng.random()
+        if shape_faults and roll < 0.1:
+            ops.append(BEGIN)
+        elif shape_faults and roll < 0.2:
+            ops.append(COMMIT)
+        else:
+            ops.append(read(rng.randrange(5)) if roll < 0.6 else write(rng.randrange(5)))
+    return ops
+
+
+def _record_one_by_one(log, ops, step, prev):
+    """client_record_op per op, each step ms after the one before:
+    (records, final instant) or (error type, message)."""
+    try:
+        for op in ops:
+            log, prev = client_record_op(log, op, prev + step, prev)
+    except (ClockRegressionError, InvalidLogError) as exc:
+        return type(exc), str(exc)
+    return log.records, prev
+
+
+class TestClientRecordOps:
+    def test_equals_one_call_per_operator(self):
+        rng = DetRng(2501)
+        seen = {}
+        for _ in range(3000):
+            prefix = [LogRecord(op, 0 if op is BEGIN else 3) for op in
+                      [[], [BEGIN], [BEGIN, read(1), write(2)], [BEGIN, write(3), COMMIT]][
+                          rng.randrange(4)]]
+            ops = _random_ops(rng, rng.randrange(7), shape_faults=rng.random() < 0.5)
+            step, prev = rng.randrange(25) - 4, 1000 + rng.randrange(100)
+            loop_log, batch_log = OperatorLog(1, list(prefix)), OperatorLog(1, list(prefix))
+            want = _record_one_by_one(loop_log, ops, step, prev)
+            try:
+                got = batch_log.records, client_record_ops(batch_log, ops, step, prev)
+            except (ClockRegressionError, InvalidLogError) as exc:
+                got = type(exc), str(exc)
+                assert batch_log.records == prefix  # a refused batch appends nothing
+            assert got == want, (prefix, ops, step)
+            if isinstance(got[0], list):
+                assert all(type(r) is LogRecord for r in got[0])
+                seen["recorded"] = seen.get("recorded", 0) + 1
+            else:
+                seen[got[1].split(":")[0]] = seen.get(got[1].split(":")[0], 0) + 1
+        assert len(seen) == 5 and min(seen.values()) >= 50, seen
+
+    def test_an_open_log_takes_the_operators_one_step_apart(self):
+        log, prev = client_record_op(OperatorLog(1), BEGIN, 500, 500)
+        assert client_record_ops(log, [read(7), write(7), read(2)], 10, prev) == 530
+        assert log.records == [LogRecord(BEGIN, 0), LogRecord(read(7), 10),
+                               LogRecord(write(7), 10), LogRecord(read(2), 10)]
+
+    @pytest.mark.parametrize("ops", [[read(1)], [BEGIN, read(1)]])
+    def test_a_negative_step_is_a_clock_regression(self, ops):
+        log = OperatorLog(1)
+        with pytest.raises(ClockRegressionError,
+                           match="client clock regressed: now=499 < previous operator at 500"):
+            client_record_ops(log, ops, -1, 500)
+        assert log.records == []
+
+    def test_no_operators_leave_the_log_and_the_instant(self):
+        log = OperatorLog(1, [LogRecord(BEGIN, 0), LogRecord(COMMIT, 3)])
+        assert client_record_ops(log, [], -1, 500) == 500
+        assert log.records == [LogRecord(BEGIN, 0), LogRecord(COMMIT, 3)]
 
 
 class TestRebase:

@@ -9,6 +9,7 @@ from ccarena.oracle import (
     BRUTE_FORCE_LIMIT,
     CoCheck,
     EdgeLabel,
+    OperationAfterTerminal,
     OracleScaleError,
     SerializationGraph,
     brute_force_serializable,
@@ -499,18 +500,44 @@ def commits_increase(h: History) -> bool:
     return all(a < b for a, b in zip(commits, commits[1:]))
 
 
+def first_operation_after_terminal(h: History) -> str | None:
+    """The message naming the first operation, in terminal order, whose
+    instant is after its own transaction's terminal, or None."""
+    pending: dict[int, list[OpEvent]] = {}
+    for e in h.events:
+        if isinstance(e, OpEvent):
+            pending.setdefault(e.txn_id, []).append(e)
+            continue
+        for op_ev in pending.pop(e.txn_id, []):
+            if op_ev.instant > e.instant:
+                return (f"txn {e.txn_id} has {op_ev.op.kind.value} on item {op_ev.op.item_id} "
+                        f"at {op_ev.instant}, after its terminal at {e.instant}")
+    return None
+
+
 class TestCommitOrderReplay:
     """commit_order_holds must reach check_commitment_ordering's verdict on
     every history whose commits increase. Elsewhere it may return None, and
     leave the verdict to the scan, but a verdict it gives is the scan's."""
 
     def test_replay_agrees_with_the_scan_when_commits_increase(self):
+        # an operation after its own terminal raises, unless a failing commit
+        # comes first; the scan does not look for one
         rng = DetRng(2101)
-        seen = dict(holds=0, fails=0, ties=0, repeats=0, back_in_time=0)
+        seen = dict(holds=0, fails=0, ties=0, repeats=0, back_in_time=0, late=0,
+                    fails_before_late=0)
         for _ in range(4000):
             h = ordered_commit_history(rng)
             co = check_commitment_ordering(h)
-            assert commit_order_holds(h) == co.ok, h.to_text()
+            late = first_operation_after_terminal(h)
+            try:
+                holds = commit_order_holds(h)
+            except OperationAfterTerminal as exc:
+                assert late is not None and str(exc) == late, h.to_text()
+                seen["late"] += 1
+                continue
+            assert holds == co.ok, h.to_text()
+            seen["fails_before_late"] += late is not None
             seen["holds" if co.ok else "fails"] += 1
             seen["ties"] += bool(co.ties)
             seen["repeats"] += _repeats_at_one_instant(h)
@@ -553,5 +580,30 @@ class TestCommitOrderReplay:
         assert commit_order_holds(h) == holds == check_commitment_ordering(h).ok
 
     def test_aborted_and_unfinished_transactions_are_dropped(self):
-        h = hist(("w", 1, 0, 9), ("a", 1, 0), ("w", 3, 0, 9), ("r", 2, 0, 4), ("c", 2, 7))
+        h = hist(("w", 1, 0, 9), ("a", 1, 9), ("w", 3, 0, 9), ("r", 2, 0, 4), ("c", 2, 7))
         assert commit_order_holds(h) and check_commitment_ordering(h)
+
+    @pytest.mark.parametrize("tag", ["c", "a"], ids=["committed", "aborted"])
+    def test_an_operation_after_its_own_terminal_raises(self, tag):
+        # the scan passes it: it reads only the committed operations' order
+        h = hist(("r", 1, 5, 10), (tag, 1, 5))
+        assert check_commitment_ordering(h)
+        with pytest.raises(OperationAfterTerminal,
+                           match="^txn 1 has R on item 5 at 10, after its terminal at 5$"):
+            commit_order_holds(h)
+
+    def test_an_operation_at_its_terminal_is_fine(self):
+        h = hist(("w", 1, 5, 10), ("c", 1, 10), ("r", 2, 5, 11), ("a", 2, 11))
+        assert commit_order_holds(h) is True
+
+    @pytest.mark.parametrize("instant, late", [(6, False), (7, True)])
+    def test_terminals_are_checked_after_commits_stop_increasing(self, instant, late):
+        # txn 2 commits at txn 1's instant, so the replay leaves the verdict
+        # to the scan, but still checks txn 3 against its terminal
+        h = hist(("w", 1, 0, 1), ("c", 1, 5), ("w", 2, 1, 1), ("c", 2, 5),
+                 ("w", 3, 2, instant), ("c", 3, 6))
+        if late:
+            with pytest.raises(OperationAfterTerminal, match="^txn 3 has W on item 2 at 7"):
+                commit_order_holds(h)
+        else:
+            assert commit_order_holds(h) is None
