@@ -3,10 +3,9 @@
 Every simulation run is checked before its metrics row is emitted: the
 committed history must be conflict-serializable and must satisfy the
 commit-order property, and no operation may come after its own
-transaction's terminal, whichever protocol produced it. The gate decides on a
-replay of the commits in commit order, which implies an acyclic conflict
-graph. Only a run the replay fails or cannot decide runs the commit-order
-scan, which names the violation, and only a failing scan builds the conflict
+transaction's terminal, whichever protocol produced it. The gate decides on
+one commit-order check, a replay of the commits in commit order, whose pass
+implies an acyclic conflict graph. Only a run it fails builds the conflict
 skeleton, to name a cycle if there is one.
 A violation dumps the offending history to a file, by default in the working
 directory, and aborts the whole matrix.
@@ -21,8 +20,8 @@ from functools import partial
 from itertools import product
 
 from .core import ConfigError, History
-from .oracle import (OperationAfterTerminal, check_commitment_ordering, commit_order_holds,
-                     conflict_skeleton, is_acyclic)
+from .oracle import (OperationAfterTerminal, check_commitment_ordering, conflict_skeleton,
+                     is_acyclic)
 from .simkit import (FIELD_TYPES, PROTOCOLS, RunResult, SimConfig, TxnTiming, parse_kv_text,
                      parse_value, run_simulation)
 
@@ -106,27 +105,18 @@ def verify_run(history: History, protocol: str) -> str | None:
     commit, and backward-validation OCC installs its writes at commit. The
     protocol does not change which checks run.
 
-    The commit-order replay decides. When it passes, every conflict edge
-    points to a strictly later commit, so commit order is a topological order
-    and the graph is acyclic (Raz's commitment-ordering argument). Only a run
-    that the replay fails, or cannot decide because its commits do not
-    increase, runs the commit-order scan, once; a failing scan is explained,
-    and the conflict skeleton is built to report a cycle ahead of the
-    commit-order violation when there is one. A scan that passes where the
-    replay failed raises AssertionError: the two deciders must never disagree.
-    In the same pass the replay finds an operation that comes after its own
-    transaction's terminal, committed or aborted, which no protocol makes.
+    check_commitment_ordering decides, in one replay of the commits. A pass
+    means every conflict edge points to a strictly later commit, so commit
+    order is a topological order and the graph is acyclic (Raz's
+    commitment-ordering argument). A failing run builds the conflict skeleton,
+    to report a cycle ahead of the commit-order violation when there is one.
+    The replay also finds an operation after its own transaction's terminal.
     """
     try:
-        holds = commit_order_holds(history)
+        co = check_commitment_ordering(history)
     except OperationAfterTerminal as late:
         return f"operation after its own terminal: {late}"
-    if holds:
-        return None
-    co = check_commitment_ordering(history)
     if co:
-        if holds is False:
-            raise AssertionError("the commit-order replay failed a history the scan passes")
         return None
     check = is_acyclic(conflict_skeleton(history))
     if not check:

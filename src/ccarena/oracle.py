@@ -10,15 +10,13 @@ is quadratic per item and is the reference the tests and demo 04 use.
 conflict_skeleton keeps a subset of those edges that is cycle-equivalent
 (omitted edges are implied through the per-item write chain), so its witness
 cycles are real; it carries no labels, scales to large runs, and is what
-`ccarena check` decides acyclicity on. check_commitment_ordering streams over
-per-item scans and is exact at any scale. A history that passes it is
-acyclic: every conflict edge points to a strictly later commit, so commit
-order is a topological order. commit_order_holds reaches the scan's verdict
-in one pass over the history, replaying commits in commit order, without
-sorting, whenever commits increase along the history, and in the same pass
-finds an operation that comes after its own transaction's terminal; the run
-gate decides on it, and runs the scan, which names the violation, and the
-skeleton, which names a cycle, only for a run it fails or cannot decide.
+`ccarena check` decides acyclicity on. check_commitment_ordering, the one
+commit-order decider, replays the commits in commit order in one pass over
+the history, names a violating pair and counts ties, and in the same pass
+finds an operation that comes after its own transaction's terminal. A
+history that passes it is acyclic: every conflict edge points to a strictly
+later commit, so commit order is a topological order. The run gate decides
+on it and builds the skeleton, which names a cycle, only for a run it fails.
 """
 
 from collections import defaultdict
@@ -170,75 +168,10 @@ def is_acyclic(graph: SerializationGraph) -> CycleCheck:
 class CoCheck:
     ok: bool
     violation: tuple[int, int, int, tuple[int, int]] | None = None  # (txn_i, txn_j, item, instants)
-    ties: list[tuple[int, int, int, int]] = field(default_factory=list)
+    ties: int = 0  # conflicting pairs at one instant, directed by commit order
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _push_max(best, second, entry):
-    """Track the max (commit, instant, txn) entry plus the max from a
-    different transaction, so every op can be bounded against other txns."""
-    if best is None:
-        return entry, None
-    if entry[2] == best[2]:
-        return (entry, second) if entry > best else (best, second)
-    if entry > best:
-        return entry, best
-    if second is None or entry > second:
-        return best, entry
-    return best, second
-
-
-def check_commitment_ordering(history: History) -> CoCheck:
-    """Verify commit order matches conflict order for every conflicting pair.
-
-    For each item the committed operations are scanned in instant order; a
-    read must commit strictly after every strictly-earlier write on the item,
-    a write strictly after every strictly-earlier read or write. Ties in
-    operation instants are directed by commit order, hence consistent by
-    construction; they are collected for audit. Conflicting operations with
-    equal instants and equal commit instants admit no strict order and are
-    violations.
-    """
-    commits = history.committed()
-    per_item = _committed_ops_by_item(history, commits)
-    ties: list[tuple[int, int, int, int]] = []
-    for item_id, ops in sorted(per_item.items()):
-        w1 = w2 = None   # (commit, instant, txn) maxima over writes
-        a1 = a2 = None   # maxima over reads and writes
-        i = 0
-        n = len(ops)
-        while i < n:
-            t = ops[i][0]
-            j = i + 1
-            while j < n and ops[j][0] == t:
-                j += 1
-            group = ops[i:j]
-            if j - i > 1:
-                for x, (_, c_x, txn_x, w_x) in enumerate(group):
-                    for _, c_y, txn_y, w_y in group[x + 1:]:
-                        if txn_x != txn_y and (w_x or w_y):
-                            if c_x == c_y:
-                                return CoCheck(False, violation=(txn_x, txn_y, item_id, (t, t)),
-                                               ties=ties)
-                            ties.append((item_id, txn_x, txn_y, t))
-            for _, c, txn, is_write in group:
-                if is_write:
-                    bound = a1 if (a1 is not None and a1[2] != txn) else a2
-                else:
-                    bound = w1 if (w1 is not None and w1[2] != txn) else w2
-                if bound is not None and bound[0] >= c:
-                    return CoCheck(False,
-                                   violation=(bound[2], txn, item_id, (bound[1], t)),
-                                   ties=ties)
-            for _, c, txn, is_write in group:
-                entry = (c, t, txn)
-                a1, a2 = _push_max(a1, a2, entry)
-                if is_write:
-                    w1, w2 = _push_max(w1, w2, entry)
-            i = j
-    return CoCheck(True, ties=ties)
 
 
 class OperationAfterTerminal(Exception):
@@ -249,66 +182,108 @@ class OperationAfterTerminal(Exception):
                          f"after its terminal at {terminal}")
 
 
-def commit_order_holds(history: History) -> bool | None:
-    """The verdict of check_commitment_ordering, in one pass over the events,
-    or None when a commit is not above the one before it. Raises
-    OperationAfterTerminal at the first terminal, committed or aborted, that
-    an operation of its own transaction comes after, unless a failing commit
-    came first.
+def _first_conflict(history: History, op: Operation, accept) -> OpEvent | None:
+    """The first committed operation event that conflicts with op (same item,
+    one of the two a write) and that accept(event, its commit instant) takes."""
+    commits, write_kind = history.committed(), OpKind.WRITE
+    return next((ev for ev in history.events
+                 if type(ev) is OpEvent and ev.txn_id in commits and ev.op.item_id == op.item_id
+                 and write_kind in (op.kind, ev.op.kind) and accept(ev, commits[ev.txn_id])),
+                None)
 
-    Each transaction's operations wait in a buffer until its terminal. At a
-    commit whose instant is above every earlier commit's, each buffered
-    operation is checked against per-item maxima over the operations of
-    earlier commits: a read fails below the last write, a write below the
-    last read or write. Only then are its instants folded into the maxima,
-    so a transaction's own operations never bound each other. The operations
-    of aborted and unfinished transactions are dropped.
 
-    Exact: with distinct commit instants, the scan fails exactly when two
-    conflicting operations of different transactions have t_a < t_b and
-    c_a > c_b, and the replay fails on exactly those pairs, at the commit of
-    a. A commit at or below an earlier one occurs only in hand-made
-    histories and dumps (the simulated server stamps every commit above the
-    last); from there on the replay only checks terminals, and returns None
-    to leave the verdict to the scan.
-    """
+def _replay(history: History, events) -> CoCheck | None:
+    """check_commitment_ordering over events whose commits do not decrease,
+    or None, once every terminal is checked, when one does."""
     pending: defaultdict[int, list[OpEvent]] = defaultdict(list)
     max_write: dict[int, int] = {}
     max_access: dict[int, int] = {}   # over reads and writes
+    # (item, instant) -> operations on that maximum, kept only once a second
+    # lands on it; maxima only rise, so an entry never goes stale
+    on_write, on_access = {}, {}
     committed, write_kind = Outcome.COMMITTED, OpKind.WRITE
-    prev_commit = None
-    undecided = False
+    ties, prev, out_of_order = 0, None, False
     # events are indexed: OpEvent is (txn_id, op, instant), TerminalEvent
     # (txn_id, outcome, instant)
-    for ev in history.events:
+    for ev in events:
         if type(ev) is OpEvent:
             pending[ev[0]].append(ev)
             continue
-        ops = pending.pop(ev[0], ())
-        end = ev[2]
-        if ev[1] is not committed or undecided or (prev_commit is not None
-                                                    and end <= prev_commit):
-            # an abort, or any terminal once commits stop increasing: only
-            # the terminal check is left
-            undecided = undecided or ev[1] is committed
+        txn, outcome, end = ev
+        ops = pending.pop(txn, ())
+        if outcome is not committed or out_of_order or (prev is not None and end < prev):
+            # an abort, or any terminal once a commit went below the one
+            # before it: only the terminal check is left
+            out_of_order = out_of_order or outcome is committed
             for _, op, t in ops:
                 if t > end:
-                    raise OperationAfterTerminal(ev[0], op, t, end)
+                    raise OperationAfterTerminal(txn, op, t, end)
             continue
-        prev_commit = end
+        if end == prev:  # equal commits admit no order: any conflict between them fails
+            for _, op, t in ops:
+                other = _first_conflict(history, op, lambda e, c: c == end and e.txn_id != txn)
+                if other is not None:
+                    (t_a, a), (t_b, b) = sorted([(other.instant, other.txn_id), (t, txn)])
+                    return CoCheck(False, (a, b, op.item_id, (t_a, t_b)), ties)
+        prev = end
         for _, op, t in ops:
             if t > end:
-                raise OperationAfterTerminal(ev[0], op, t, end)
-            bound = (max_access if op.kind is write_kind else max_write).get(op.item_id)
-            if bound is not None and t < bound:
-                return False
+                raise OperationAfterTerminal(txn, op, t, end)
+            item, is_write = op.item_id, op.kind is write_kind
+            bound = (max_access if is_write else max_write).get(item, t - 1)
+            if t <= bound:
+                if t < bound:
+                    other = _first_conflict(history, op,
+                                            lambda e, c: e.instant == bound and c < end)
+                    return CoCheck(False, (txn, other.txn_id, item, (t, bound)), ties)
+                ties += (on_access if is_write else on_write).get((item, t), 1)
         for _, op, t in ops:
             item = op.item_id
-            if t > max_access.get(item, t - 1):
+            top = max_access.get(item, t - 1)
+            if t > top:
                 max_access[item] = t
-            if op.kind is write_kind and t > max_write.get(item, t - 1):
-                max_write[item] = t
-    return None if undecided else True
+            elif t == top:
+                on_access[item, t] = on_access.get((item, t), 1) + 1
+            if op.kind is write_kind:
+                top = max_write.get(item, t - 1)
+                if t > top:
+                    max_write[item] = t
+                elif t == top:
+                    on_write[item, t] = on_write.get((item, t), 1) + 1
+    return None if out_of_order else CoCheck(True, ties=ties)
+
+
+def check_commitment_ordering(history: History) -> CoCheck:
+    """Verify that commit order matches conflict order for every conflicting
+    pair of committed operations; name a violating pair, count ties.
+
+    The committed transactions are replayed in commit order, each one's
+    operations checked against per-item maxima over earlier commits' (a read
+    fails below the last write, a write below the last read or write) and
+    only then folded in, so a transaction's own operations never bound each
+    other. An operation exactly on such a maximum is a tie, directed by
+    commit order; each conflicting pair at one instant counts once. Any
+    conflict between two commits at one instant is a violation. A violation
+    (txn_i, txn_j, item, (t_i, t_j)) has t_i <= t_j, and txn_i commits at or
+    after txn_j.
+
+    One pass over the history decides when commits do not decrease along
+    it, as simulated ones never do. After a commit below the one before it,
+    that pass only checks terminals, and the committed transactions are
+    replayed again, stably sorted by commit instant. Raises
+    OperationAfterTerminal at the first terminal, committed or aborted, that
+    an operation of its own transaction comes after, unless the pass found a
+    violation first.
+    """
+    co = _replay(history, history.events)
+    if co is None:
+        commits = history.committed()
+        by_txn: defaultdict[int, list] = defaultdict(list)
+        for ev in history.events:
+            by_txn[ev.txn_id].append(ev)
+        in_commit_order = sorted(commits, key=commits.get)  # stable: terminal order on ties
+        co = _replay(history, [ev for txn in in_commit_order for ev in by_txn[txn]])
+    return co
 
 
 def brute_force_serializable(history: History) -> bool:

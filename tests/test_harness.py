@@ -1,10 +1,12 @@
+import ast
 import re
 from dataclasses import replace
 from types import ModuleType
 
 import pytest
 from test_cli import _no_simulation
-from test_oracle import commits_increase, random_history, tangled_history
+from test_oracle import (assert_real_violation, commits_increase, random_history,
+                         reference_commitment_ordering, tangled_history)
 
 from ccarena.core import ConfigError, History, Outcome, read, write
 from ccarena.harness import (
@@ -24,14 +26,27 @@ from ccarena.simkit import MAX_MS, SimConfig, TxnTiming, run_simulation
 
 
 def reference_verify_run(history, protocol):
-    """The two-check gate: cycle search on the skeleton, then commit order."""
+    """The two-check gate: cycle search on the skeleton, then the reference
+    commit-order scan."""
     check = is_acyclic(conflict_skeleton(history))
     if not check:
         return f"serialization graph has a cycle: {check.cycle}"
-    co = check_commitment_ordering(history)
+    co = reference_commitment_ordering(history)
     if not co:
         return f"commitment ordering violated: {co.violation}"
     return None
+
+
+def assert_same_report(history, got):
+    """verify_run's report is the two-check gate's, up to which violating
+    pair it names, and a named pair is a real violation."""
+    expected = reference_verify_run(history, "opcot")
+    prefix = "commitment ordering violated: "
+    if got is not None and got.startswith(prefix):
+        assert expected is not None and expected.startswith(prefix), (got, expected)
+        assert_real_violation(history, ast.literal_eval(got[len(prefix):]))
+    else:
+        assert got == expected
 
 
 class TestPackageRoot:
@@ -262,7 +277,7 @@ class TestOracleGate:
         for _ in range(500):
             h = make(rng)
             got = verify_run(h, "opcot")
-            assert got == reference_verify_run(h, "opcot")
+            assert_same_report(h, got)
             seen["clean" if got is None else "cycle" if "cycle" in got else "commit_order"] += 1
         assert min(seen.values()) >= 20, seen  # every branch of the gate is exercised
 
@@ -277,23 +292,35 @@ class TestOracleGate:
         assert verify_run(result.history, "opcot") is None
 
     @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
-    def test_clean_runs_run_no_scan(self, monkeypatch, protocol):
+    def test_the_gate_checks_commit_order_once(self, monkeypatch, protocol):
+        # on a clean run and on a failing history alike
         import ccarena.harness as harness
+        checks = []
 
-        def no_scan(history):
-            raise AssertionError("a passing commit-order replay needs no scan")
+        def counted_check(history):
+            checks.append(history)
+            return check_commitment_ordering(history)
 
-        monkeypatch.setattr(harness, "check_commitment_ordering", no_scan)
+        monkeypatch.setattr(harness, "check_commitment_ordering", counted_check)
         result = run_simulation(replace(CONTENDED, protocol=protocol))
         assert result.aborted > 0
         assert verify_run(result.history, protocol) is None
+        assert checks == [result.history]
+        failing = History()
+        failing.record_op(1, write(0), 10)
+        failing.record_op(2, read(0), 15)
+        failing.record_terminal(2, Outcome.COMMITTED, 18)
+        failing.record_terminal(1, Outcome.COMMITTED, 25)
+        checks.clear()
+        assert verify_run(failing, protocol) == "commitment ordering violated: (1, 2, 0, (10, 15))"
+        assert checks == [failing]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
     def test_committed_terminals_strictly_increase(self, protocol, seed):
-        # the replay decides alone only on such histories; s2pl's deadlock
-        # victims are recorded at the current instant, which may lie below an
-        # earlier commit, so only committed terminals are in order
+        # the gate's replay decides in one pass only on such histories; s2pl's
+        # deadlock victims are recorded at the current instant, which may lie
+        # below an earlier commit, so only committed terminals are in order
         result = run_simulation(replace(CONTENDED, protocol=protocol, seed=seed))
         assert sum(t.attempts for t in result.timings) > result.config.n_txns  # retried
         commits = [ev.instant for ev in result.history.events
@@ -301,38 +328,18 @@ class TestOracleGate:
         assert len(commits) == result.committed
         assert all(a < b for a, b in zip(commits, commits[1:]))
 
-    def test_an_undecided_replay_leaves_one_scan(self, monkeypatch):
-        # commits that do not increase leave the verdict to the scan, which
-        # then runs once, whether the history passes or fails it
-        import ccarena.harness as harness
-        import ccarena.oracle as oracle
-        scans = []
-
-        def counted_scan(history):
-            scans.append(history)
-            return check_commitment_ordering(history)
-
-        monkeypatch.setattr(harness, "check_commitment_ordering", counted_scan)
-        monkeypatch.setattr(oracle, "check_commitment_ordering", counted_scan)
+    def test_the_gate_matches_the_two_check_gate_when_commits_do_not_increase(self):
+        # commits out of order are replayed in commit order
         rng = DetRng(2201)
-        seen = dict(clean=0, violation=0)
+        seen = dict(clean=0, cycle=0, commit_order=0)
         for _ in range(400):
             h = tangled_history(rng)
             if commits_increase(h):
                 continue
-            scans.clear()
             got = verify_run(h, "opcot")
-            assert scans == [h]
-            assert got == reference_verify_run(h, "opcot")
-            seen["clean" if got is None else "violation"] += 1
+            assert_same_report(h, got)
+            seen["clean" if got is None else "cycle" if "cycle" in got else "commit_order"] += 1
         assert min(seen.values()) >= 20, seen
-
-    def test_a_replay_that_disagrees_with_the_scan_raises(self, monkeypatch):
-        import ccarena.harness as harness
-        monkeypatch.setattr(harness, "commit_order_holds", lambda history: False)
-        result = run_simulation(SimConfig(n_txns=30, n_items=20, mean_len=5, sd_len=2))
-        with pytest.raises(AssertionError, match="replay failed a history the scan passes"):
-            verify_run(result.history, "opcot")
 
     def test_matrix_aborts_and_dumps_on_violation(self, tmp_path, monkeypatch):
         import ccarena.harness as harness

@@ -15,7 +15,6 @@ from ccarena.oracle import (
     brute_force_serializable,
     build_serialization_graph,
     check_commitment_ordering,
-    commit_order_holds,
     conflict_skeleton,
     is_acyclic,
 )
@@ -141,7 +140,7 @@ class TestCommitmentOrdering:
         h = hist(("w", 1, 0, 10), ("w", 2, 0, 10), ("c", 2, 12), ("c", 1, 14))
         res = check_commitment_ordering(h)
         assert res.ok
-        assert res.ties == [(0, 2, 1, 10)]
+        assert res.ties == 1
 
     def test_co_implies_acyclic_on_random_histories(self):
         rng = DetRng(555)
@@ -247,7 +246,9 @@ class TestOracleAgreement:
 # check: OpKind in every tuple, a label on every skeleton edge, a sort key
 # built per operation. They define the results the optimized oracle must
 # reproduce exactly: skeleton edge keys, cycle witness, full-graph labels in
-# order, and the commit-order verdict, violation and ties.
+# order, and the commit-order verdict, with its tie count on a passing
+# history. The reference scan walks items in sorted order, so on a failing
+# history it may name another violating pair than the replay does.
 
 def reference_ops_by_item(history, commits):
     per_item = {}
@@ -343,7 +344,7 @@ def reference_commitment_ordering(history):
                             if gx[1] == gy[1]:
                                 return CoCheck(False,
                                                violation=(gx[2], gy[2], item_id, (gx[0], gy[0])),
-                                               ties=ties)
+                                               ties=len(ties))
                             ties.append((item_id, gx[2], gy[2], gx[0]))
             for t, c, txn, kind in group:
                 if kind is OpKind.READ:
@@ -353,14 +354,42 @@ def reference_commitment_ordering(history):
                 if bound is not None and bound[0] >= c:
                     return CoCheck(False,
                                    violation=(bound[2], txn, item_id, (bound[1], t)),
-                                   ties=ties)
+                                   ties=len(ties))
             for t, c, txn, kind in group:
                 entry = (c, t, txn)
                 a1, a2 = reference_push_max(a1, a2, entry)
                 if kind is OpKind.WRITE:
                     w1, w2 = reference_push_max(w1, w2, entry)
             i = j
-    return CoCheck(True, ties=ties)
+    return CoCheck(True, ties=len(ties))
+
+
+def assert_real_violation(h: History, violation) -> None:
+    """The named pair breaks commit order: the two transactions have
+    conflicting operations on the item at the two instants, the first
+    instant is not after the second, and the first transaction commits at
+    or after the second."""
+    a, b, item, (t_a, t_b) = violation
+    commits = h.committed()
+    assert a != b and t_a <= t_b and commits[a] >= commits[b], (violation, h.to_text())
+
+    def kinds(txn, instant):
+        return {e.op.kind for e in h.events if isinstance(e, OpEvent) and e.txn_id == txn
+                and e.op.item_id == item and e.instant == instant}
+
+    a_kinds, b_kinds = kinds(a, t_a), kinds(b, t_b)
+    assert a_kinds and b_kinds and OpKind.WRITE in a_kinds | b_kinds, (violation, h.to_text())
+
+
+def assert_same_verdict(h: History, co: CoCheck) -> None:
+    """co reaches the reference scan's verdict, names a real violation when
+    it fails and counts the scan's ties when it passes."""
+    ref = reference_commitment_ordering(h)
+    assert co.ok == ref.ok, h.to_text()
+    if co.ok:
+        assert co.ties == ref.ties, h.to_text()
+    else:
+        assert_real_violation(h, co.violation)
 
 
 def tangled_history(rng: DetRng, max_txns=7, max_ops=6, n_items=3) -> History:
@@ -409,8 +438,8 @@ class TestReferenceEquivalence:
             assert full.edges == ref_full.edges  # labels, in order
             assert full.ties == ref_full.ties
 
-            co, ref_co = check_commitment_ordering(h), reference_commitment_ordering(h)
-            assert (co.ok, co.violation, co.ties) == (ref_co.ok, ref_co.violation, ref_co.ties)
+            co = check_commitment_ordering(h)
+            assert_same_verdict(h, co)
 
             seen["cyclic"] += not cycle.acyclic
             if not co.ok:
@@ -424,8 +453,8 @@ class TestReferenceEquivalence:
 
 
 class TestCommitOrderDecides:
-    """The run gate decides on the commit-order scan alone. That is sound only
-    if a passing scan implies an acyclic skeleton, which in turn implies a
+    """The run gate decides on the commit-order check alone. That is sound only
+    if a passing check implies an acyclic skeleton, which in turn implies a
     serializable history."""
 
     @settings(max_examples=400, deadline=None)
@@ -445,8 +474,9 @@ def ordered_commit_history(rng: DetRng, max_txns=6, max_ops=5, n_items=3) -> His
     """Random interleaving whose committed terminals strictly increase along
     the history, as every simulated one does. Operations crowd onto few
     instants, in no order within a transaction, and a transaction sometimes
-    touches one item twice at one instant. Aborted terminals take any
-    instant; some transactions never end."""
+    touches one item twice at one instant. Most terminals, committed or
+    aborted, come at or after their transaction's last operation; the rest
+    take any instant. Some transactions never end."""
     n_txns = 1 + rng.randrange(max_txns)
     queues = []
     for txn in range(1, n_txns + 1):
@@ -458,11 +488,12 @@ def ordered_commit_history(rng: DetRng, max_txns=6, max_ops=5, n_items=3) -> His
                 item, instant = rng.randrange(n_items), rng.randrange(6)
             events.append(("r" if rng.random() < 0.5 else "w", txn, item, instant))
             prev = item, instant
+        last = max(ev[3] for ev in events) if rng.random() < 0.8 else 0
         end = rng.random()
         if end < 0.75:
-            events.append(("c", txn))
+            events.append(("c", txn, last))
         elif end < 0.9:
-            events.append(("a", txn, rng.randrange(12)))
+            events.append(("a", txn, last + rng.randrange(12 - last)))
         queues.append(events)
     h = History()
     commit = rng.randrange(6)
@@ -470,6 +501,7 @@ def ordered_commit_history(rng: DetRng, max_txns=6, max_ops=5, n_items=3) -> His
         events = queues[rng.randrange(len(queues))]
         ev = events.pop(0)
         if ev[0] == "c":
+            commit = max(commit, ev[2])
             h.record_terminal(ev[1], Outcome.COMMITTED, commit)
             commit += 1 + rng.randrange(2)
         elif ev[0] == "a":
@@ -516,60 +548,56 @@ def first_operation_after_terminal(h: History) -> str | None:
 
 
 class TestCommitOrderReplay:
-    """commit_order_holds must reach check_commitment_ordering's verdict on
-    every history whose commits increase. Elsewhere it may return None, and
-    leave the verdict to the scan, but a verdict it gives is the scan's."""
+    """check_commitment_ordering replays the commits in commit order; it must
+    reach the reference scan's verdict on every history, whatever its commit
+    order, and stop at the first operation after its own terminal unless a
+    violation comes first."""
 
     def test_replay_agrees_with_the_scan_when_commits_increase(self):
-        # an operation after its own terminal raises, unless a failing commit
-        # comes first; the scan does not look for one
+        # the scan does not look for an operation after its own terminal
         rng = DetRng(2101)
         seen = dict(holds=0, fails=0, ties=0, repeats=0, back_in_time=0, late=0,
                     fails_before_late=0)
         for _ in range(4000):
             h = ordered_commit_history(rng)
-            co = check_commitment_ordering(h)
             late = first_operation_after_terminal(h)
             try:
-                holds = commit_order_holds(h)
+                co = check_commitment_ordering(h)
             except OperationAfterTerminal as exc:
                 assert late is not None and str(exc) == late, h.to_text()
                 seen["late"] += 1
                 continue
-            assert holds == co.ok, h.to_text()
+            assert_same_verdict(h, co)
             seen["fails_before_late"] += late is not None
             seen["holds" if co.ok else "fails"] += 1
             seen["ties"] += bool(co.ties)
             seen["repeats"] += _repeats_at_one_instant(h)
             seen["back_in_time"] += _goes_back_in_time(h)
         assert min(seen.values()) >= 20, seen
+        assert 4000 - seen["late"] >= 3000, seen  # most histories compare a verdict
 
     @pytest.mark.parametrize("make", [tangled_history, random_history])
     def test_replay_agrees_with_the_scan_on_any_commit_order(self, make):
         rng = DetRng(2102)
-        seen = dict(holds=0, fails=0, undecided=0, fails_before_undecided=0)
+        seen = dict(holds=0, fails=0, ties=0, out_of_order=0, out_of_order_holds=0)
         for _ in range(1000):
             h = make(rng)
-            ok = check_commitment_ordering(h).ok
-            holds = commit_order_holds(h)
-            if holds is None:
-                assert not commits_increase(h), h.to_text()
-                seen["undecided"] += 1
-            else:
-                assert holds == ok, h.to_text()
-                seen["holds" if ok else "fails"] += 1
-                # a violation ahead of the first commit out of order decides
-                seen["fails_before_undecided"] += not ok and not commits_increase(h)
+            co = check_commitment_ordering(h)
+            assert_same_verdict(h, co)
+            seen["holds" if co.ok else "fails"] += 1
+            seen["ties"] += bool(co.ties)
+            seen["out_of_order"] += not commits_increase(h)
+            seen["out_of_order_holds"] += co.ok and not commits_increase(h)
         if make is random_history:  # its commit instants always increase
-            assert seen["undecided"] == seen["fails_before_undecided"] == 0
-            del seen["undecided"], seen["fails_before_undecided"]
+            assert seen["out_of_order"] == 0
+            del seen["out_of_order"], seen["out_of_order_holds"], seen["ties"]
         assert min(seen.values()) >= 20, seen
 
     def test_own_operations_never_bound_each_other(self):
         # one transaction writes, then reads and writes below its own write
         h = hist(("w", 1, 0, 9), ("r", 1, 0, 3), ("w", 1, 0, 2), ("c", 1, 10),
                  ("r", 2, 0, 9), ("c", 2, 11))
-        assert commit_order_holds(h) and check_commitment_ordering(h)
+        assert check_commitment_ordering(h) == CoCheck(True, ties=1)
 
     @pytest.mark.parametrize("kinds, instant, holds", [
         ("wr", 4, False), ("rw", 4, False), ("ww", 4, False), ("rr", 4, True),
@@ -577,33 +605,71 @@ class TestCommitOrderReplay:
         ("wr", 5, True), ("rw", 5, True), ("ww", 5, True)])
     def test_a_later_commit_may_not_conflict_below_an_earlier_one(self, kinds, instant, holds):
         h = hist((kinds[0], 1, 0, 5), ("c", 1, 6), (kinds[1], 2, 0, instant), ("c", 2, 7))
-        assert commit_order_holds(h) == holds == check_commitment_ordering(h).ok
+        co = check_commitment_ordering(h)
+        assert co.ok == holds == reference_commitment_ordering(h).ok
+        assert co.violation == (None if holds else (2, 1, 0, (4, 5)))
+        assert co.ties == (holds and instant == 5)
+
+    def test_each_conflicting_pair_at_one_instant_is_one_tie(self):
+        # two writes and a read of txn 1 and a read of txn 2 share instant 5;
+        # txn 3's write there ties with all four, txn 4's read with three
+        h = hist(("w", 1, 0, 5), ("w", 1, 0, 5), ("r", 1, 0, 5), ("r", 2, 0, 5),
+                 ("c", 1, 6), ("c", 2, 7), ("w", 3, 0, 5), ("c", 3, 8),
+                 ("r", 4, 0, 5), ("c", 4, 9))
+        co = check_commitment_ordering(h)
+        assert co.ok and co.ties == 2 + 4 + 3 == len(build_serialization_graph(h).ties)
 
     def test_aborted_and_unfinished_transactions_are_dropped(self):
         h = hist(("w", 1, 0, 9), ("a", 1, 9), ("w", 3, 0, 9), ("r", 2, 0, 4), ("c", 2, 7))
-        assert commit_order_holds(h) and check_commitment_ordering(h)
+        assert check_commitment_ordering(h)
 
     @pytest.mark.parametrize("tag", ["c", "a"], ids=["committed", "aborted"])
     def test_an_operation_after_its_own_terminal_raises(self, tag):
-        # the scan passes it: it reads only the committed operations' order
+        # the reference scan passes it: it reads only the committed
+        # operations' order
         h = hist(("r", 1, 5, 10), (tag, 1, 5))
-        assert check_commitment_ordering(h)
+        assert reference_commitment_ordering(h)
         with pytest.raises(OperationAfterTerminal,
                            match="^txn 1 has R on item 5 at 10, after its terminal at 5$"):
-            commit_order_holds(h)
+            check_commitment_ordering(h)
 
     def test_an_operation_at_its_terminal_is_fine(self):
         h = hist(("w", 1, 5, 10), ("c", 1, 10), ("r", 2, 5, 11), ("a", 2, 11))
-        assert commit_order_holds(h) is True
+        assert check_commitment_ordering(h) == CoCheck(True)
+
+    def test_a_violation_ahead_of_a_late_operation_is_named(self):
+        h = hist(("w", 1, 0, 5), ("c", 1, 6), ("r", 2, 0, 4), ("c", 2, 7),
+                 ("r", 3, 1, 9), ("a", 3, 8))
+        assert check_commitment_ordering(h) == CoCheck(False, (2, 1, 0, (4, 5)))
 
     @pytest.mark.parametrize("instant, late", [(6, False), (7, True)])
     def test_terminals_are_checked_after_commits_stop_increasing(self, instant, late):
-        # txn 2 commits at txn 1's instant, so the replay leaves the verdict
-        # to the scan, but still checks txn 3 against its terminal
+        # txn 2 commits at txn 1's instant, on another item, so no violation;
+        # txn 3 is still checked against its terminal
         h = hist(("w", 1, 0, 1), ("c", 1, 5), ("w", 2, 1, 1), ("c", 2, 5),
                  ("w", 3, 2, instant), ("c", 3, 6))
         if late:
             with pytest.raises(OperationAfterTerminal, match="^txn 3 has W on item 2 at 7"):
-                commit_order_holds(h)
+                check_commitment_ordering(h)
         else:
-            assert commit_order_holds(h) is None
+            assert check_commitment_ordering(h)
+
+    @pytest.mark.parametrize("instants, violation", [
+        ((3, 3), (1, 2, 0, (3, 3))), ((2, 3), (1, 2, 0, (2, 3))), ((3, 2), (2, 1, 0, (2, 3)))],
+        ids=["tied", "write-first", "read-first"])
+    def test_conflicting_commits_at_one_instant_are_a_violation(self, instants, violation):
+        # they admit no order, whichever operation came first
+        h = hist(("w", 1, 0, instants[0]), ("c", 1, 5), ("r", 2, 0, instants[1]), ("c", 2, 5))
+        assert check_commitment_ordering(h) == CoCheck(False, violation)
+        assert not reference_commitment_ordering(h)
+
+    def test_a_commit_below_the_one_before_replays_in_commit_order(self):
+        # txn 2 commits first; txn 1's later write lands below txn 2's read
+        h = hist(("w", 1, 0, 3), ("c", 1, 9), ("r", 2, 0, 4), ("c", 2, 8),
+                 ("r", 3, 0, 3), ("c", 3, 10))
+        assert check_commitment_ordering(h) == CoCheck(False, (1, 2, 0, (3, 4)))
+        # without txn 2's read nothing conflicts out of order; txn 3's read
+        # ties with txn 1's write
+        h = hist(("w", 1, 0, 3), ("c", 1, 9), ("r", 2, 1, 4), ("c", 2, 8),
+                 ("r", 3, 0, 3), ("c", 3, 10))
+        assert check_commitment_ordering(h) == CoCheck(True, ties=1)
