@@ -13,8 +13,8 @@ from ccarena.opcot import commit_transaction
 
 def show(reg, items=(0,)):
     for i in items:
-        s = reg.get(i)
-        print(f"    item {i}: last_read={s.t_read} last_write={s.t_write}")
+        t_read, t_write = reg.get(i)
+        print(f"    item {i}: last_read={t_read} last_write={t_write}")
 
 
 reg = ItemRegistry(4)
@@ -45,7 +45,7 @@ reg2.apply_updates([(0, 60, 0)])
 print("  registry read stamp 60, left by a read committed at instant 60")
 d4 = commit_transaction(reg2, log_from_text("BEGIN - 0\nR 0 3\nCOMMIT - 15\n", 4), 58)
 print(f"  T4 reads item 0 at instant 43 -> {d4.outcome.value}, "
-      f"read stamp stays {reg2.get(0).t_read}")
+      f"read stamp stays {reg2.get(0)[0]}")
 d5 = commit_transaction(reg2, log_from_text("BEGIN - 0\nW 0 10\nCOMMIT - 5\n", 5), 55)
 print(f"  T5 writes item 0 at instant 50 -> {d5.outcome.value}: {d5.reason}")
 print("  (a stamp dragged down to 43 would have let that write commit behind")

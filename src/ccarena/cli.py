@@ -29,7 +29,6 @@ from .harness import (
 )
 from .oracle import (
     BRUTE_FORCE_LIMIT,
-    OperationAfterTerminal,
     brute_force_serializable,
     check_commitment_ordering,
     conflict_skeleton,
@@ -104,8 +103,7 @@ def _cmd_run(args) -> int:
         write_text(args.dump_history, result.history.to_text())
     violation = gate_run(result, _dump_dir(args.out))
     if violation is not None:
-        print(f"oracle violation: {violation}", file=sys.stderr)
-        return EXIT_ORACLE
+        raise OracleViolation(violation)
     rows = [metrics_for_run(result)]
     if args.out:
         write_text(args.out, rows_to_csv(rows))
@@ -130,17 +128,14 @@ def _cmd_check(args) -> int:
         history = History.from_text(fh.read())
     # the run gate's commit-order check, which names a violation and counts
     # ties. A commit-ordered history is acyclic, so the graph is built only
-    # when the check fails or stops at an operation after its own terminal.
-    try:
-        co, late = check_commitment_ordering(history), None
-    except OperationAfterTerminal as exc:
-        co, late = None, exc
+    # when the check fails, an operation after its own terminal included.
+    co = check_commitment_ordering(history)
     acyclic = bool(co) or is_acyclic(conflict_skeleton(history))
     n_committed = len(history.committed())
     print(f"committed transactions: {n_committed}")
     print(f"serializable (acyclic graph): {'yes' if acyclic else f'NO, cycle {acyclic.cycle}'}")
-    if late is not None:
-        print(f"operation after its own terminal: {late}")
+    if co.late is not None:
+        print(f"operation after its own terminal: {co.late}")
     else:
         print(f"commitment ordered: {'yes' if co else f'NO, violation {co.violation}'}")
         if co.ties:
@@ -151,9 +146,7 @@ def _cmd_check(args) -> int:
         if brute != bool(acyclic):
             print("oracle disagreement between graph and brute force!", file=sys.stderr)
             return EXIT_ORACLE
-    if late is not None or not acyclic or not co:
-        return EXIT_ORACLE
-    return EXIT_OK
+    return EXIT_OK if co and acyclic else EXIT_ORACLE
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -104,26 +104,22 @@ class OperatorLog:
     records: list[LogRecord] = field(default_factory=list)
 
 
-def log_validate(log: OperatorLog) -> str | None:
-    """Check the operator-log shape invariants.
-
-    Returns None when the log is well formed, otherwise a description
-    of the first violated invariant.
-    """
+def log_validate(log: OperatorLog) -> None:
+    """Check the operator-log shape invariants; raise InvalidLogError naming
+    the first one a log violates."""
     if not log.records:
-        return "log is empty"
+        raise InvalidLogError("log is empty")
     if log.records[0].op.kind is not OpKind.BEGIN:
-        return "log does not start with Begin"
+        raise InvalidLogError("log does not start with Begin")
     if log.records[0].rel_ts != 0:
-        return "Begin record must have rel_ts 0"
+        raise InvalidLogError("Begin record must have rel_ts 0")
     if log.records[-1].op.kind is not OpKind.COMMIT:
-        return "log does not end with Commit"
+        raise InvalidLogError("log does not end with Commit")
     for rec in log.records[1:-1]:
         if not rec.op.is_data:  # only Begin and Commit are not data operators
             if rec.op.kind is OpKind.BEGIN:
-                return "Begin appears after the first record"
-            return "Commit appears before the last record"
-    return None
+                raise InvalidLogError("Begin appears after the first record")
+            raise InvalidLogError("Commit appears before the last record")
 
 
 # --- line-oriented text form, used by test fixtures ---------------------
@@ -164,40 +160,29 @@ def log_from_text(text: str, txn_id: int = 0) -> OperatorLog:
     return OperatorLog(txn_id, records)
 
 
-@dataclass
-class ItemState:
-    """Server-side state of one item: the instants of the latest committed
-    read and write."""
-
-    item_id: int
-    t_read: int = 0
-    t_write: int = 0
-
-
 class ItemRegistry:
-    """The server's table of items, keyed 0..n_items-1.
+    """The server's table of items, keyed 0..n_items-1, with each item's
+    stamps (t_read, t_write), the instants of its latest committed read and write.
 
-    An item's state is built on its first get, so a run costs only the
-    items its commits validate; stamps() still lists every item, and `held`
-    is a read-only view of the states built so far. Read/write stamps only
-    ever move forward across committed transactions; apply_updates enforces
-    that.
+    Only the items a commit stamped are held: get gives (0, 0) for any other
+    item in range and stores nothing, stamps() lists every item, and `held`
+    is a read-only view of the held stamps. Stamps only ever move forward
+    across committed transactions; apply_updates enforces that.
     """
 
     def __init__(self, n_items: int):
         if n_items < 1:
             raise ConfigError(f"n_items must be >= 1, got {n_items}")
         self.n_items = n_items
-        self._items: dict[int, ItemState] = {}
-        self.held: Mapping[int, ItemState] = MappingProxyType(self._items)
+        self._items: dict[int, tuple[int, int]] = {}
+        self.held: Mapping[int, tuple[int, int]] = MappingProxyType(self._items)
 
-    def get(self, item_id: int) -> ItemState:
+    def get(self, item_id: int) -> tuple[int, int]:
         try:
             return self._items[item_id]
         except KeyError:
             if isinstance(item_id, int) and 0 <= item_id < self.n_items:
-                state = self._items[item_id] = ItemState(item_id)
-                return state
+                return (0, 0)
             raise UnknownItemError(item_id) from None
 
     def __len__(self) -> int:
@@ -207,23 +192,22 @@ class ItemRegistry:
         """Set each (item_id, t_read, t_write) in order. A stamp that would
         move backwards raises ValueError before its item changes; the items
         before it keep their new stamps."""
-        held = self._items.get
+        items = self._items
         for item_id, t_read, t_write in updates:
-            state = held(item_id) or self.get(item_id)
-            if t_read < state.t_read:
+            old_read, old_write = items.get(item_id) or self.get(item_id)
+            if t_read < old_read:
                 raise ValueError(f"t_read of item {item_id} would move backwards "
-                                 f"({state.t_read} -> {t_read})")
-            if t_write < state.t_write:
+                                 f"({old_read} -> {t_read})")
+            if t_write < old_write:
                 raise ValueError(f"t_write of item {item_id} would move backwards "
-                                 f"({state.t_write} -> {t_write})")
-            state.t_read = t_read
-            state.t_write = t_write
+                                 f"({old_write} -> {t_write})")
+            items[item_id] = (t_read, t_write)
 
     def stamps(self) -> dict[int, tuple[int, int]]:
         """Snapshot of (t_read, t_write) per item, for audits and tests;
         (0, 0) for an item no commit has touched."""
         stamps = dict.fromkeys(range(self.n_items), (0, 0))
-        stamps.update((i, (s.t_read, s.t_write)) for i, s in self._items.items())
+        stamps.update(self._items)
         return stamps
 
 

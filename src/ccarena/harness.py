@@ -4,9 +4,9 @@ Every simulation run is checked before its metrics row is emitted: the
 committed history must be conflict-serializable and must satisfy the
 commit-order property, and no operation may come after its own
 transaction's terminal, whichever protocol produced it. The gate decides on
-one commit-order check, a replay of the commits in commit order, whose pass
-implies an acyclic conflict graph. Only a run it fails builds the conflict
-skeleton, to name a cycle if there is one.
+one commit-order check, a replay that returns each finding, a late operation
+included; its pass implies an acyclic conflict graph. Only a run it fails
+builds the conflict skeleton, to name a cycle if there is one.
 A violation dumps the offending history to a file, by default in the working
 directory, and aborts the whole matrix.
 """
@@ -20,8 +20,7 @@ from functools import partial
 from itertools import product
 
 from .core import ConfigError, History
-from .oracle import (OperationAfterTerminal, check_commitment_ordering, conflict_skeleton,
-                     is_acyclic)
+from .oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
 from .simkit import (FIELD_TYPES, PROTOCOLS, RunResult, SimConfig, TxnTiming, parse_kv_text,
                      parse_value, run_simulation)
 
@@ -66,10 +65,12 @@ def compute_abort_rate(aborted: int, total: int) -> float:
 
 
 def compute_waiting_time(timing: TxnTiming) -> int:
-    """Wall duration minus the time spent performing instructions, >= 0."""
+    """Wall duration minus the time spent performing instructions."""
     if timing.terminal_ms < timing.submit_ms:
         raise ConfigError("terminal instant precedes submit instant")
-    return max(0, (timing.terminal_ms - timing.submit_ms) - timing.service_ms)
+    if timing.terminal_ms - timing.submit_ms < timing.service_ms:
+        raise ConfigError("service time exceeds the time from submit to terminal")
+    return (timing.terminal_ms - timing.submit_ms) - timing.service_ms
 
 
 def _p95(values: list[int]) -> float:
@@ -110,14 +111,13 @@ def verify_run(history: History, protocol: str) -> str | None:
     order is a topological order and the graph is acyclic (Raz's
     commitment-ordering argument). A failing run builds the conflict skeleton,
     to report a cycle ahead of the commit-order violation when there is one.
-    The replay also finds an operation after its own transaction's terminal.
+    The replay also names an operation after its own terminal in its `late`.
     """
-    try:
-        co = check_commitment_ordering(history)
-    except OperationAfterTerminal as late:
-        return f"operation after its own terminal: {late}"
+    co = check_commitment_ordering(history)
     if co:
         return None
+    if co.late is not None:
+        return f"operation after its own terminal: {co.late}"
     check = is_acyclic(conflict_skeleton(history))
     if not check:
         return f"serialization graph has a cycle: {check.cycle}"

@@ -110,9 +110,7 @@ def rebase_to_server_time(log: OperatorLog, receipt: int) -> list[int]:
 
     which gives the same integers and is computed here in one forward pass.
     """
-    violation = log_validate(log)
-    if violation is not None:
-        raise InvalidLogError(violation)
+    log_validate(log)
     rels = [rec.rel_ts for rec in log.records]
     span = sum(rels)
     if receipt < span:
@@ -161,9 +159,8 @@ def validate_commit(registry: ItemRegistry, log: OperatorLog,
         item = op.item_id
         pair = staged.get(item)
         if pair is None:
-            # get builds an item's state, or raises UnknownItemError on workload bugs
-            state = held(item) or registry.get(item)
-            pair = staged[item] = [state.t_read, state.t_write]
+            # get gives an unheld item's (0, 0), or raises UnknownItemError on workload bugs
+            pair = staged[item] = list(held(item) or registry.get(item))
         if op.kind is _READ:
             if t < pair[1]:
                 return CommitDecision(

@@ -12,9 +12,9 @@ conflict_skeleton keeps a subset of those edges that is cycle-equivalent
 cycles are real; it carries no labels, scales to large runs, and is what
 `ccarena check` decides acyclicity on. check_commitment_ordering, the one
 commit-order decider, replays the commits in commit order in one pass over
-the history, names a violating pair and counts ties, and in the same pass
-finds an operation that comes after its own transaction's terminal. A
-history that passes it is acyclic: every conflict edge points to a strictly
+the history; it names a violating pair, counts ties, and in the same pass
+names an operation after its own transaction's terminal, all in its CoCheck.
+A history that passes it is acyclic: every conflict edge points to a strictly
 later commit, so commit order is a topological order. The run gate decides
 on it and builds the skeleton, which names a cycle, only for a run it fails.
 """
@@ -169,17 +169,16 @@ class CoCheck:
     ok: bool
     violation: tuple[int, int, int, tuple[int, int]] | None = None  # (txn_i, txn_j, item, instants)
     ties: int = 0  # conflicting pairs at one instant, directed by commit order
+    late: str | None = None  # names an operation after its own transaction's terminal
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-class OperationAfterTerminal(Exception):
-    """A transaction has an operation at an instant after its own terminal."""
-
-    def __init__(self, txn_id: int, op: Operation, instant: int, terminal: int):
-        super().__init__(f"txn {txn_id} has {op.kind.value} on item {op.item_id} at {instant}, "
-                         f"after its terminal at {terminal}")
+def _late(txn: int, op: Operation, instant: int, terminal: int) -> CoCheck:
+    """The failed check naming txn's op at instant, after its terminal."""
+    return CoCheck(False, late=f"txn {txn} has {op.kind.value} on item {op.item_id} at "
+                               f"{instant}, after its terminal at {terminal}")
 
 
 def _first_conflict(history: History, op: Operation, accept) -> OpEvent | None:
@@ -217,7 +216,7 @@ def _replay(history: History, events) -> CoCheck | None:
             out_of_order = out_of_order or outcome is committed
             for _, op, t in ops:
                 if t > end:
-                    raise OperationAfterTerminal(txn, op, t, end)
+                    return _late(txn, op, t, end)
             continue
         if end == prev:  # equal commits admit no order: any conflict between them fails
             for _, op, t in ops:
@@ -228,7 +227,7 @@ def _replay(history: History, events) -> CoCheck | None:
         prev = end
         for _, op, t in ops:
             if t > end:
-                raise OperationAfterTerminal(txn, op, t, end)
+                return _late(txn, op, t, end)
             item, is_write = op.item_id, op.kind is write_kind
             bound = (max_access if is_write else max_write).get(item, t - 1)
             if t <= bound:
@@ -270,10 +269,10 @@ def check_commitment_ordering(history: History) -> CoCheck:
     One pass over the history decides when commits do not decrease along
     it, as simulated ones never do. After a commit below the one before it,
     that pass only checks terminals, and the committed transactions are
-    replayed again, stably sorted by commit instant. Raises
-    OperationAfterTerminal at the first terminal, committed or aborted, that
-    an operation of its own transaction comes after, unless the pass found a
-    violation first.
+    replayed again, stably sorted by commit instant. The check fails with
+    `late` naming the operation at the first terminal, committed or aborted,
+    that an operation of its own transaction comes after, unless the pass
+    found a violation first.
     """
     co = _replay(history, history.events)
     if co is None:

@@ -307,9 +307,10 @@ class _Sim(EventQueue):
         return s
 
     def s2pl_end(self, aid: int, outcome: Outcome, instant: int) -> None:
-        """Record aid's terminal, drop its locks, wake the new grantees."""
+        """Record aid's terminal, drop its locks, wake the new grantees, then
+        aid itself if it is parked: a deadlock victim, woken by its own end."""
         self.history.record_terminal(aid, outcome, instant)
-        for txn_id in self.table.release_all(aid):
+        for txn_id in self.table.release_all(aid) + [aid]:
             gen = self.parked.pop(txn_id, None)
             if gen is not None:
                 self.push(self.now, gen)
@@ -499,8 +500,8 @@ class _S2pl:
         and return True. The one place deadlocks are broken: while a cycle
         runs through this request, abort its youngest member; return False
         when that is this attempt, now or while parked. A parked attempt is
-        woken by a grant or as a victim; the victim's release dropped its
-        request, so it does not hold the lock."""
+        woken by a grant or by its own end as a victim; the victim's release
+        dropped its request, so it does not hold the lock."""
         sim, table, aid = self.sim, self.sim.table, self.aid
         mode = LockMode.SHARED if op.kind is OpKind.READ else LockMode.EXCLUSIVE
         granted = isinstance(table.acquire(aid, op.item_id, mode), Granted)
@@ -509,7 +510,6 @@ class _S2pl:
             sim.s2pl_end(victim, Outcome.ABORTED, sim.now)
             if victim == aid:
                 return False
-            sim.push(sim.now, sim.parked.pop(victim))
             granted = table.holds(aid, op.item_id, mode)  # the victim's release may grant it
         if not granted:
             yield ("park", aid)

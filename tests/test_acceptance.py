@@ -8,8 +8,10 @@ that raising the transaction count raises contention.
 """
 
 import dataclasses
+import multiprocessing
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -61,26 +63,43 @@ def report(number: int, text: str) -> None:
     print(f"[criterion {number:>2}] PASS: {text}")
 
 
+def _sweep_verdicts(seed: int) -> tuple[bool, bool]:
+    """(acyclic, commitment-ordered) for the sweep's run of one seed: 20-50
+    txns, 10-20 items, disconnect 0.2."""
+    cfg = SimConfig(protocol="opcot",
+                    n_items=10 + seed % 11,
+                    n_txns=20 + seed % 31,
+                    mean_len=float(4 + seed % 9), sd_len=2.0,
+                    op_service_ms=10,
+                    uplink_latency_ms=(20, 60), downlink_latency_ms=(20, 60),
+                    disconnect_prob=0.2, reconnect_delay_ms=(100, 300),
+                    seed=seed)
+    history = run_simulation(cfg).history
+    return (bool(is_acyclic(build_serialization_graph(history))),
+            check_commitment_ordering(history).ok)
+
+
+def sweep_failures(seeds: list[int], workers: int,
+                   verdict=_sweep_verdicts) -> tuple[list[int], list[int]]:
+    """The seeds whose run is cyclic, and those whose run is not
+    commitment-ordered, each in seed order, over `workers` processes. The
+    workers are spawned, so they start from a fresh import."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            verdicts = list(pool.map(verdict, seeds, chunksize=10))
+    else:
+        verdicts = list(map(verdict, seeds))
+    return ([seed for seed, (acyclic, _) in zip(seeds, verdicts) if not acyclic],
+            [seed for seed, (_, ordered) in zip(seeds, verdicts) if not ordered])
+
+
 @pytest.fixture(scope="module")
 def property_sweep():
     """1,000 randomized commitment-ordering runs; both global checks in one
-    pass over seeds 1..1000 with 20-50 txns, 10-20 items, disconnect 0.2."""
-    acyclic_failures, co_failures = [], []
+    pass over seeds 1..1000."""
     t0 = time.time()
-    for seed in range(1, 1001):
-        cfg = SimConfig(protocol="opcot",
-                        n_items=10 + seed % 11,
-                        n_txns=20 + seed % 31,
-                        mean_len=float(4 + seed % 9), sd_len=2.0,
-                        op_service_ms=10,
-                        uplink_latency_ms=(20, 60), downlink_latency_ms=(20, 60),
-                        disconnect_prob=0.2, reconnect_delay_ms=(100, 300),
-                        seed=seed)
-        result = run_simulation(cfg)
-        if not is_acyclic(build_serialization_graph(result.history)):
-            acyclic_failures.append(seed)
-        if not check_commitment_ordering(result.history).ok:
-            co_failures.append(seed)
+    acyclic_failures, co_failures = sweep_failures(list(range(1, 1001)), WORKERS)
     return acyclic_failures, co_failures, time.time() - t0
 
 
@@ -122,6 +141,21 @@ def test_criterion_2_commitment_ordering_property(property_sweep):
     _, co_failures, elapsed = property_sweep
     assert co_failures == [], f"commit-order violations in seeds {co_failures[:10]}"
     report(2, f"1000/1000 histories commitment-ordered ({elapsed:.1f}s)")
+
+
+def _failing_verdicts(seed: int) -> tuple[bool, bool]:
+    """Verdicts that fail on every third and every fourth seed, so the
+    failure lists are not empty."""
+    return seed % 3 != 0, seed % 4 != 0
+
+
+@pytest.mark.parametrize("verdict", [_sweep_verdicts, _failing_verdicts])
+def test_sweep_failures_do_not_depend_on_the_worker_count(verdict):
+    seeds = list(range(1, 101))
+    failures = sweep_failures(seeds, 1, verdict)
+    assert sweep_failures(seeds, 2, verdict) == failures
+    if verdict is _failing_verdicts:
+        assert failures == (list(range(3, 101, 3)), list(range(4, 101, 4)))
 
 
 def _random_small_history(rng: DetRng) -> History:

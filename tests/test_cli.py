@@ -71,7 +71,7 @@ class TestRunCommand:
         cfg.write_text("bogus = 1\n", encoding="utf-8")
         assert run_cli("run", "--config", str(cfg)) == 1
 
-    def test_run_oracle_violation_exits_2_and_dumps(self, tmp_path, monkeypatch):
+    def test_run_oracle_violation_exits_2_and_dumps(self, tmp_path, capsys, monkeypatch):
         import ccarena.harness as harness
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(harness, "verify_run", lambda h, p: "injected failure")
@@ -81,6 +81,8 @@ class TestRunCommand:
         assert not out.exists()  # no CSV row for a failed run
         dump = tmp_path / "oracle_violation_occ_items5_txns6_seed4.history"
         assert dump.read_text(encoding="utf-8") != ""
+        assert capsys.readouterr() == ("", f"oracle violation: injected failure "
+                                           f"(history dumped to {dump.name})\n")
 
 
 class TestMatrixCommand:

@@ -9,7 +9,6 @@ from ccarena.core import (
     History,
     InvalidLogError,
     ItemRegistry,
-    ItemState,
     LogRecord,
     Operation,
     OperatorLog,
@@ -94,25 +93,6 @@ class TestLogValidate:
         log = make_log([(BEGIN, 0), (read(1), 5), (write(1), 3), (COMMIT, 2)])
         assert log_validate(log) is None
 
-    def test_missing_begin(self):
-        log = make_log([(read(1), 0), (COMMIT, 5)])
-        assert "Begin" in log_validate(log)
-
-    def test_commit_not_last(self):
-        log = make_log([(BEGIN, 0), (COMMIT, 0), (read(1), 1)])
-        assert "Commit" in log_validate(log)
-
-    def test_interior_begin(self):
-        log = make_log([(BEGIN, 0), (BEGIN, 0), (COMMIT, 1)])
-        assert "Begin" in log_validate(log)
-
-    def test_begin_rel_must_be_zero(self):
-        log = make_log([(BEGIN, 4), (COMMIT, 1)])
-        assert "rel_ts 0" in log_validate(log)
-
-    def test_empty_log(self):
-        assert log_validate(OperatorLog(0)) is not None
-
     @pytest.mark.parametrize("records, message", [
         ([], "log is empty"),
         ([(read(1), 0), (COMMIT, 5)], "log does not start with Begin"),
@@ -120,13 +100,17 @@ class TestLogValidate:
         ([(BEGIN, 0), (read(1), 1)], "log does not end with Commit"),
         ([(BEGIN, 0), (read(1), 1), (BEGIN, 0), (COMMIT, 1)],
          "Begin appears after the first record"),
+        ([(BEGIN, 0), (BEGIN, 0), (COMMIT, 1)], "Begin appears after the first record"),
         ([(BEGIN, 0), (COMMIT, 0), (write(1), 1), (COMMIT, 1)],
          "Commit appears before the last record"),
         ([(BEGIN, 0), (COMMIT, 0), (BEGIN, 0), (COMMIT, 1)],
          "Commit appears before the last record"),
+        ([(BEGIN, 0), (COMMIT, 0), (read(1), 1)], "log does not end with Commit"),
     ])
-    def test_first_violation_message(self, records, message):
-        assert log_validate(make_log(records)) == message
+    def test_raises_the_first_violation(self, records, message):
+        with pytest.raises(InvalidLogError) as err:
+            log_validate(make_log(records))
+        assert str(err.value) == message
 
 
 class TestLogText:
@@ -168,8 +152,7 @@ class TestRegistry:
         reg = ItemRegistry(3)
         assert len(reg) == 3
         for item in range(3):
-            state = reg.get(item)
-            assert (state.t_read, state.t_write) == (0, 0)
+            assert reg.get(item) == (0, 0)
 
     @pytest.mark.parametrize("n", [1000, 10000])
     def test_table_sizes(self, n):
@@ -184,25 +167,34 @@ class TestRegistry:
             ItemRegistry(2).get(5)
 
     @pytest.mark.parametrize("item_id", [-1, 4, "0", None])
-    def test_ids_outside_the_table_build_no_state(self, item_id):
+    def test_ids_outside_the_table_hold_nothing(self, item_id):
         reg = ItemRegistry(4)
         with pytest.raises(UnknownItemError) as err:
             reg.get(item_id)
         assert err.value.args == (item_id,)
-        assert reg._items == {}
+        assert reg.held == {}
+
+    @pytest.mark.parametrize("n_items", [5, 10**6, 10**9])
+    def test_a_get_holds_nothing(self, n_items):
+        # a read never writes: only the items an update stamped are held
+        reg = ItemRegistry(n_items)
+        for item in (0, 3, n_items - 1):
+            assert reg.get(item) == (0, 0)
+        assert reg.held == {}
+        reg.apply_updates([(3, 0, 0)])
+        assert reg.get(0) == (0, 0) and reg.held == {3: (0, 0)}
 
     def test_stamps_match_an_eagerly_built_table(self):
-        # states are built on first get, but stamps() lists every item as a
+        # only stamped items are held, but stamps() lists every item as a
         # table holding all of them up front would
         reg = ItemRegistry(5)
-        eager = {i: ItemState(i) for i in range(5)}
+        eager = dict.fromkeys(range(5), (0, 0))
         for item, t_read, t_write in [(3, 7, 0), (0, 0, 4), (3, 9, 8)]:
             reg.apply_updates([(item, t_read, t_write)])
-            state = eager[item]
-            state.t_read, state.t_write = t_read, t_write
-        assert sorted(reg._items) == [0, 3]
+            eager[item] = (t_read, t_write)
+        assert sorted(reg.held) == [0, 3]
         assert reg.get(4) == eager[4]
-        assert reg.stamps() == {i: (s.t_read, s.t_write) for i, s in eager.items()}
+        assert reg.stamps() == eager
         assert list(reg.stamps()) == list(range(5))
 
     @pytest.mark.parametrize("update, message", [
@@ -224,21 +216,20 @@ class TestRegistry:
         reg.apply_updates([])
         assert reg.stamps()[0] == (10, 20)
 
-    def test_updates_build_states_and_refuse_unknown_items(self):
+    def test_updates_hold_stamps_and_refuse_unknown_items(self):
         reg = ItemRegistry(2)
         reg.apply_updates([(1, 3, 4)])
-        assert reg.held == {1: ItemState(1, 3, 4)}
+        assert reg.held == {1: (3, 4)}
         with pytest.raises(UnknownItemError):
             reg.apply_updates([(2, 0, 0)])
-        assert dict(reg.held) == {1: ItemState(1, 3, 4)}
+        assert dict(reg.held) == {1: (3, 4)}
 
     def test_held_is_a_read_only_view(self):
         reg = ItemRegistry(3)
-        assert reg.held.get(0) is None  # looking does not build a state
-        state = reg.get(0)
-        assert reg.held[0] is state and len(reg.held) == 1
+        reg.apply_updates([(0, 1, 2)])
+        assert reg.held[0] == reg.get(0) == (1, 2) and len(reg.held) == 1
         with pytest.raises(TypeError):
-            reg.held[1] = ItemState(1)
+            reg.held[1] = (0, 0)
 
 
 class TestHistory:

@@ -92,9 +92,12 @@ class TestWaitingTime:
                       service_ms=500)
         assert compute_waiting_time(t) == 340
 
-    def test_clamped_at_zero(self):
+    def test_service_beyond_the_elapsed_time_is_an_error(self):
+        # a run's service time lies inside its submit-to-terminal span, so
+        # a longer one is a bookkeeping fault, not a wait of zero
         t = TxnTiming(0, submit_ms=0, terminal_ms=400, service_ms=500)
-        assert compute_waiting_time(t) == 0
+        with pytest.raises(ConfigError, match="service time exceeds"):
+            compute_waiting_time(t)
 
     def test_terminal_before_submit_is_an_error(self):
         t = TxnTiming(0, submit_ms=10, terminal_ms=5, service_ms=0)

@@ -336,11 +336,15 @@ class TestCommitTransaction:
     def test_abort_leaves_registry_bit_identical(self):
         reg = ItemRegistry(3)
         commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nW 1 2\nCOMMIT - 2\n", 1), 40)
-        before = reg.stamps()
+        before, held = reg.stamps(), dict(reg.held)
         dec = commit_transaction(reg, log_of("BEGIN - 0\nR 0 1\nW 2 1\nCOMMIT - 1\n", 2), 20)
         assert not dec.committed
         assert not dec.updates
         assert reg.stamps() == before
+        # an abort that read an unheld item first holds nothing either
+        dec = commit_transaction(reg, log_of("BEGIN - 0\nR 2 1\nR 0 1\nCOMMIT - 1\n", 3), 20)
+        assert not dec.committed
+        assert reg.stamps() == before and reg.held == held == {0: (0, 36), 1: (0, 38)}
 
     def test_history_events_use_rebased_instants(self):
         reg = ItemRegistry(1)
@@ -383,9 +387,7 @@ class AbsRecord:
 
 
 def reference_rebase(log, receipt):
-    violation = log_validate(log)
-    if violation is not None:
-        raise InvalidLogError(violation)
+    log_validate(log)
     span = total_span(log)
     if receipt < span:
         raise RebaseUnderflowError(
@@ -403,8 +405,8 @@ def reference_validate(registry, abs_records):
 
     def stamps_for(item_id):
         if item_id not in staged:
-            state = registry.get(item_id)
-            staged[item_id] = [state.t_read, state.t_write]
+            t_read, t_write = registry.get(item_id)
+            staged[item_id] = [t_read, t_write]
         return staged[item_id]
 
     for index, rec in enumerate(abs_records):

@@ -387,8 +387,8 @@ class TestGoldenRuns:
 
     @pytest.mark.parametrize("shape", sorted({s for s, p in _GOLDEN if p == "s2pl"}))
     def test_s2pl_shapes_break_deadlocks_both_ways(self, shape, monkeypatch):
-        # an aborted attempt that is parked when it is ended was woken as a
-        # victim; one that is not parked was the requester itself
+        # an aborted attempt that is parked when it is ended is a victim, and
+        # its own end wakes it; one that is not parked was the requester itself
         victims = {"parked": 0, "self": 0}
         s2pl_end = simkit._Sim.s2pl_end
 
@@ -396,6 +396,7 @@ class TestGoldenRuns:
             if outcome is Outcome.ABORTED:
                 victims["parked" if aid in sim.parked else "self"] += 1
             s2pl_end(sim, aid, outcome, instant)
+            assert aid not in sim.parked
 
         monkeypatch.setattr(simkit._Sim, "s2pl_end", counting_end)
         run_simulation(quiet_cfg(protocol="s2pl", **_GOLDEN_SHAPES[shape]))
@@ -697,14 +698,21 @@ class TestServerStateAfterRun:
                 stamps[slot] = max(stamps[slot], ev.instant)
         assert sim.registry.stamps() == {i: tuple(s) for i, s in expected.items()}
 
-    @pytest.mark.parametrize("n_items", [10**6, 10**9])
-    def test_opcot_registry_holds_only_touched_items(self, n_items, monkeypatch):
-        # the registry builds an item's state on first touch, so a huge item
-        # count costs nothing beyond the items the transactions name
-        result, sim = _run_keeping_sim(quiet_cfg(n_items=n_items, n_txns=5), monkeypatch)
-        assert result.committed == 5
+    @pytest.mark.parametrize("n_items, aborts_alone", [
+        (100, True), (10**6, False), (10**9, False)])
+    def test_opcot_registry_holds_only_stamped_items(self, n_items, aborts_alone,
+                                                     monkeypatch):
+        # the registry holds only the items a commit stamped, so a huge item
+        # count costs nothing beyond them, and an aborted attempt's validation
+        # holds nothing
+        cfg = quiet_cfg(n_items=n_items, n_txns=40, mean_len=8, arrival_mean_ms=2)
+        result, sim = _run_keeping_sim(cfg, monkeypatch)
+        committed = result.history.committed()
+        stamped = {ev.op.item_id for ev in result.history
+                   if isinstance(ev, OpEvent) and ev.txn_id in committed}
         touched = {ev.op.item_id for ev in result.history if isinstance(ev, OpEvent)}
-        assert set(sim.registry._items) == touched
+        assert stamped and set(sim.registry.held) == stamped
+        assert (touched > stamped) is aborts_alone  # items only aborted attempts named
 
 
 class _TieOrderSim(_Sim):
