@@ -24,8 +24,8 @@ class LockMode(Enum):
     EXCLUSIVE = "X"
 
 
-def compatible(held: LockMode, wanted: LockMode) -> bool:
-    return held is LockMode.SHARED and wanted is LockMode.SHARED
+# members bound once: looking one up on LockMode costs more than the test
+_S, _X = LockMode.SHARED, LockMode.EXCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class LockTable:
         held = self._items[item_id].granted.get(txn_id)
         if held is None:
             return False
-        return held is LockMode.EXCLUSIVE or mode is LockMode.SHARED
+        return held is _X or mode is _S
 
     def acquire(self, txn_id: int, item_id: int, mode: LockMode):
         """Grant or enqueue; never searches for a deadlock.
@@ -97,16 +97,17 @@ class LockTable:
             raise ValueError(f"txn {txn_id} requests item {item_id} while it waits "
                              f"on item {self._waiting[txn_id]}")
         locks = self._items[item_id]
-        held = locks.granted.get(txn_id)
-        if held is LockMode.EXCLUSIVE or held is mode:
+        granted = locks.granted
+        held = granted.get(txn_id)
+        if held is _X or held is mode:
             return Granted()
-        if held is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
-            if len(locks.granted) == 1:
-                locks.granted[txn_id] = LockMode.EXCLUSIVE
+        if held is _S:   # and mode is _X
+            if len(granted) == 1:
+                granted[txn_id] = _X
                 locks.successors.clear()   # shared waiters now wait on txn_id
                 return Granted()
-        elif not locks.queue and all(compatible(h, mode) for h in locks.granted.values()):
-            locks.granted[txn_id] = mode
+        elif not locks.queue and (not granted or (mode is _S and _X not in granted.values())):
+            granted[txn_id] = mode
             self._presence[txn_id].add(item_id)
             return Granted()
         locks.queue.append(_Request(txn_id, mode))
@@ -137,22 +138,25 @@ class LockTable:
         return granted
 
     def _grant_heads(self, item_id: int) -> list[int]:
+        """Grant the queue's heads in FIFO order while each is compatible
+        with every other holder. An X head may hold S (a queued upgrade), so
+        it is blocked by any holder but itself. An S head holds nothing here,
+        since a holder's S request is granted at once, so it is blocked by
+        any X holder."""
         locks = self._items[item_id]
+        granted, queue = locks.granted, locks.queue
         newly: list[int] = []
-        while locks.queue:
-            head = locks.queue[0]
-            others = [h for t, h in locks.granted.items() if t != head.txn_id]
-            if head.mode is LockMode.EXCLUSIVE:
-                if others:
-                    break
-                locks.granted[head.txn_id] = LockMode.EXCLUSIVE
-            else:
-                if any(h is LockMode.EXCLUSIVE for h in others):
-                    break
-                locks.granted.setdefault(head.txn_id, LockMode.SHARED)
-            locks.queue.pop(0)
-            del self._waiting[head.txn_id]
-            newly.append(head.txn_id)
+        while queue:
+            head = queue[0]
+            txn_id, mode = head.txn_id, head.mode
+            blocked = (len(granted) > (txn_id in granted) if mode is _X
+                       else _X in granted.values())
+            if blocked:
+                break
+            granted[txn_id] = mode
+            queue.pop(0)
+            del self._waiting[txn_id]
+            newly.append(txn_id)
         return newly
 
     def waits_on(self, txn_id: int) -> set[int]:
@@ -168,12 +172,12 @@ class LockTable:
         for pos, req in enumerate(queue):
             if req.txn_id == txn_id:
                 break
-        x = req.mode is LockMode.EXCLUSIVE
+        x = req.mode is _X
         for t, h in locks.granted.items():
-            if t != txn_id and (x or h is LockMode.EXCLUSIVE):
+            if t != txn_id and (x or h is _X):
                 blockers.add(t)
         for ahead in islice(queue, pos):
-            if x or ahead.mode is LockMode.EXCLUSIVE:
+            if x or ahead.mode is _X:
                 blockers.add(ahead.txn_id)
         return blockers
 
@@ -198,10 +202,10 @@ class LockTable:
             if not locks.queue:
                 continue
             held = locks.granted.get(txn_id)
-            held_x = held is LockMode.EXCLUSIVE
+            held_x = held is _X
             ahead = ahead_x = False   # txn_id's request is ahead, and exclusive
             for req in locks.queue:
-                x = req.mode is LockMode.EXCLUSIVE
+                x = req.mode is _X
                 if req.txn_id == txn_id:
                     ahead, ahead_x = True, x
                 elif (held is not None and (held_x or x)) or ahead_x or (ahead and x):

@@ -10,9 +10,11 @@ the service time, then one commit request and its reply, with retries as
 fresh attempts. Protocols differ only on the server, in a small policy object
 per attempt: opcot logs operators with relative timestamps, built at the
 commit request, and validates the log at commit, occ buffers writes and
-validates backwards, and s2pl adds a lock round-trip before each operator,
-which may park the client or pick it as a deadlock victim. Without that
-round-trip an attempt runs its operators offline, back to back.
+validates backwards, and s2pl adds a lock round-trip before each operator.
+The server answers a lock request at once, with a grant, a deadlock abort
+of the requester, or a wait; on a wait the client parks until a grant or its
+own end as a victim wakes it. Without that round-trip an attempt runs its
+operators offline, back to back.
 
 Client mobility is abstracted into per-operation disconnect rolls plus a
 reconnect delay that is paid only when a server exchange is actually needed.
@@ -54,8 +56,9 @@ from .opcot import client_record_op, client_record_ops, commit_transaction
 from .rng import _LCG_A, _LCG_C, _MASK64, DetRng
 
 PROTOCOLS = ("opcot", "occ", "s2pl")
-# enum members bound once: looking one up on OpKind costs more than the test
+# enum members bound once: looking one up on its class costs more than the test
 _READ, _WRITE = OpKind.READ, OpKind.WRITE
+_SHARED, _EXCLUSIVE = LockMode.SHARED, LockMode.EXCLUSIVE
 
 _CLIENT_CLOCK_SKEW_MS = 1_000_000  # client clocks sit anywhere within +/- this
 # upper bound on mean_len and sd_len; a larger one draws lengths no run can finish
@@ -353,7 +356,11 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
     stream, so its state is not written back. A lock-less attempt draws its
     disconnect rolls together before its first operator: it draws nothing
     else until its commit request, so the stream's order is that of a roll
-    before each operator."""
+    before each operator. Every transaction's process exists from the start,
+    and on CPython 3.11 its frame lives inside the generator object, so the
+    locals are kept few: three more took the object past the 512-byte limit
+    of the small-object allocator and raised a 5,000-txn run's peak RSS by
+    2.3 MB."""
     cfg = sim.cfg
     new_policy = _POLICIES[cfg.protocol]
     a, c, mask = _LCG_A, _LCG_C, _MASK64
@@ -397,7 +404,11 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
                 messages += 1
                 state = (state * a + c) & mask
                 yield up_lo + int((state >> 11) * 2.0 ** -53 * up_n)
-                if not (yield from lock(op)):
+                granted = lock(op)
+                if granted is None:
+                    yield ("park", aid)
+                    granted = policy.woken(op)
+                if not granted:
                     outcome = Outcome.ABORTED  # the server recorded it and released the locks
                     break
                 messages += 1
@@ -426,12 +437,14 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
 
 
 # Server policies, one per protocol and attempt; commit(instant) decides at
-# the server's receipt instant. An attempt whose policy has a lock(op)
-# generator pays a round-trip per operator, and the generator returns False
-# when the server ends the attempt there. The others run their operators
-# offline: record(op), where a policy has one, takes each operator's local
-# effect at its instant, and request(ops) takes the attempt's at its commit
-# request, before the commit exchange.
+# the server's receipt instant. An attempt whose policy has a lock(op) method
+# pays a round-trip per operator. lock(op) returns True on a grant, False when
+# the server ends the attempt there, and None when the request waits: the
+# client then yields ("park", aid) and, once woken, asks woken(op) for True
+# or False. The others run their operators offline: record(op), where a
+# policy has one, takes each operator's local effect at its instant, and
+# request(ops) takes the attempt's at its commit request, before the commit
+# exchange.
 
 class _Opcot:
     """Log operators with relative timestamps off the skewed client clock;
@@ -489,21 +502,22 @@ class _Occ:
 
 class _S2pl:
     """Strict 2PL: each operator runs at its lock grant instant; every lock
-    is held until the terminal."""
+    is held until the terminal. lock(op) answers at the request instant:
+    True when op's lock is granted and op is recorded, False when this
+    attempt was ended as a deadlock victim, None when the request waits; the
+    client then parks, and woken(op) reads its fate when it is resumed."""
 
     def __init__(self, sim: _Sim, aid: int, offset: int):
         self.sim, self.aid = sim, aid
         sim.table.register_txn(aid, sim.now)
 
-    def lock(self, op: Operation):
-        """Acquire op's lock, parking while blocked, record op at the grant
-        and return True. The one place deadlocks are broken: while a cycle
-        runs through this request, abort its youngest member; return False
-        when that is this attempt, now or while parked. A parked attempt is
-        woken by a grant or by its own end as a victim; the victim's release
-        dropped its request, so it does not hold the lock."""
+    def lock(self, op: Operation) -> bool | None:
+        """Acquire op's lock; on a grant record op now and return True. The
+        one place deadlocks are broken: while a cycle runs through this
+        request, abort its youngest member, and return False when that is
+        this attempt. Return None when the request stays queued."""
         sim, table, aid = self.sim, self.sim.table, self.aid
-        mode = LockMode.SHARED if op.kind is OpKind.READ else LockMode.EXCLUSIVE
+        mode = _SHARED if op.kind is _READ else _EXCLUSIVE
         granted = isinstance(table.acquire(aid, op.item_id, mode), Granted)
         while not granted and (cycle := table.find_cycle(aid)):
             victim = table.youngest_of(cycle)
@@ -512,9 +526,18 @@ class _S2pl:
                 return False
             granted = table.holds(aid, op.item_id, mode)  # the victim's release may grant it
         if not granted:
-            yield ("park", aid)
-            if not table.holds(aid, op.item_id, mode):
-                return False
+            return None
+        sim.history.record_op(aid, op, sim.now)
+        return True
+
+    def woken(self, op: Operation) -> bool:
+        """After the park on op's queued request: a grant woke the attempt,
+        so record op now and return True, or its own end as a victim did,
+        and that release dropped the request, so return False."""
+        sim, aid = self.sim, self.aid
+        mode = _SHARED if op.kind is _READ else _EXCLUSIVE
+        if not sim.table.holds(aid, op.item_id, mode):
+            return False
         sim.history.record_op(aid, op, sim.now)
         return True
 

@@ -6,13 +6,63 @@ from ccarena.baselines import (
     LockTable,
     OccBook,
     Queued,
-    compatible,
+    _Request,
     occ_validate,
 )
 from ccarena.core import Outcome
 from ccarena.rng import DetRng
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
+
+
+def compatible(held, wanted):
+    return held is S and wanted is S
+
+
+class ReferenceGrantTable(LockTable):
+    """LockTable granting by the per-holder compatible() rule it used before
+    its mode tests, kept as the reference those are compared against."""
+
+    def acquire(self, txn_id, item_id, mode):
+        if txn_id in self._waiting:
+            raise ValueError(f"txn {txn_id} requests item {item_id} while it waits "
+                             f"on item {self._waiting[txn_id]}")
+        locks = self._items[item_id]
+        held = locks.granted.get(txn_id)
+        if held is X or held is mode:
+            return Granted()
+        if held is S and mode is X:
+            if len(locks.granted) == 1:
+                locks.granted[txn_id] = X
+                locks.successors.clear()
+                return Granted()
+        elif not locks.queue and all(compatible(h, mode) for h in locks.granted.values()):
+            locks.granted[txn_id] = mode
+            self._presence[txn_id].add(item_id)
+            return Granted()
+        locks.queue.append(_Request(txn_id, mode))
+        self._presence[txn_id].add(item_id)
+        self._waiting[txn_id] = item_id
+        return Queued()
+
+    def _grant_heads(self, item_id):
+        locks = self._items[item_id]
+        newly = []
+        while locks.queue:
+            head = locks.queue[0]
+            others = [h for t, h in locks.granted.items() if t != head.txn_id]
+            if head.mode is X:
+                if others:
+                    break
+                locks.granted[head.txn_id] = X
+            else:
+                if any(h is X for h in others):
+                    break
+                locks.granted.setdefault(head.txn_id, S)
+            locks.queue.pop(0)
+            del self._waiting[head.txn_id]
+            newly.append(head.txn_id)
+        return newly
 
 
 def reference_waits_for_edges(table):
@@ -84,6 +134,43 @@ def assert_successors_coherent(table, edges):
         for w, succ in locks.successors.items():
             assert table._waiting.get(w) == item_id, f"txn {w} no longer waits on {item_id}"
             assert succ == sorted(edges.get(w, ())), f"stale successors of txn {w}"
+
+
+def drive(seed, *tables):
+    """Random traffic of 400 steps, applied to every table alike. Only
+    transactions that do not wait issue requests, and victims are released
+    only half of the time, so cycles stay in the tables; when every
+    transaction waits, one is released. Yields after each step its number,
+    the cycle the first table found on it (None on a release step) and, per
+    table, what it answered: release_all's grant list, or the acquire answer,
+    the search's answer and, when a victim was released, its grant list."""
+    rng = DetRng(seed)
+    first = tables[0]
+    active: list[int] = []
+    for step in range(400):
+        idle = [t for t in active if t not in first._waiting]
+        if active and (not idle or rng.random() < 0.2):
+            txn = active.pop(rng.randrange(len(active)))
+            yield step, None, [(table.release_all(txn),) for table in tables]
+            continue
+        if not idle or rng.random() < 0.3:
+            begin = rng.randrange(50)
+            for table in tables:
+                table.register_txn(step, begin)
+            active.append(step)
+            idle.append(step)
+        txn = idle[rng.randrange(len(idle))]
+        item, mode = rng.randrange(6), S if rng.random() < 0.5 else X
+        answers = []
+        for table in tables:
+            res = table.acquire(txn, item, mode)
+            answers.append((res, res == Queued() and table.find_cycle(txn)))
+        cycle = answers[0][1]
+        if cycle and rng.random() < 0.5:
+            victim = first.youngest_of(cycle)
+            answers = [a + (table.release_all(victim),) for a, table in zip(answers, tables)]
+            active.remove(victim)
+        yield step, cycle, answers
 
 
 def table_with(*txns):
@@ -260,32 +347,12 @@ class TestLockInvariants:
     # waiter behind an exclusive request has its successors kept
     @pytest.mark.parametrize("seed", [7, 8, 9, 11, 14])
     def test_lazy_search_matches_the_global_graph(self, seed):
-        # random traffic in which only transactions that do not wait issue
-        # requests and victims are released only half of the time, so cycles
-        # stay in the table; when every transaction waits, one is released.
-        # After every step the per-waiter edges, the kept successor lists and
-        # every search agree with the reference
-        rng = DetRng(seed)
+        # after every step of drive's traffic the per-waiter edges, the kept
+        # successor lists and every search agree with the reference
         table = LockTable()
-        active: list[int] = []
         cycles = 0
-        for step in range(400):
-            idle = [t for t in active if t not in table._waiting]
-            if active and (not idle or rng.random() < 0.2):
-                table.release_all(active.pop(rng.randrange(len(active))))
-            else:
-                if not idle or rng.random() < 0.3:
-                    table.register_txn(step, rng.randrange(50))
-                    active.append(step)
-                    idle.append(step)
-                txn = idle[rng.randrange(len(idle))]
-                res = table.acquire(txn, rng.randrange(6), S if rng.random() < 0.5 else X)
-                cycle = res == Queued() and table.find_cycle(txn)
-                cycles += bool(cycle)
-                if cycle and rng.random() < 0.5:
-                    victim = table.youngest_of(cycle)
-                    table.release_all(victim)
-                    active.remove(victim)
+        for step, cycle, _ in drive(seed, table):
+            cycles += bool(cycle)
             edges = reference_waits_for_edges(table)
             assert table._waiting == rebuilt_waiting(table)
             assert_successors_coherent(table, edges)
@@ -295,6 +362,41 @@ class TestLockInvariants:
                 assert table.find_cycle(t) == reference_find_cycle(edges, t)
             assert_successors_coherent(table, edges)
         assert cycles > 0
+
+    def test_mode_tests_grant_as_the_compatible_rule(self):
+        # LockTable and the reference take drive's traffic side by side; after
+        # every step they gave the same answers and hold the same grants and
+        # queues. The traffic reaches each case the mode tests decide
+        seen = set()
+
+        class Watched(ReferenceGrantTable):
+            def acquire(self, txn_id, item_id, mode):
+                locks = self._items[item_id]
+                held = locks.granted.get(txn_id)
+                if held is S and mode is X and len(locks.granted) == 1:
+                    seen.add("upgrade in place")
+                elif held is None and mode is S and not locks.queue \
+                        and X in locks.granted.values():
+                    seen.add("S request facing an X holder")
+                return super().acquire(txn_id, item_id, mode)
+
+            def _grant_heads(self, item_id):
+                locks = self._items[item_id]
+                if locks.queue and locks.queue[0].mode is S and X in locks.granted.values():
+                    seen.add("S head behind an X holder")
+                return super()._grant_heads(item_id)
+
+        def locks_of(table):
+            return {i: (locks.granted, locks.queue) for i, locks in table._items.items()}
+
+        for seed in (7, 8, 9, 11, 14):
+            table, ref = LockTable(), Watched()
+            for step, _, (got, want) in drive(seed, table, ref):
+                assert got == want, (seed, step)
+                assert locks_of(table) == locks_of(ref), (seed, step)
+                assert table._waiting == ref._waiting
+        assert seen == {"upgrade in place", "S request facing an X holder",
+                        "S head behind an X holder"}
 
     def test_upgrade_in_place_drops_kept_successors(self):
         # T1 holds S alone; T2 queues X behind it and T3 queues S behind T2,

@@ -10,6 +10,7 @@ import pytest
 
 import ccarena.simkit as simkit
 from ccarena import core
+from ccarena.baselines import Granted, LockMode, LockTable, Queued
 from ccarena.core import ConfigError, OpEvent, OpKind, Outcome
 from ccarena.harness import compute_waiting_time, verify_run
 from ccarena.opcot import client_record_op, commit_transaction
@@ -300,8 +301,6 @@ class TestLockSafetyDuringSimulation:
         # a contended locking run
         from test_baselines import assert_lock_safety, rebuilt_waiting
 
-        from ccarena.baselines import LockTable
-
         class AuditedTable(LockTable):
             def acquire(self, txn_id, item_id, mode):
                 res = super().acquire(txn_id, item_id, mode)
@@ -550,7 +549,31 @@ class _ReferenceOcc(simkit._Occ):
 
 
 class _ReferenceS2pl(simkit._S2pl):
-    """The s2pl policy with the per-operator record the reference loop calls."""
+    """The s2pl policy whose lock(op) is a generator that parks inside
+    itself, with the per-operator record the reference loop calls."""
+
+    def lock(self, op):
+        """Acquire op's lock, parking while blocked, record op at the grant
+        and return True. The one place deadlocks are broken: while a cycle
+        runs through this request, abort its youngest member; return False
+        when that is this attempt, now or while parked. A parked attempt is
+        woken by a grant or by its own end as a victim; the victim's release
+        dropped its request, so it does not hold the lock."""
+        sim, table, aid = self.sim, self.sim.table, self.aid
+        mode = LockMode.SHARED if op.kind is OpKind.READ else LockMode.EXCLUSIVE
+        granted = isinstance(table.acquire(aid, op.item_id, mode), Granted)
+        while not granted and (cycle := table.find_cycle(aid)):
+            victim = table.youngest_of(cycle)
+            sim.s2pl_end(victim, Outcome.ABORTED, sim.now)
+            if victim == aid:
+                return False
+            granted = table.holds(aid, op.item_id, mode)  # the victim's release may grant it
+        if not granted:
+            yield ("park", aid)
+            if not table.holds(aid, op.item_id, mode):
+                return False
+        sim.history.record_op(aid, op, sim.now)
+        return True
 
     def record(self, op):
         pass  # lock() records each operator at its grant

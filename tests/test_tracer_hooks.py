@@ -1,11 +1,17 @@
 """The benchmark's tracer wraps ccarena names where their callers look them
-up; a refactor that drops or moves one breaks the traced run. This guards
-those names from the ordinary test suite."""
+up; a refactor that drops or moves one breaks the traced run, and one that
+stops calling through them zeroes that layer's readings. This guards both
+from the ordinary test suite."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from test_simkit import _GOLDEN_SHAPES, quiet_cfg
+
+from ccarena.baselines import Granted, LockTable, Queued
+from ccarena.simkit import run_simulation
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,3 +36,38 @@ def test_every_wrapped_name_is_where_the_tracer_looks(owner, attr, span):
 
 def test_the_event_count_hook_exists():
     assert callable(vars(tracer.simkit.EventQueue)["pop"])
+
+
+# per s2pl golden shape: calls of each wrapped LockTable method, and the
+# queued acquires and found cycles the tracer counts from their answers
+_S2PL_READINGS = {
+    "disconnects": {"acquire": 191, "find_cycle": 172, "release_all": 88,
+                    "queued": 142, "cycles_found": 69},
+    "zero_latency": {"acquire": 131, "find_cycle": 108, "release_all": 63,
+                     "queued": 92, "cycles_found": 34},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_S2PL_READINGS))
+def test_s2pl_runs_every_lock_table_call_through_the_class(shape, monkeypatch):
+    # wrapped on the class as the tracer wraps them: a call that bypasses the
+    # class attribute, or an acquire answer the tracer cannot classify,
+    # changes these readings
+    readings = Counter()
+
+    def wrap(attr, original):
+        def counted(*args):
+            readings[attr] += 1
+            result = original(*args)
+            if attr == "acquire":
+                assert isinstance(result, (Granted, Queued)), result
+                readings["queued"] += not isinstance(result, Granted)
+            elif attr == "find_cycle":
+                readings["cycles_found"] += bool(result)
+            return result
+        return counted
+
+    for attr in ("acquire", "find_cycle", "release_all"):
+        monkeypatch.setattr(LockTable, attr, wrap(attr, vars(LockTable)[attr]))
+    run_simulation(quiet_cfg(protocol="s2pl", **_GOLDEN_SHAPES[shape]))
+    assert readings == _S2PL_READINGS[shape]
