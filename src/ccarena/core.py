@@ -178,12 +178,12 @@ class ItemRegistry:
         self.held: Mapping[int, tuple[int, int]] = MappingProxyType(self._items)
 
     def get(self, item_id: int) -> tuple[int, int]:
-        try:
-            return self._items[item_id]
-        except KeyError:
-            if isinstance(item_id, int) and 0 <= item_id < self.n_items:
-                return (0, 0)
-            raise UnknownItemError(item_id) from None
+        pair = self._items.get(item_id)
+        if pair is not None:
+            return pair
+        if isinstance(item_id, int) and 0 <= item_id < self.n_items:
+            return (0, 0)
+        raise UnknownItemError(item_id)
 
     def __len__(self) -> int:
         return self.n_items
@@ -231,9 +231,22 @@ class TerminalEvent(NamedTuple):
     instant: int
 
 
+_TEXT_CHUNK = 4096  # events per chunk of History.to_text
 _DATA_KINDS = {OpKind.READ.value: OpKind.READ, OpKind.WRITE.value: OpKind.WRITE}
 _is_data = attrgetter("is_data")
 _new_op_event = partial(_new_tuple, OpEvent)  # OpEvent from a (txn_id, op, instant) tuple
+
+
+def _events_text(events: Iterable[OpEvent | TerminalEvent]) -> str:
+    """The lines of History.to_text for these events, each ending in a newline."""
+    lines = []
+    for ev in events:
+        if isinstance(ev, OpEvent):
+            op = ev.op
+            lines.append(f"OP {ev.txn_id} {op.kind.value} {op.item_id} {ev.instant}\n")
+        else:
+            lines.append(f"END {ev.txn_id} {ev.outcome.value} {ev.instant}\n")
+    return "".join(lines)
 
 
 class History:
@@ -292,13 +305,11 @@ class History:
     #   END <txn_id> <COMMITTED|ABORTED> <instant>
 
     def to_text(self) -> str:
-        lines = []
-        for ev in self.events:
-            if isinstance(ev, OpEvent):
-                lines.append(f"OP {ev.txn_id} {ev.op.kind.value} {ev.op.item_id} {ev.instant}")
-            else:
-                lines.append(f"END {ev.txn_id} {ev.outcome.value} {ev.instant}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        # Joined one chunk of events at a time: only one chunk's line strings
+        # are alive at once, so the peak is about twice the text.
+        events = self.events
+        return "".join([_events_text(events[start:start + _TEXT_CHUNK])
+                        for start in range(0, len(events), _TEXT_CHUNK)])
 
     @classmethod
     def from_text(cls, text: str) -> "History":

@@ -14,7 +14,6 @@ directory, and aborts the whole matrix.
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -266,6 +265,7 @@ def run_matrix(matrix: MatrixConfig, workers: int = 1,
     cells = matrix.cells()
     workers = min(workers, len(cells))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(partial(_run_cell, dump_dir=dump_dir), cells, chunksize=1))
     else:

@@ -522,6 +522,29 @@ def test_entry_point_exit_code(tmp_path, steps):
             assert proc.stderr.splitlines()[0].startswith("config error:")
 
 
+POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
+
+
+def imported_modules(stderr):
+    """The module names a -X importtime run reports loading."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("args", [
+    ("-c", "import ccarena"),
+    ("-c", "import ccarena.cli"),
+    ("-m", "ccarena", "run", "--protocol", "opcot", "--items", "8", "--txns", "10",
+     "--seed", "1"),
+], ids=["import", "import-cli", "run"])
+def test_only_a_parallel_matrix_loads_the_process_pool(tmp_path, args):
+    proc = fresh_python("-X", "importtime", *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = imported_modules(proc.stderr)
+    assert "ccarena.harness" in loaded
+    assert not loaded & POOL_MODULES
+
+
 def _cap_address_space():
     """Runs in the child only: 600 MB of address space, so building a huge
     list fails fast instead of taking the host's memory."""

@@ -1,7 +1,10 @@
 import pickle
+import tracemalloc
 
 import pytest
+from test_oracle import random_history, tangled_history
 
+from ccarena import core
 from ccarena.core import (
     BEGIN,
     COMMIT,
@@ -24,6 +27,7 @@ from ccarena.core import (
     write,
 )
 from ccarena.rng import DetRng
+from ccarena.simkit import SimConfig, run_simulation
 
 
 def make_log(records, txn_id=0):
@@ -297,6 +301,86 @@ class TestHistory:
         again = History.from_text(text)
         assert again.to_text() == text
         assert again.committed() == {1: 9}
+
+
+def reference_to_text(hist: History) -> str:
+    """The plain dump: one string per event, joined once."""
+    lines = []
+    for ev in hist.events:
+        if isinstance(ev, OpEvent):
+            lines.append(f"OP {ev.txn_id} {ev.op.kind.value} {ev.op.item_id} {ev.instant}")
+        else:
+            lines.append(f"END {ev.txn_id} {ev.outcome.value} {ev.instant}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def history_of(events) -> History:
+    """A history that records events in order, through the checked calls."""
+    hist = History()
+    for ev in events:
+        if isinstance(ev, OpEvent):
+            hist.record_op(*ev)
+        else:
+            hist.record_terminal(*ev)
+    return hist
+
+
+CHUNK = core._TEXT_CHUNK
+
+
+@pytest.fixture(scope="module")
+def long_history():
+    hist = run_simulation(SimConfig(n_items=2000, n_txns=1000, mean_len=20, sd_len=4,
+                                    seed=5)).history
+    assert len(hist) >= 20_000
+    return hist
+
+
+class TestHistoryText:
+    """to_text is built one chunk of events at a time, with the bytes of the
+    plain join."""
+
+    def test_empty_history_gives_no_text(self):
+        assert History().to_text() == reference_to_text(History()) == ""
+
+    def test_terminals_only(self):
+        hist = history_of([TerminalEvent(2, Outcome.ABORTED, 0),
+                           TerminalEvent(1, Outcome.COMMITTED, 7)])
+        assert hist.to_text() == reference_to_text(hist) == \
+            "END 2 ABORTED 0\nEND 1 COMMITTED 7\n"
+
+    @pytest.mark.parametrize("make", [random_history, tangled_history])
+    def test_random_histories_match_the_reference(self, make):
+        rng = DetRng(2911)
+        for _ in range(200):
+            hist = make(rng)
+            assert hist.to_text() == reference_to_text(hist)
+
+    @pytest.mark.parametrize("n_events", sorted({max(0, k * CHUNK + d)
+                                                 for k in range(4) for d in (-1, 0, 1)}))
+    def test_chunk_boundaries_match_the_reference(self, long_history, n_events):
+        hist = history_of(long_history.events[:n_events])
+        assert len(hist) == n_events
+        text = hist.to_text()
+        assert text == reference_to_text(hist)
+        assert text.count("\n") == n_events
+
+    def test_a_multi_chunk_text_round_trips(self, long_history):
+        text = long_history.to_text()
+        assert len(long_history) > 4 * CHUNK
+        assert text == reference_to_text(long_history)
+        assert History.from_text(text).to_text() == text
+
+    def test_peak_memory_stays_near_the_text(self, long_history):
+        # the plain join holds one string per event until the end: 6x the
+        # text on this history
+        tracemalloc.start()
+        try:
+            text = long_history.to_text()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), (peak, len(text))
 
 
 def record_op_loop(hist, txn_id, ops, instants):

@@ -143,7 +143,7 @@ class TestRunMatrix:
         assert rows_to_csv(run_matrix(mx, workers=2)) == rows_to_csv(run_matrix(mx, workers=1))
 
     def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
-        import ccarena.harness as harness
+        import concurrent.futures
         sizes = []
 
         class InProcessPool:   # records the size asked for; starts no process
@@ -159,7 +159,8 @@ class TestRunMatrix:
             def map(self, fn, cells, chunksize=1):
                 return map(fn, cells)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        # run_matrix imports the pool where it needs one, so it finds the fake
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         mx = tiny_matrix(protocols=["opcot", "occ"], seeds=[1])
         assert rows_to_csv(run_matrix(mx, workers=5000)) == rows_to_csv(run_matrix(mx))
         assert sizes == [2]

@@ -7,6 +7,8 @@ from heapq import heappop, heappush
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccarena.simkit as simkit
 from ccarena import core
@@ -14,11 +16,13 @@ from ccarena.baselines import Granted, LockMode, LockTable, Queued
 from ccarena.core import ConfigError, OpEvent, OpKind, Outcome
 from ccarena.harness import compute_waiting_time, verify_run
 from ccarena.opcot import client_record_op, commit_transaction
-from ccarena.oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
+from ccarena.oracle import (brute_force_serializable, check_commitment_ordering,
+                            conflict_skeleton, is_acyclic)
 from ccarena.rng import _LCG_A, _LCG_C, DetRng
 from ccarena.simkit import (
     MAX_MS,
     MAX_TXN_LEN,
+    PROTOCOLS,
     SimConfig,
     _Sim,
     gen_workload,
@@ -795,6 +799,34 @@ class TestAnyTieOrderRunsClean:
             aborted += result.aborted
         assert choices > 0 and aborted > 0
         assert (parked_victims > 0) is (protocol == "s2pl")
+
+
+SMALL_DELAYS = st.sampled_from([(0, 0), (0, 3), (2, 5)])
+THIRDS = st.sampled_from([0.0, 0.5, 1.0])
+
+
+SMALL_CONFIGS = st.builds(
+    SimConfig, protocol=st.sampled_from(PROTOCOLS), n_txns=st.integers(1, 6),
+    n_items=st.integers(1, 3), mean_len=st.integers(2, 4), sd_len=st.integers(0, 2),
+    read_fraction=THIRDS, op_service_ms=st.integers(0, 5), uplink_latency_ms=SMALL_DELAYS,
+    downlink_latency_ms=SMALL_DELAYS, disconnect_prob=THIRDS, reconnect_delay_ms=SMALL_DELAYS,
+    arrival_mean_ms=st.integers(0, 10), retries=st.integers(0, 3), seed=st.integers(1, 2**32))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cfg=SMALL_CONFIGS)
+def test_any_small_config_runs_clean(cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        result, sim = _run_keeping_sim(cfg, mp)
+    assert result.committed + result.aborted == cfg.n_txns
+    assert verify_run(result.history, cfg.protocol) is None
+    assert brute_force_serializable(result.history)
+    if cfg.protocol != "s2pl":
+        assert all(t.messages == 2 * t.attempts for t in result.timings)
+    assert_no_attempt_left(sim)
+    again = run_simulation(cfg)
+    assert again.history.to_text() == result.history.to_text()
+    assert repr(again.timings) == repr(result.timings)
 
 
 class TestClientOffsets:
