@@ -7,8 +7,8 @@ instants backwards. Two clients whose clocks disagree by hours produce the
 same server-side timeline.
 """
 
-from ccarena.core import BEGIN, COMMIT, OperatorLog, log_to_text, read, write
-from ccarena.opcot import client_record_op, rebase_to_server_time
+from ccarena.core import BEGIN, COMMIT, read, write
+from ccarena.opcot import OperatorLog, client_record_op, log_to_text, rebase_to_server_time
 
 
 def record_transaction(clock_offset: int) -> OperatorLog:

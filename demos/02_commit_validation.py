@@ -7,8 +7,7 @@ last write, a write must predate neither the last write nor the last read.
 Accepted logs move the stamps forward; aborted logs leave no trace.
 """
 
-from ccarena.core import ItemRegistry, log_from_text
-from ccarena.opcot import commit_transaction
+from ccarena.opcot import ItemRegistry, commit_transaction, log_from_text
 
 
 def show(reg, items=(0,)):

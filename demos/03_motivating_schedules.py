@@ -9,8 +9,8 @@ death sentence: only conflicts that contradict the commit order abort.
 """
 
 from ccarena.baselines import OccBook, occ_validate
-from ccarena.core import ItemRegistry, Outcome, log_from_text
-from ccarena.opcot import commit_transaction, rebase_to_server_time
+from ccarena.core import Outcome
+from ccarena.opcot import ItemRegistry, commit_transaction, log_from_text, rebase_to_server_time
 
 WRITER, OVERLAPPER, FIRST_WRITER = 1, 2, 3
 

@@ -21,19 +21,14 @@ from .harness import (
     MatrixConfig,
     OracleViolation,
     gate_run,
+    judge,
     metrics_for_run,
     rows_to_csv,
     rows_to_gnuplot,
     run_matrix,
     write_text,
 )
-from .oracle import (
-    BRUTE_FORCE_LIMIT,
-    brute_force_serializable,
-    check_commitment_ordering,
-    conflict_skeleton,
-    is_acyclic,
-)
+from .oracle import BRUTE_FORCE_LIMIT, brute_force_serializable
 from .simkit import FIELD_TYPES, PROTOCOLS, SimConfig, run_simulation
 
 EXIT_OK = 0
@@ -126,11 +121,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_check(args) -> int:
     with open(args.history, encoding="utf-8") as fh:
         history = History.from_text(fh.read())
-    # the run gate's commit-order check, which names a violation and counts
-    # ties. A commit-ordered history is acyclic, so the graph is built only
-    # when the check fails, an operation after its own terminal included.
-    co = check_commitment_ordering(history)
-    acyclic = bool(co) or is_acyclic(conflict_skeleton(history))
+    co, acyclic = judge(history)  # the run gate's findings
     n_committed = len(history.committed())
     print(f"committed transactions: {n_committed}")
     print(f"serializable (acyclic graph): {'yes' if acyclic else f'NO, cycle {acyclic.cycle}'}")

@@ -3,10 +3,11 @@
 Every simulation run is checked before its metrics row is emitted: the
 committed history must be conflict-serializable and must satisfy the
 commit-order property, and no operation may come after its own
-transaction's terminal, whichever protocol produced it. The gate decides on
-one commit-order check, a replay that returns each finding, a late operation
-included; its pass implies an acyclic conflict graph. Only a run it fails
-builds the conflict skeleton, to name a cycle if there is one.
+transaction's terminal, whichever protocol produced it. judge computes the
+gate's findings once, for the gate and for `ccarena check`: one commit-order
+check, a replay that returns each finding, a late operation included, whose
+pass implies an acyclic conflict graph; only a history it fails builds the
+conflict skeleton, to name a cycle if there is one.
 A violation dumps the offending history to a file, by default in the working
 directory, and aborts the whole matrix.
 """
@@ -19,7 +20,8 @@ from functools import partial
 from itertools import product
 
 from .core import ConfigError, History
-from .oracle import check_commitment_ordering, conflict_skeleton, is_acyclic
+from .oracle import (CoCheck, CycleCheck, check_commitment_ordering, conflict_skeleton,
+                     is_acyclic)
 from .simkit import (FIELD_TYPES, PROTOCOLS, RunResult, SimConfig, TxnTiming, parse_kv_text,
                      parse_value, run_simulation)
 
@@ -97,6 +99,20 @@ def metrics_for_run(result: RunResult) -> RunMetrics:
     )
 
 
+def judge(history: History) -> tuple[CoCheck, CycleCheck]:
+    """The gate's findings: the commit-order check and the cycle search.
+
+    check_commitment_ordering decides, in one replay of the commits; it also
+    names an operation after its own terminal in its `late`. A pass means
+    every conflict edge points to a strictly later commit, so commit order is
+    a topological order and the graph is acyclic (Raz's commitment-ordering
+    argument): the cycle search passes without a graph. Only a failed check
+    builds the conflict skeleton and searches it for a cycle.
+    """
+    co = check_commitment_ordering(history)
+    return co, (CycleCheck(True) if co else is_acyclic(conflict_skeleton(history)))
+
+
 def verify_run(history: History, protocol: str) -> str | None:
     """Oracle-in-the-loop check; returns a violation description or None.
 
@@ -105,21 +121,16 @@ def verify_run(history: History, protocol: str) -> str | None:
     commit, and backward-validation OCC installs its writes at commit. The
     protocol does not change which checks run.
 
-    check_commitment_ordering decides, in one replay of the commits. A pass
-    means every conflict edge points to a strictly later commit, so commit
-    order is a topological order and the graph is acyclic (Raz's
-    commitment-ordering argument). A failing run builds the conflict skeleton,
-    to report a cycle ahead of the commit-order violation when there is one.
-    The replay also names an operation after its own terminal in its `late`.
+    The description comes from judge's findings, the first that fails of: an
+    operation after its own terminal, a cycle, a commit-order violation.
     """
-    co = check_commitment_ordering(history)
+    co, cycles = judge(history)
     if co:
         return None
     if co.late is not None:
         return f"operation after its own terminal: {co.late}"
-    check = is_acyclic(conflict_skeleton(history))
-    if not check:
-        return f"serialization graph has a cycle: {check.cycle}"
+    if not cycles:
+        return f"serialization graph has a cycle: {cycles.cycle}"
     return f"commitment ordering violated: {co.violation}"
 
 

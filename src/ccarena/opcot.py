@@ -7,33 +7,168 @@ backwards, and commits the transaction only if every operator instant is
 consistent with the read/write stamps left by already-committed transactions.
 Clients therefore talk to the server exactly once per transaction, and
 unsynchronized client clocks never matter.
+
+The operator log with its text form and the server's item registry live here
+too. The server checks a log's rules, rel_ts >= 0 included, where it reads
+the log: in log_validate, which every rebase runs.
 """
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, repeat
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .core import (
-    History,
-    InvalidLogError,
-    ItemRegistry,
-    LogRecord,
-    Operation,
-    OperatorLog,
-    OpKind,
-    Outcome,
-    log_validate,
-)
+from .core import ConfigError, History, InvalidLogError, Operation, OpKind, Outcome
+
+
+class UnknownItemError(KeyError):
+    """An operation names an item id that the registry does not hold."""
+
+
+class LogRecord(NamedTuple):
+    """An operator plus the milliseconds elapsed since the previous operator;
+    log_validate, not the record, refuses a negative rel_ts."""
+
+    op: Operation
+    rel_ts: int
+
+
+@dataclass
+class OperatorLog:
+    """Per-transaction client log: Begin, data operators, Commit, all with
+    relative timestamps."""
+
+    txn_id: int
+    records: list[LogRecord] = field(default_factory=list)
 
 
 # enum members bound once: looking one up on OpKind costs more than the test
 _BEGIN, _COMMIT, _READ = OpKind.BEGIN, OpKind.COMMIT, OpKind.READ
-# a LogRecord from an (op, rel_ts) tuple, without its generated __new__ and rel_ts check
+# a LogRecord from an (op, rel_ts) tuple, without its generated __new__
 _new_record = partial(tuple.__new__, LogRecord)
 _op_of = itemgetter(0)  # a LogRecord's op
+_rel_ts_of = itemgetter(1)  # a LogRecord's rel_ts
 _is_data = attrgetter("is_data")
+
+
+def log_validate(log: OperatorLog) -> None:
+    """Check the operator-log shape invariants and that no rel_ts is
+    negative; raise InvalidLogError naming the first one a log violates."""
+    records = log.records
+    if not records:
+        raise InvalidLogError("log is empty")
+    if records[0].op.kind is not _BEGIN:
+        raise InvalidLogError("log does not start with Begin")
+    if records[0].rel_ts != 0:
+        raise InvalidLogError("Begin record must have rel_ts 0")
+    if records[-1].op.kind is not _COMMIT:
+        raise InvalidLogError("log does not end with Commit")
+    for rec in records[1:-1]:
+        if not rec.op.is_data:  # only Begin and Commit are not data operators
+            if rec.op.kind is _BEGIN:
+                raise InvalidLogError("Begin appears after the first record")
+            raise InvalidLogError("Commit appears before the last record")
+    if min(map(_rel_ts_of, records)) < 0:
+        index = next(i for i, rec in enumerate(records) if rec.rel_ts < 0)
+        raise InvalidLogError(f"record {index} has rel_ts {records[index].rel_ts}, "
+                              f"which must be >= 0")
+
+
+# --- line-oriented text form, used by test fixtures ---------------------
+#
+# One record per line: "<OP> <item_id|-> <rel_ts_ms>", e.g.
+#   BEGIN - 0
+#   R 17 40
+#   W 17 12
+#   COMMIT - 3
+
+def log_to_text(log: OperatorLog) -> str:
+    lines = []
+    for rec in log.records:
+        item = str(rec.op.item_id) if rec.op.is_data else "-"
+        lines.append(f"{rec.op.kind.value} {item} {rec.rel_ts}")
+    return "\n".join(lines) + "\n"
+
+
+def log_from_text(text: str, txn_id: int = 0) -> OperatorLog:
+    """Parse the text form; a malformed line, a negative rel_ts included,
+    raises InvalidLogError naming its line."""
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise InvalidLogError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        kind_txt, item_txt, rel_txt = parts
+        try:
+            kind = OpKind(kind_txt)
+        except ValueError:
+            raise InvalidLogError(f"line {lineno}: unknown operator {kind_txt!r}") from None
+        try:
+            op = Operation(kind, None if item_txt == "-" else int(item_txt))
+            rel_ts = int(rel_txt)
+            if rel_ts < 0:
+                raise ValueError(f"rel_ts must be >= 0, got {rel_ts}")
+        except ValueError as exc:
+            raise InvalidLogError(f"line {lineno}: {exc}") from None
+        records.append(LogRecord(op, rel_ts))
+    return OperatorLog(txn_id, records)
+
+
+class ItemRegistry:
+    """The server's table of items, keyed 0..n_items-1, with each item's
+    stamps (t_read, t_write), the instants of its latest committed read and write.
+
+    Only the items a commit stamped are held: get gives (0, 0) for any other
+    item in range and stores nothing, stamps() lists every item, and `held`
+    is a read-only view of the held stamps. Stamps only ever move forward
+    across committed transactions; apply_updates enforces that.
+    """
+
+    def __init__(self, n_items: int):
+        if n_items < 1:
+            raise ConfigError(f"n_items must be >= 1, got {n_items}")
+        self.n_items = n_items
+        self._items: dict[int, tuple[int, int]] = {}
+        self.held: Mapping[int, tuple[int, int]] = MappingProxyType(self._items)
+
+    def get(self, item_id: int) -> tuple[int, int]:
+        pair = self._items.get(item_id)
+        if pair is not None:
+            return pair
+        if isinstance(item_id, int) and 0 <= item_id < self.n_items:
+            return (0, 0)
+        raise UnknownItemError(item_id)
+
+    def __len__(self) -> int:
+        return self.n_items
+
+    def apply_updates(self, updates: Iterable[tuple[int, int, int]]) -> None:
+        """Set each (item_id, t_read, t_write) in order. A stamp that would
+        move backwards raises ValueError before its item changes; the items
+        before it keep their new stamps."""
+        items = self._items
+        for item_id, t_read, t_write in updates:
+            old_read, old_write = items.get(item_id) or self.get(item_id)
+            if t_read < old_read:
+                raise ValueError(f"t_read of item {item_id} would move backwards "
+                                 f"({old_read} -> {t_read})")
+            if t_write < old_write:
+                raise ValueError(f"t_write of item {item_id} would move backwards "
+                                 f"({old_write} -> {t_write})")
+            items[item_id] = (t_read, t_write)
+
+    def stamps(self) -> dict[int, tuple[int, int]]:
+        """Snapshot of (t_read, t_write) per item, for audits and tests;
+        (0, 0) for an item no commit has touched."""
+        stamps = dict.fromkeys(range(self.n_items), (0, 0))
+        stamps.update(self._items)
+        return stamps
 
 
 class ClockRegressionError(ValueError):
@@ -60,7 +195,6 @@ def client_record_op(log: OperatorLog, op: Operation, now: int,
             raise InvalidLogError("log already contains Commit")
         if op.kind is _BEGIN:
             raise InvalidLogError("Begin must be the first record")
-        # now >= prev_op_instant, so LogRecord's own rel_ts check would pass
         records.append(_new_record((op, now - prev_op_instant)))
     elif op.kind is _BEGIN:
         records.append(LogRecord(op, 0))

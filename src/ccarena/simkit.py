@@ -43,16 +43,9 @@ from itertools import count
 
 from . import core
 from .baselines import Granted, LockMode, LockTable, OccBook, occ_validate
-from .core import (
-    ConfigError,
-    History,
-    ItemRegistry,
-    Operation,
-    OperatorLog,
-    OpKind,
-    Outcome,
-)
-from .opcot import client_record_op, client_record_ops, commit_transaction
+from .core import ConfigError, History, Operation, OpKind, Outcome, SharedOps
+from .opcot import (ItemRegistry, OperatorLog, client_record_op, client_record_ops,
+                    commit_transaction)
 from .rng import _LCG_A, _LCG_C, _MASK64, DetRng
 
 PROTOCOLS = ("opcot", "occ", "s2pl")
@@ -177,18 +170,6 @@ def parse_value(key: str, raw: str, kind):
         raise ConfigError(f"bad value for {key}: {exc}") from None
 
 
-class _SharedOps(dict):
-    """item -> the one Operation of a kind on that item, built on first use."""
-
-    def __init__(self, kind: OpKind):
-        super().__init__()
-        self.kind = kind
-
-    def __missing__(self, item: int) -> Operation:
-        op = self[item] = Operation(self.kind, item)
-        return op
-
-
 def gen_workload(cfg: SimConfig, rng: DetRng) -> list[list[Operation]]:
     """Draw n_txns operator lists, indexed by txn id, without Begin and Commit:
     lengths are floor(Normal(mean_len, sd_len)) clamped to >= 2, items
@@ -201,8 +182,8 @@ def gen_workload(cfg: SimConfig, rng: DetRng) -> list[list[Operation]]:
     matching DetRng method (rng.normal, then rng.randrange per operator), and
     left where those calls would leave it."""
     workload = []
-    reads, writes = _SharedOps(OpKind.READ), _SharedOps(OpKind.WRITE)
-    kinds: list[_SharedOps] = []  # the kind at position k; a function of k alone
+    reads, writes = SharedOps(_READ), SharedOps(_WRITE)
+    kinds: list[SharedOps] = []  # the kind at position k; a function of k alone
     a, c, mask = _LCG_A, _LCG_C, _MASK64
     mean, sd, n_items, fraction = cfg.mean_len, cfg.sd_len, cfg.n_items, cfg.read_fraction
     floor, log, sqrt, cos = math.floor, math.log, math.sqrt, math.cos

@@ -18,26 +18,21 @@ import pytest
 from test_opcot import total_span
 
 from ccarena.baselines import OccBook, occ_validate
-from ccarena.core import (
-    BEGIN,
-    COMMIT,
-    History,
-    ItemRegistry,
-    LogRecord,
-    OperatorLog,
-    OpKind,
-    Outcome,
-    log_from_text,
-    read,
-    write,
-)
+from ccarena.core import BEGIN, COMMIT, History, OpKind, Outcome, read, write
 from ccarena.harness import (
     MatrixConfig,
     compute_abort_rate,
     rows_to_csv,
     run_matrix,
 )
-from ccarena.opcot import commit_transaction, rebase_to_server_time
+from ccarena.opcot import (
+    ItemRegistry,
+    LogRecord,
+    OperatorLog,
+    commit_transaction,
+    log_from_text,
+    rebase_to_server_time,
+)
 from ccarena.oracle import (
     brute_force_serializable,
     build_serialization_graph,

@@ -174,14 +174,14 @@ class TestCheckCommand:
                                             (CYCLE_HISTORY, 2)], ids=["clean", "cycle"])
     def test_check_runs_the_commit_order_check_once(self, tmp_path, capsys, monkeypatch,
                                                     text, code):
-        import ccarena.cli as cli
-        check, checks = cli.check_commitment_ordering, []
+        import ccarena.harness as harness  # where the gate's findings look it up
+        check, checks = harness.check_commitment_ordering, []
 
         def counted_check(history):
             checks.append(history)
             return check(history)
 
-        monkeypatch.setattr(cli, "check_commitment_ordering", counted_check)
+        monkeypatch.setattr(harness, "check_commitment_ordering", counted_check)
         path = tmp_path / "h.history"
         path.write_text(text, encoding="utf-8")
         assert run_cli("check", "--history", str(path)) == code

@@ -11,20 +11,24 @@ from ccarena.core import (
     ConfigError,
     History,
     InvalidLogError,
-    ItemRegistry,
-    LogRecord,
     Operation,
-    OperatorLog,
     OpEvent,
     OpKind,
     Outcome,
     TerminalEvent,
+    read,
+    write,
+)
+from ccarena.opcot import (
+    ItemRegistry,
+    LogRecord,
+    OperatorLog,
     UnknownItemError,
+    commit_transaction,
     log_from_text,
     log_to_text,
     log_validate,
-    read,
-    write,
+    rebase_to_server_time,
 )
 from ccarena.rng import DetRng
 from ccarena.simkit import SimConfig, run_simulation
@@ -58,12 +62,6 @@ class TestOperation:
         assert str(op) == str(fresh) == (f"{kind.value}({item})" if op.is_data else kind.value)
         if item is not None:
             assert op != Operation(kind, item + 1)
-
-    def test_negative_rel_ts_rejected(self):
-        with pytest.raises(ValueError) as exc:
-            LogRecord(read(1), -1)
-        assert type(exc.value) is ValueError
-        assert str(exc.value) == "rel_ts must be >= 0, got -1"
 
 
 class TestLogRecord:
@@ -116,6 +114,30 @@ class TestLogValidate:
             log_validate(make_log(records))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("build", [
+        lambda: LogRecord(write(1), -1),
+        lambda: LogRecord(write(1), 3)._replace(rel_ts=-1),
+        lambda: LogRecord._make((write(1), -1)),
+    ], ids=["constructor", "_replace", "_make"])
+    def test_negative_rel_ts_refused_however_the_record_is_built(self, build):
+        # the server reads a log through log_validate, so the rule holds there
+        # for a record that no constructor checked
+        log = OperatorLog(2, [LogRecord(BEGIN, 0), LogRecord(read(0), 2), build(),
+                              LogRecord(COMMIT, 4)])
+        message = "record 2 has rel_ts -1, which must be >= 0"
+        for server_read in (log_validate, lambda bad: rebase_to_server_time(bad, 100)):
+            with pytest.raises(InvalidLogError) as err:
+                server_read(log)
+            assert str(err.value) == message
+        reg, hist = ItemRegistry(3), History()
+        earlier = make_log([(BEGIN, 0), (read(0), 1), (write(1), 3), (COMMIT, 2)], txn_id=1)
+        assert commit_transaction(reg, earlier, 50, hist).committed
+        stamps, text = reg.stamps(), hist.to_text()
+        with pytest.raises(InvalidLogError) as err:
+            commit_transaction(reg, log, 100, hist)
+        assert str(err.value) == message
+        assert reg.stamps() == stamps and hist.to_text() == text
+
 
 class TestLogText:
     def test_exact_format(self):
@@ -138,8 +160,9 @@ class TestLogText:
             log_from_text("BEGIN -\n")
         with pytest.raises(InvalidLogError):
             log_from_text("HOP 1 0\n")
-        with pytest.raises(InvalidLogError):
+        with pytest.raises(InvalidLogError) as err:
             log_from_text("R 1 -5\n")
+        assert str(err.value) == "line 1: rel_ts must be >= 0, got -5"
         with pytest.raises(InvalidLogError, match="line 1"):
             log_from_text("R x 5\n")
         with pytest.raises(InvalidLogError, match="line 1"):

@@ -7,26 +7,26 @@ from ccarena.core import (
     COMMIT,
     History,
     InvalidLogError,
-    ItemRegistry,
-    LogRecord,
     Operation,
-    OperatorLog,
     OpKind,
     Outcome,
     TerminalEvent,
-    UnknownItemError,
-    log_from_text,
-    log_validate,
     read,
     write,
 )
 from ccarena.opcot import (
     ClockRegressionError,
     CommitDecision,
+    ItemRegistry,
+    LogRecord,
+    OperatorLog,
     RebaseUnderflowError,
+    UnknownItemError,
     client_record_op,
     client_record_ops,
     commit_transaction,
+    log_from_text,
+    log_validate,
     rebase_to_server_time,
     validate_commit,
 )

@@ -15,7 +15,7 @@ from ccarena import core
 from ccarena.baselines import Granted, LockMode, LockTable, Queued
 from ccarena.core import ConfigError, OpEvent, OpKind, Outcome
 from ccarena.harness import compute_waiting_time, verify_run
-from ccarena.opcot import client_record_op, commit_transaction
+from ccarena.opcot import OperatorLog, client_record_op, commit_transaction
 from ccarena.oracle import (brute_force_serializable, check_commitment_ordering,
                             conflict_skeleton, is_acyclic)
 from ccarena.rng import _LCG_A, _LCG_C, DetRng
@@ -525,7 +525,7 @@ class _ReferenceOpcot:
 
     def __init__(self, sim, aid, offset):
         self.sim, self.offset = sim, offset
-        self.log = core.OperatorLog(aid)
+        self.log = OperatorLog(aid)
         self.prev = sim.now + offset
         self.record(core.BEGIN)
 
@@ -814,17 +814,21 @@ SMALL_CONFIGS = st.builds(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(cfg=SMALL_CONFIGS)
-def test_any_small_config_runs_clean(cfg):
+@given(cfg=SMALL_CONFIGS, tie_seed=st.integers(0, 2**16))
+def test_any_small_config_runs_clean(cfg, tie_seed):
+    # tie seed 0 runs the event loop as it is; any other seed pops a seeded
+    # choice among the events at the smallest instant
+    sim_class = (_Sim if tie_seed == 0 else
+                 type("TieOrderSim", (_TieOrderSim,), {"tie_seed": tie_seed}))
     with pytest.MonkeyPatch.context() as mp:
-        result, sim = _run_keeping_sim(cfg, mp)
+        result, sim = _run_keeping_sim(cfg, mp, sim_class)
+        again, _ = _run_keeping_sim(cfg, mp, sim_class)
     assert result.committed + result.aborted == cfg.n_txns
     assert verify_run(result.history, cfg.protocol) is None
     assert brute_force_serializable(result.history)
     if cfg.protocol != "s2pl":
         assert all(t.messages == 2 * t.attempts for t in result.timings)
     assert_no_attempt_left(sim)
-    again = run_simulation(cfg)
     assert again.history.to_text() == result.history.to_text()
     assert repr(again.timings) == repr(result.timings)
 

@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ccarena.cli import main
-from ccarena.core import InvalidLogError, OperatorLog, log_from_text
+from ccarena.core import InvalidLogError
+from ccarena.opcot import OperatorLog, log_from_text
 
 
 def texts_of(*words):
