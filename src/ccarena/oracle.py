@@ -17,6 +17,13 @@ names an operation after its own transaction's terminal, all in its CoCheck.
 A history that passes it is acyclic: every conflict edge points to a strictly
 later commit, so commit order is a topological order. The run gate decides
 on it and builds the skeleton, which names a cycle, only for a run it fails.
+
+A History keeps its events as three columns (see core.History). The graph
+builders and the commit-order replay read them through History.rows, as
+(txn, Operation or Outcome, instant) tuples, and tell an operation from a
+terminal by `type(x) is Operation`, so they build no event tuple.
+brute_force_serializable reads History.events, a fresh one-shot iterator
+that builds the OpEvent and TerminalEvent tuples.
 """
 
 from collections import defaultdict
@@ -70,11 +77,10 @@ def _committed_ops_by_item(history: History,
     per_item: defaultdict[int, list[tuple[int, int, int, bool]]] = defaultdict(list)
     commit_of = commits.get
     write_kind = OpKind.WRITE
-    for ev in history.events:
-        c = commit_of(ev.txn_id)
-        if c is not None and type(ev) is OpEvent:
-            op = ev.op
-            per_item[op.item_id].append((ev.instant, c, ev.txn_id, op.kind is write_kind))
+    for txn, op, t in history.rows():
+        c = commit_of(txn)
+        if c is not None and type(op) is Operation:
+            per_item[op.item_id].append((t, c, txn, op.kind is write_kind))
     by_order = itemgetter(0, 1, 2)
     for ops in per_item.values():
         ops.sort(key=by_order)
@@ -181,20 +187,23 @@ def _late(txn: int, op: Operation, instant: int, terminal: int) -> CoCheck:
                                f"{instant}, after its terminal at {terminal}")
 
 
-def _first_conflict(history: History, op: Operation, accept) -> OpEvent | None:
-    """The first committed operation event that conflicts with op (same item,
-    one of the two a write) and that accept(event, its commit instant) takes."""
+def _first_conflict(history: History, op: Operation, accept) -> tuple[int, int] | None:
+    """(instant, txn) of the first committed operation that conflicts with op
+    (same item, one of the two a write) and that accept(txn, instant, its
+    commit instant) takes."""
     commits, write_kind = history.committed(), OpKind.WRITE
-    return next((ev for ev in history.events
-                 if type(ev) is OpEvent and ev.txn_id in commits and ev.op.item_id == op.item_id
-                 and write_kind in (op.kind, ev.op.kind) and accept(ev, commits[ev.txn_id])),
+    return next(((t, txn) for txn, other, t in history.rows()
+                 if type(other) is Operation and txn in commits
+                 and other.item_id == op.item_id and write_kind in (op.kind, other.kind)
+                 and accept(txn, t, commits[txn])),
                 None)
 
 
-def _replay(history: History, events) -> CoCheck | None:
-    """check_commitment_ordering over events whose commits do not decrease,
-    or None, once every terminal is checked, when one does."""
-    pending: defaultdict[int, list[OpEvent]] = defaultdict(list)
+def _replay(history: History, rows) -> CoCheck | None:
+    """check_commitment_ordering over rows (txn, Operation or Outcome,
+    instant), as History.rows gives them, whose commits do not decrease, or
+    None, once every terminal is checked, when one does."""
+    pending: defaultdict[int, list[tuple[int, Operation, int]]] = defaultdict(list)
     max_write: dict[int, int] = {}
     max_access: dict[int, int] = {}   # over reads and writes
     # (item, instant) -> operations on that maximum, kept only once a second
@@ -202,27 +211,25 @@ def _replay(history: History, events) -> CoCheck | None:
     on_write, on_access = {}, {}
     committed, write_kind = Outcome.COMMITTED, OpKind.WRITE
     ties, prev, out_of_order = 0, None, False
-    # events are indexed: OpEvent is (txn_id, op, instant), TerminalEvent
-    # (txn_id, outcome, instant)
-    for ev in events:
-        if type(ev) is OpEvent:
-            pending[ev[0]].append(ev)
+    for row in rows:
+        txn, what, end = row
+        if type(what) is Operation:
+            pending[txn].append(row)
             continue
-        txn, outcome, end = ev
         ops = pending.pop(txn, ())
-        if outcome is not committed or out_of_order or (prev is not None and end < prev):
+        if what is not committed or out_of_order or (prev is not None and end < prev):
             # an abort, or any terminal once a commit went below the one
             # before it: only the terminal check is left
-            out_of_order = out_of_order or outcome is committed
+            out_of_order = out_of_order or what is committed
             for _, op, t in ops:
                 if t > end:
                     return _late(txn, op, t, end)
             continue
         if end == prev:  # equal commits admit no order: any conflict between them fails
             for _, op, t in ops:
-                other = _first_conflict(history, op, lambda e, c: c == end and e.txn_id != txn)
+                other = _first_conflict(history, op, lambda o, _, c: c == end and o != txn)
                 if other is not None:
-                    (t_a, a), (t_b, b) = sorted([(other.instant, other.txn_id), (t, txn)])
+                    (t_a, a), (t_b, b) = sorted([other, (t, txn)])
                     return CoCheck(False, (a, b, op.item_id, (t_a, t_b)), ties)
         prev = end
         for _, op, t in ops:
@@ -232,9 +239,9 @@ def _replay(history: History, events) -> CoCheck | None:
             bound = (max_access if is_write else max_write).get(item, t - 1)
             if t <= bound:
                 if t < bound:
-                    other = _first_conflict(history, op,
-                                            lambda e, c: e.instant == bound and c < end)
-                    return CoCheck(False, (txn, other.txn_id, item, (t, bound)), ties)
+                    _, other = _first_conflict(history, op,
+                                               lambda _, o_t, c: o_t == bound and c < end)
+                    return CoCheck(False, (txn, other, item, (t, bound)), ties)
                 ties += (on_access if is_write else on_write).get((item, t), 1)
         for _, op, t in ops:
             item = op.item_id
@@ -274,14 +281,14 @@ def check_commitment_ordering(history: History) -> CoCheck:
     that an operation of its own transaction comes after, unless the pass
     found a violation first.
     """
-    co = _replay(history, history.events)
+    co = _replay(history, history.rows())
     if co is None:
         commits = history.committed()
         by_txn: defaultdict[int, list] = defaultdict(list)
-        for ev in history.events:
-            by_txn[ev.txn_id].append(ev)
+        for row in history.rows():
+            by_txn[row[0]].append(row)
         in_commit_order = sorted(commits, key=commits.get)  # stable: terminal order on ties
-        co = _replay(history, [ev for txn in in_commit_order for ev in by_txn[txn]])
+        co = _replay(history, [row for txn in in_commit_order for row in by_txn[txn]])
     return co
 
 

@@ -57,7 +57,8 @@ _CLIENT_CLOCK_SKEW_MS = 1_000_000  # client clocks sit anywhere within +/- this
 # upper bound on mean_len and sd_len; a larger one draws lengths no run can finish
 MAX_TXN_LEN = 10_000
 # upper bound on every millisecond value: the largest integer a float draw
-# reproduces exactly
+# reproduces exactly. A run's instants sum many such values; the history
+# holds them up to core.MAX_INSTANT and refuses a run that passes it.
 MAX_MS = 2**53
 
 

@@ -493,6 +493,7 @@ def fresh_python(*args, cwd, preexec_fn=None):
 
 GATE_ARGS = ("--items", "8", "--txns", "40", "--seed", "1", "--retries", "1")
 HUGE = "1000000000"
+HORIZON_CFG = f"mean_len = 2000\nsd_len = 0\nop_service_ms = {2**53}\n"
 # each row: commands run one after another through python -m ccarena, each
 # with its exit code
 ENTRY_POINT_ROWS = {
@@ -505,6 +506,13 @@ ENTRY_POINT_ROWS = {
     "bad-matrix-value": [(("matrix", "--config", "bad.cfg", "--out", "o.csv"), 1)],
     "unknown-command": [(("bogus",), 1)],
     "violating-history": [(("check", "--history", "cycle.history"), 2)],
+    # every delay is in range, but the instants pass 2**63 - 1
+    **{f"past-64-bit-instants-{p}": [(("run", "--protocol", p, "--items", "5", "--txns", "2",
+                                        "--config", "horizon.cfg"), 1)] for p in PROTOCOLS},
+    "past-64-bit-instants-matrix": [(("matrix", "--config", "horizon-matrix.cfg",
+                                      "--out", "o.csv"), 1)],
+    "instant-past-64-bits": [(("check", "--history", "big-instant.history"), 1)],
+    "txn-id-past-64-bits": [(("check", "--history", "big-txn.history"), 1)],
     "help": [(("--help",), 0)],
 }
 
@@ -514,6 +522,12 @@ def test_entry_point_exit_code(tmp_path, steps):
     (tmp_path / "bad.cfg").write_text(matrix_cfg_with(BAD_MATRIX_FILES["mean-len-nan"]),
                                       encoding="utf-8")
     (tmp_path / "cycle.history").write_text(CYCLE_HISTORY, encoding="utf-8")
+    (tmp_path / "horizon.cfg").write_text(HORIZON_CFG, encoding="utf-8")
+    (tmp_path / "horizon-matrix.cfg").write_text(
+        "protocols = opcot, occ, s2pl\ntxns = 2\nitems = 5\nseeds = 1\n" + HORIZON_CFG,
+        encoding="utf-8")
+    (tmp_path / "big-instant.history").write_text(f"OP 1 R 0 {2**63}\n", encoding="utf-8")
+    (tmp_path / "big-txn.history").write_text(f"OP {2**63} R 0 1\n", encoding="utf-8")
     for argv, code in steps:
         proc = fresh_python("-m", "ccarena", *argv, cwd=tmp_path)
         assert proc.returncode == code, proc.stderr

@@ -352,7 +352,7 @@ class TestCommitTransaction:
         commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nCOMMIT - 2\n", 5), 12, hist)
         op_events = [e for e in hist if hasattr(e, "op")]
         assert [(e.txn_id, e.instant) for e in op_events] == [(5, 10)]
-        assert hist.events[-1] == TerminalEvent(5, Outcome.COMMITTED, 12)
+        assert list(hist.events)[-1] == TerminalEvent(5, Outcome.COMMITTED, 12)
 
     def test_registry_stamps_monotone_across_commits(self):
         rng = DetRng(7)

@@ -4,6 +4,7 @@ rejected with the documented error, never another exception."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ccarena import core
 from ccarena.cli import main
 from ccarena.core import InvalidLogError
 from ccarena.opcot import OperatorLog, log_from_text
@@ -36,3 +37,16 @@ def test_check_on_any_history_text_exits_0_1_or_2(text, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["check", "--history", str(path)]) in (0, 1, 2)
     capsys.readouterr()  # drop this example's report
+
+
+# every line boundary str.splitlines knows
+LINE_BREAKS = ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(st.sampled_from([*LINE_BREAKS, "OP 1", "x", " "]), max_size=40)
+       .map("".join),
+       size=st.integers(1, 8))
+def test_the_chunked_line_split_is_splitlines(text, size):
+    assert list(core._lines(text, size)) == text.splitlines()
