@@ -241,9 +241,6 @@ class History:
     def __len__(self) -> int:
         return len(self._what)
 
-    def __iter__(self):
-        return self.events
-
     # --- line-oriented dump, one event per line -------------------------
     #
     #   OP <txn_id> <R|W> <item_id> <instant>

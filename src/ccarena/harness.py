@@ -117,8 +117,8 @@ def verify_run(history: History, protocol: str) -> str | None:
     """Oracle-in-the-loop check; returns a violation description or None.
 
     Every protocol must produce a serializable, commit-ordered history: opcot
-    validates commit order directly, rigorous 2PL holds every lock until
-    commit, and backward-validation OCC installs its writes at commit. The
+    validates commit order directly, strict 2PL holds every lock until its
+    terminal, and backward-validation OCC installs its writes at commit. The
     protocol does not change which checks run.
 
     The description comes from judge's findings, the first that fails of: an

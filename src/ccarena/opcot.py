@@ -9,15 +9,16 @@ Clients therefore talk to the server exactly once per transaction, and
 unsynchronized client clocks never matter.
 
 The operator log with its text form and the server's item registry live here
-too. The server checks a log's rules, rel_ts >= 0 included, where it reads
-the log: in log_validate, which every rebase runs.
+too. The client only appends records and checks nothing; log_validate, which
+every rebase runs, checks a log's rules, rel_ts >= 0 included, and refuses a
+log that breaks one, naming the rule.
 """
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -51,7 +52,6 @@ _BEGIN, _COMMIT, _READ = OpKind.BEGIN, OpKind.COMMIT, OpKind.READ
 _new_record = partial(tuple.__new__, LogRecord)
 _op_of = itemgetter(0)  # a LogRecord's op
 _rel_ts_of = itemgetter(1)  # a LogRecord's rel_ts
-_is_data = attrgetter("is_data")
 
 
 def log_validate(log: OperatorLog) -> None:
@@ -171,59 +171,25 @@ class ItemRegistry:
         return stamps
 
 
-class ClockRegressionError(ValueError):
-    """Client clock moved backwards within one transaction."""
-
-
 class RebaseUnderflowError(ValueError):
     """Receipt instant is too small to anchor the log at nonnegative instants."""
 
 
 def client_record_op(log: OperatorLog, op: Operation, now: int,
                      prev_op_instant: int) -> tuple[OperatorLog, int]:
-    """Append op to the in-progress log with rel_ts = now - prev_op_instant.
-
-    Returns the log and the new previous-operator instant (= now). The Begin
-    record always gets rel_ts 0; a Commit may only appear once, at the end.
-    """
-    if now < prev_op_instant:
-        raise ClockRegressionError(
-            f"client clock regressed: now={now} < previous operator at {prev_op_instant}")
-    records = log.records
-    if records:
-        if records[-1].op.kind is _COMMIT:
-            raise InvalidLogError("log already contains Commit")
-        if op.kind is _BEGIN:
-            raise InvalidLogError("Begin must be the first record")
-        records.append(_new_record((op, now - prev_op_instant)))
-    elif op.kind is _BEGIN:
-        records.append(LogRecord(op, 0))
-    else:
-        raise InvalidLogError("first record must be Begin")
+    """Append op with rel_ts = now - prev_op_instant; return the log and now.
+    Nothing is checked here: the server's log_validate refuses a bad log."""
+    log.records.append(_new_record((op, now - prev_op_instant)))
     return log, now
 
 
 def client_record_ops(log: OperatorLog, ops: Sequence[Operation], step: int,
                       prev_op_instant: int) -> int:
-    """client_record_op for each op in turn, each `step` ms after the one
-    before, starting from prev_op_instant; returns the last op's instant.
-
-    Appends the records of that loop and refuses what it refuses, with the
-    same error, but a refused call appends nothing. An opcot attempt runs its
-    operators offline, one service time apart, and logs them with one such
-    call at its commit request: data operators after Begin, which need none
-    of the loop's checks."""
-    records = log.records
-    if step >= 0 and records and records[-1].op.kind is not _COMMIT \
-            and all(map(_is_data, ops)):
-        records.extend(map(_new_record, zip(ops, repeat(step))))
-        return prev_op_instant + step * len(ops)
-    staged = OperatorLog(log.txn_id, records[:])  # the loop itself, on a copy
-    for op in ops:
-        _, prev_op_instant = client_record_op(staged, op, prev_op_instant + step,
-                                              prev_op_instant)
-    records.extend(staged.records[len(records):])
-    return prev_op_instant
+    """client_record_op for each op, each `step` ms after the one before,
+    starting from prev_op_instant; returns the last op's instant. An opcot
+    attempt logs its offline operators with one such call at its commit."""
+    log.records.extend(map(_new_record, zip(ops, repeat(step))))
+    return prev_op_instant + step * len(ops)
 
 
 def rebase_to_server_time(log: OperatorLog, receipt: int) -> list[int]:

@@ -24,6 +24,8 @@ from ccarena.opcot import (
     LogRecord,
     OperatorLog,
     UnknownItemError,
+    client_record_op,
+    client_record_ops,
     commit_transaction,
     log_from_text,
     log_to_text,
@@ -36,6 +38,14 @@ from ccarena.simkit import SimConfig, run_simulation
 
 def make_log(records, txn_id=0):
     return OperatorLog(txn_id, [LogRecord(op, ts) for op, ts in records])
+
+
+def appended_by(record):
+    """The one record a client call appends to an empty log."""
+    log = OperatorLog(0)
+    record(log)
+    (rec,) = log.records
+    return rec
 
 
 class TestOperation:
@@ -118,7 +128,9 @@ class TestLogValidate:
         lambda: LogRecord(write(1), -1),
         lambda: LogRecord(write(1), 3)._replace(rel_ts=-1),
         lambda: LogRecord._make((write(1), -1)),
-    ], ids=["constructor", "_replace", "_make"])
+        lambda: appended_by(lambda log: client_record_op(log, write(1), 5, 6)),
+        lambda: appended_by(lambda log: client_record_ops(log, [write(1)], -1, 6)),
+    ], ids=["constructor", "_replace", "_make", "client_record_op", "client_record_ops"])
     def test_negative_rel_ts_refused_however_the_record_is_built(self, build):
         # the server reads a log through log_validate, so the rule holds there
         # for a record that no constructor checked

@@ -1,3 +1,5 @@
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -15,7 +17,6 @@ from ccarena.core import (
     write,
 )
 from ccarena.opcot import (
-    ClockRegressionError,
     CommitDecision,
     ItemRegistry,
     LogRecord,
@@ -63,43 +64,62 @@ class TestClientRecordOp:
 
     def test_clock_regression(self):
         log, prev = client_record_op(OperatorLog(1), BEGIN, 500, 500)
-        with pytest.raises(ClockRegressionError):
-            client_record_op(log, read(7), 499, prev)
+        log, prev = client_record_op(log, read(7), 499, prev)
+        assert log.records[-1] == LogRecord(read(7), -1) and prev == 499
+        client_record_op(log, COMMIT, 510, prev)
+        assert_the_server_refuses(log, "record 1 has rel_ts -1, which must be >= 0")
 
     def test_no_ops_after_commit(self):
         log, prev = client_record_op(OperatorLog(1), BEGIN, 500, 500)
         log, prev = client_record_op(log, COMMIT, 510, prev)
-        with pytest.raises(InvalidLogError):
-            client_record_op(log, read(1), 520, prev)
+        log, prev = client_record_op(log, read(1), 520, prev)
+        client_record_op(log, COMMIT, 530, prev)
+        assert_the_server_refuses(log, "Commit appears before the last record")
 
     def test_begin_only_first(self):
         log, prev = client_record_op(OperatorLog(1), BEGIN, 500, 500)
-        with pytest.raises(InvalidLogError):
-            client_record_op(log, BEGIN, 510, prev)
+        log, prev = client_record_op(log, BEGIN, 510, prev)
+        client_record_op(log, COMMIT, 520, prev)
+        assert_the_server_refuses(log, "Begin appears after the first record")
 
-    @pytest.mark.parametrize("prefix, op, now, error, message", [
-        ([BEGIN, COMMIT], read(1), 520, InvalidLogError, "log already contains Commit"),
-        ([BEGIN, COMMIT], BEGIN, 520, InvalidLogError, "log already contains Commit"),
-        ([BEGIN], BEGIN, 510, InvalidLogError, "Begin must be the first record"),
-        ([], read(1), 510, InvalidLogError, "first record must be Begin"),
-        ([], COMMIT, 510, InvalidLogError, "first record must be Begin"),
-        ([BEGIN], read(7), 499, ClockRegressionError,
-         "client clock regressed: now=499 < previous operator at 500"),
-        # a clock regression is reported before any shape fault
-        ([BEGIN, COMMIT], BEGIN, 499, ClockRegressionError,
-         "client clock regressed: now=499 < previous operator at 500"),
-        ([], read(1), 499, ClockRegressionError,
-         "client clock regressed: now=499 < previous operator at 500"),
+    @pytest.mark.parametrize("prefix, op, now, message", [
+        ([BEGIN, COMMIT], read(1), 520, "Commit appears before the last record"),
+        ([BEGIN, COMMIT], BEGIN, 520, "Commit appears before the last record"),
+        ([BEGIN], BEGIN, 510, "Begin appears after the first record"),
+        ([], read(1), 510, "log does not start with Begin"),
+        ([], COMMIT, 510, "log does not start with Begin"),
+        ([BEGIN], read(7), 499, "record 1 has rel_ts -1, which must be >= 0"),
+        # a shape fault is reported before a negative rel_ts
+        ([BEGIN, COMMIT], BEGIN, 499, "Commit appears before the last record"),
+        ([], read(1), 499, "log does not start with Begin"),
     ])
-    def test_error_precedence(self, prefix, op, now, error, message):
+    def test_error_precedence(self, prefix, op, now, message):
         log, prev = OperatorLog(1), 500
         for rec_op in prefix:
             log, prev = client_record_op(log, rec_op, 500, prev)
         before = list(log.records)
-        with pytest.raises(error) as exc:
-            client_record_op(log, op, now, prev)
-        assert type(exc.value) is error and str(exc.value) == message
-        assert log.records == before  # a refused operator leaves the log as it was
+        assert client_record_op(log, op, now, prev) == (log, now)
+        assert log.records == before + [LogRecord(op, now - prev)]  # the client only appends
+        client_record_op(log, COMMIT, 530, now)
+        assert_the_server_refuses(log, message)
+
+
+def assert_the_server_refuses(log, message):
+    """log_validate, the rebase and a commit each refuse the closed log with
+    the server's message; the registry and the history keep what an earlier
+    commit left."""
+    for server_read in (log_validate, lambda bad: rebase_to_server_time(bad, 100)):
+        with pytest.raises(InvalidLogError) as err:
+            server_read(log)
+        assert str(err.value) == message
+    reg, hist = ItemRegistry(8), History()
+    earlier = log_of("BEGIN - 0\nR 7 1\nW 1 3\nCOMMIT - 2\n", 2)
+    assert commit_transaction(reg, earlier, 50, hist).committed
+    stamps, text = reg.stamps(), hist.to_text()
+    with pytest.raises(InvalidLogError) as err:
+        commit_transaction(reg, log, 100, hist)
+    assert str(err.value) == message
+    assert reg.stamps() == stamps and hist.to_text() == text
 
 
 def _random_ops(rng, n, shape_faults):
@@ -118,19 +138,25 @@ def _random_ops(rng, n, shape_faults):
 
 def _record_one_by_one(log, ops, step, prev):
     """client_record_op per op, each step ms after the one before:
-    (records, final instant) or (error type, message)."""
-    try:
-        for op in ops:
-            log, prev = client_record_op(log, op, prev + step, prev)
-    except (ClockRegressionError, InvalidLogError) as exc:
-        return type(exc), str(exc)
+    (records, final instant)."""
+    for op in ops:
+        log, prev = client_record_op(log, op, prev + step, prev)
     return log.records, prev
+
+
+def _verdict(log):
+    """log_validate's verdict on a log, numbers left out of its message."""
+    try:
+        log_validate(log)
+    except InvalidLogError as exc:
+        return re.sub(r"-?\d+", "N", str(exc))
+    return "valid"
 
 
 class TestClientRecordOps:
     def test_equals_one_call_per_operator(self):
         rng = DetRng(2501)
-        seen = {}
+        seen = Counter()
         for _ in range(3000):
             prefix = [LogRecord(op, 0 if op is BEGIN else 3) for op in
                       [[], [BEGIN], [BEGIN, read(1), write(2)], [BEGIN, write(3), COMMIT]][
@@ -139,18 +165,15 @@ class TestClientRecordOps:
             step, prev = rng.randrange(25) - 4, 1000 + rng.randrange(100)
             loop_log, batch_log = OperatorLog(1, list(prefix)), OperatorLog(1, list(prefix))
             want = _record_one_by_one(loop_log, ops, step, prev)
-            try:
-                got = batch_log.records, client_record_ops(batch_log, ops, step, prev)
-            except (ClockRegressionError, InvalidLogError) as exc:
-                got = type(exc), str(exc)
-                assert batch_log.records == prefix  # a refused batch appends nothing
+            got = batch_log.records, client_record_ops(batch_log, ops, step, prev)
             assert got == want, (prefix, ops, step)
-            if isinstance(got[0], list):
-                assert all(type(r) is LogRecord for r in got[0])
-                seen["recorded"] = seen.get("recorded", 0) + 1
-            else:
-                seen[got[1].split(":")[0]] = seen.get(got[1].split(":")[0], 0) + 1
-        assert len(seen) == 5 and min(seen.values()) >= 50, seen
+            assert all(type(r) is LogRecord for r in got[0])
+            for log in (loop_log, batch_log):
+                client_record_op(log, COMMIT, got[1] + step, got[1])
+            assert batch_log.records == loop_log.records
+            seen[_verdict(batch_log)] += 1
+        # valid, and each of log_validate's five refusals a client can build
+        assert len(seen) == 6 and sum(n >= 50 for n in seen.values()) >= 5, seen
 
     def test_an_open_log_takes_the_operators_one_step_apart(self):
         log, prev = client_record_op(OperatorLog(1), BEGIN, 500, 500)
@@ -158,13 +181,16 @@ class TestClientRecordOps:
         assert log.records == [LogRecord(BEGIN, 0), LogRecord(read(7), 10),
                                LogRecord(write(7), 10), LogRecord(read(2), 10)]
 
-    @pytest.mark.parametrize("ops", [[read(1)], [BEGIN, read(1)]])
-    def test_a_negative_step_is_a_clock_regression(self, ops):
-        log = OperatorLog(1)
-        with pytest.raises(ClockRegressionError,
-                           match="client clock regressed: now=499 < previous operator at 500"):
-            client_record_ops(log, ops, -1, 500)
-        assert log.records == []
+    @pytest.mark.parametrize("ops, message", [
+        ([read(1)], "record 1 has rel_ts -1, which must be >= 0"),
+        ([BEGIN, read(1)], "Begin appears after the first record"),
+    ])
+    def test_a_negative_step_is_a_clock_regression(self, ops, message):
+        log, prev = client_record_op(OperatorLog(1), BEGIN, 500, 500)
+        assert client_record_ops(log, ops, -1, prev) == 500 - len(ops)
+        assert log.records == [LogRecord(BEGIN, 0)] + [LogRecord(op, -1) for op in ops]
+        client_record_op(log, COMMIT, 500, 500 - len(ops))
+        assert_the_server_refuses(log, message)
 
     def test_no_operators_leave_the_log_and_the_instant(self):
         log = OperatorLog(1, [LogRecord(BEGIN, 0), LogRecord(COMMIT, 3)])
@@ -350,7 +376,7 @@ class TestCommitTransaction:
         reg = ItemRegistry(1)
         hist = History()
         commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nCOMMIT - 2\n", 5), 12, hist)
-        op_events = [e for e in hist if hasattr(e, "op")]
+        op_events = [e for e in hist.events if hasattr(e, "op")]
         assert [(e.txn_id, e.instant) for e in op_events] == [(5, 10)]
         assert list(hist.events)[-1] == TerminalEvent(5, Outcome.COMMITTED, 12)
 

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import math
 import statistics
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from heapq import heappop, heappush
 from itertools import product
@@ -345,7 +346,7 @@ class TestHistoriesPassOracles:
         result = run_simulation(cfg)
         attempts = sum(t.attempts for t in result.timings)
         assert attempts > cfg.n_txns  # retries actually happened
-        terminals = [e for e in result.history if not hasattr(e, "op")]
+        terminals = [e for e in result.history.events if not hasattr(e, "op")]
         assert len(terminals) == attempts
         assert len({e.txn_id for e in terminals}) == attempts
         assert result.committed + result.aborted == cfg.n_txns
@@ -704,7 +705,7 @@ class TestServerStateAfterRun:
     def test_occ_book_holds_the_committed_commit_instants(self, shape, monkeypatch):
         result, sim = _run_keeping_sim(
             quiet_cfg(protocol="occ", **_GOLDEN_SHAPES[shape]), monkeypatch)
-        commits = [e.instant for e in result.history
+        commits = [e.instant for e in result.history.events
                    if getattr(e, "outcome", None) is Outcome.COMMITTED]
         assert sim.book.commit_instants == commits
         assert len(sim.book.commit_writes) == result.committed
@@ -718,7 +719,7 @@ class TestServerStateAfterRun:
         committed = result.history.committed()
         assert 0 < len(committed) < result.config.n_txns
         expected = {i: [0, 0] for i in range(result.config.n_items)}
-        for ev in result.history:
+        for ev in result.history.events:
             if isinstance(ev, OpEvent) and ev.txn_id in committed:
                 slot = 0 if ev.op.kind is OpKind.READ else 1
                 stamps = expected[ev.op.item_id]
@@ -735,9 +736,9 @@ class TestServerStateAfterRun:
         cfg = quiet_cfg(n_items=n_items, n_txns=40, mean_len=8, arrival_mean_ms=2)
         result, sim = _run_keeping_sim(cfg, monkeypatch)
         committed = result.history.committed()
-        stamped = {ev.op.item_id for ev in result.history
+        stamped = {ev.op.item_id for ev in result.history.events
                    if isinstance(ev, OpEvent) and ev.txn_id in committed}
-        touched = {ev.op.item_id for ev in result.history if isinstance(ev, OpEvent)}
+        touched = {ev.op.item_id for ev in result.history.events if isinstance(ev, OpEvent)}
         assert stamped and set(sim.registry.held) == stamped
         assert (touched > stamped) is aborts_alone  # items only aborted attempts named
 
@@ -870,3 +871,25 @@ class TestClockSkewInvariance:
             result = run_simulation(cfg)
             runs.append((result.history.to_text(), result.timings))
         assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the limit is measured on CPython 3.11, whose generator "
+                           "objects hold their frame inline; other versions size it "
+                           "differently")
+@pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+def test_a_client_process_fits_the_small_object_allocator(protocol, monkeypatch):
+    # every transaction's process exists from the start of a run; one past
+    # the allocator's 512-byte limit gets a malloc block of its own, which
+    # raised a 5,000-txn opcot run's peak RSS by 2.3 MB at 520 bytes
+    sizes = []
+    txn_process = simkit._txn_process
+
+    def sized(*args):
+        gen = txn_process(*args)  # unstarted, as run_simulation queues it
+        sizes.append(sys.getsizeof(gen))
+        return gen
+
+    monkeypatch.setattr(simkit, "_txn_process", sized)
+    run_simulation(quiet_cfg(protocol=protocol))
+    assert len(sizes) == 20 and max(sizes) <= 512, sizes

@@ -71,3 +71,34 @@ def test_s2pl_runs_every_lock_table_call_through_the_class(shape, monkeypatch):
         monkeypatch.setattr(LockTable, attr, wrap(attr, vars(LockTable)[attr]))
     run_simulation(quiet_cfg(protocol="s2pl", **_GOLDEN_SHAPES[shape]))
     assert readings == _S2PL_READINGS[shape]
+
+
+# the opcot and occ spans, wrapped where the tracer looks them up
+_OPCOT_OCC_SPANS = [(owner, attr, span) for owner, attr, span in tracer.SPANS
+                 if span.split(".")[0] in ("opcot", "occ")]
+
+
+@pytest.mark.parametrize("shape", sorted(_GOLDEN_SHAPES))
+@pytest.mark.parametrize("protocol", ["opcot", "occ"])
+def test_opcot_and_occ_run_every_attempt_through_the_tracer_names(protocol, shape,
+                                                                  monkeypatch):
+    # a call that bypasses one of these names, as a Begin record built
+    # inline would, changes its count and zeroes its layer's readings
+    readings = Counter()
+
+    def wrap(span, original):
+        def counted(*args):
+            readings[span] += 1
+            return original(*args)
+        return counted
+
+    for owner, attr, span in _OPCOT_OCC_SPANS:
+        monkeypatch.setattr(owner, attr, wrap(span, vars(owner)[attr]))
+    result = run_simulation(quiet_cfg(protocol=protocol, **_GOLDEN_SHAPES[shape]))
+    attempts = sum(t.attempts for t in result.timings)
+    if protocol == "opcot":  # Begin and Commit, then one commit request
+        want = {"opcot.client_record_op": 2 * attempts, "opcot.commit_transaction": attempts,
+                "opcot.rebase_to_server_time": attempts, "opcot.validate_commit": attempts}
+    else:
+        want = {"occ.occ_validate": attempts}
+    assert attempts > len(result.timings) and readings == want, readings
