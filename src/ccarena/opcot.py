@@ -94,8 +94,9 @@ def log_to_text(log: OperatorLog) -> str:
 
 
 def log_from_text(text: str, txn_id: int = 0) -> OperatorLog:
-    """Parse the text form; a malformed line, a negative rel_ts included,
-    raises InvalidLogError naming its line."""
+    """Parse the text form; a malformed line raises InvalidLogError naming
+    its line. The log's rules, rel_ts >= 0 among them, are log_validate's,
+    which the server runs on every log it rebases."""
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -112,8 +113,6 @@ def log_from_text(text: str, txn_id: int = 0) -> OperatorLog:
         try:
             op = Operation(kind, None if item_txt == "-" else int(item_txt))
             rel_ts = int(rel_txt)
-            if rel_ts < 0:
-                raise ValueError(f"rel_ts must be >= 0, got {rel_ts}")
         except ValueError as exc:
             raise InvalidLogError(f"line {lineno}: {exc}") from None
         records.append(LogRecord(op, rel_ts))
@@ -125,9 +124,9 @@ class ItemRegistry:
     stamps (t_read, t_write), the instants of its latest committed read and write.
 
     Only the items a commit stamped are held: get gives (0, 0) for any other
-    item in range and stores nothing, stamps() lists every item, and `held`
-    is a read-only view of the held stamps. Stamps only ever move forward
-    across committed transactions; apply_updates enforces that.
+    item in range and stores nothing, and `held` is a read-only view of the
+    held stamps. Stamps only ever move forward across committed
+    transactions; apply_updates enforces that.
     """
 
     def __init__(self, n_items: int):
@@ -145,9 +144,6 @@ class ItemRegistry:
             return (0, 0)
         raise UnknownItemError(item_id)
 
-    def __len__(self) -> int:
-        return self.n_items
-
     def apply_updates(self, updates: Iterable[tuple[int, int, int]]) -> None:
         """Set each (item_id, t_read, t_write) in order. A stamp that would
         move backwards raises ValueError before its item changes; the items
@@ -162,13 +158,6 @@ class ItemRegistry:
                 raise ValueError(f"t_write of item {item_id} would move backwards "
                                  f"({old_write} -> {t_write})")
             items[item_id] = (t_read, t_write)
-
-    def stamps(self) -> dict[int, tuple[int, int]]:
-        """Snapshot of (t_read, t_write) per item, for audits and tests;
-        (0, 0) for an item no commit has touched."""
-        stamps = dict.fromkeys(range(self.n_items), (0, 0))
-        stamps.update(self._items)
-        return stamps
 
 
 class RebaseUnderflowError(ValueError):

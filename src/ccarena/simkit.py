@@ -283,6 +283,10 @@ class _Sim(EventQueue):
         self.parked: dict[int, Generator] = {}
         self._last_stamp = -1
         self.attempt_ids = count(cfg.n_txns)  # ids for retries, past every first attempt
+        self.new_policy = _POLICIES[cfg.protocol]
+        # (lo, count) of the uplink, downlink and reconnect delays, for the client loop
+        self.delays = tuple((lo, hi - lo + 1) for lo, hi in (
+            cfg.uplink_latency_ms, cfg.downlink_latency_ms, cfg.reconnect_delay_ms))
 
     def stamp(self, arrival: int) -> int:
         """Server-assigned instant: arrival time, bumped to stay strictly
@@ -330,32 +334,29 @@ class _Sim(EventQueue):
                 break
 
 
-def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, offset: int):
+def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, state: int, offset: int):
     """The one client loop; a fresh policy per attempt plays the server.
 
-    The transaction's own stream is stepped inline, each draw the float
-    expression of rng.random or rng.uniform_ms; nothing else reads that
-    stream, so its state is not written back. A lock-less attempt draws its
+    `state` is the state of the transaction's own DetRng stream, stepped
+    inline, each draw the float expression of DetRng.random or
+    DetRng.uniform_ms; nothing else reads that stream, so the process holds
+    the bare state and never writes it back. A lock-less attempt draws its
     disconnect rolls together before its first operator: it draws nothing
     else until its commit request, so the stream's order is that of a roll
     before each operator. Every transaction's process exists from the start,
     and on CPython 3.11 its frame lives inside the generator object, so the
-    locals are kept few: three more took the object past the 512-byte limit
-    of the small-object allocator and raised a 5,000-txn run's peak RSS by
-    2.3 MB."""
-    cfg = sim.cfg
-    new_policy = _POLICIES[cfg.protocol]
+    locals are kept few and per-run constants are read off `sim`: with 28
+    locals and a stack of 7 an unstarted process is 448 bytes, and one past
+    the small-object allocator's 512-byte limit raised a 5,000-txn run's peak
+    RSS by 2.3 MB."""
     a, c, mask = _LCG_A, _LCG_C, _MASK64
-    state = rng._state
-    disconnect_prob, service_ms = cfg.disconnect_prob, cfg.op_service_ms
-    (up_lo, up_hi), (down_lo, down_hi), (re_lo, re_hi) = (
-        cfg.uplink_latency_ms, cfg.downlink_latency_ms, cfg.reconnect_delay_ms)
-    up_n, down_n, re_n = up_hi - up_lo + 1, down_hi - down_lo + 1, re_hi - re_lo + 1
-    served = messages = attempts = 0  # over every attempt
-    for attempt in range(cfg.retries + 1):
+    disconnect_prob, service_ms = sim.cfg.disconnect_prob, sim.cfg.op_service_ms
+    (up_lo, up_n), (down_lo, down_n), (re_lo, re_n) = sim.delays
+    served = messages = 0  # over every attempt
+    for attempt in range(sim.cfg.retries + 1):
         aid = run.txn_id if attempt == 0 else next(sim.attempt_ids)
-        attempts += 1
-        policy = new_policy(sim, aid, offset)
+        run.attempts = attempt + 1
+        policy = sim.new_policy(sim, aid, offset)
         lock = policy.lock
         connected = True
         outcome = None
@@ -414,7 +415,6 @@ def _txn_process(sim: _Sim, ops: list[Operation], run: TxnTiming, rng: DetRng, o
     run.outcome = outcome
     run.service_ms = served
     run.messages = messages
-    run.attempts = attempts
     run.terminal_ms = sim.now
 
 
@@ -550,7 +550,7 @@ def run_simulation(cfg: SimConfig) -> RunResult:
         run = TxnTiming(txn_id, submit_ms=submit)
         timings.append(run)
         offset = offsets_rng.uniform_ms((-_CLIENT_CLOCK_SKEW_MS, _CLIENT_CLOCK_SKEW_MS))
-        gen = _txn_process(sim, ops, run, master.spawn(1000 + txn_id), offset)
+        gen = _txn_process(sim, ops, run, master.spawn(1000 + txn_id)._state, offset)
         sim.arrive(submit, gen)
     sim.run_loop()
 

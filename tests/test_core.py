@@ -2,6 +2,7 @@ import pickle
 import tracemalloc
 
 import pytest
+from test_opcot import assert_the_server_refuses, stamps_of
 from test_oracle import random_history, tangled_history
 
 from ccarena import core
@@ -144,11 +145,11 @@ class TestLogValidate:
         reg, hist = ItemRegistry(3), History()
         earlier = make_log([(BEGIN, 0), (read(0), 1), (write(1), 3), (COMMIT, 2)], txn_id=1)
         assert commit_transaction(reg, earlier, 50, hist).committed
-        stamps, text = reg.stamps(), hist.to_text()
+        stamps, text = stamps_of(reg), hist.to_text()
         with pytest.raises(InvalidLogError) as err:
             commit_transaction(reg, log, 100, hist)
         assert str(err.value) == message
-        assert reg.stamps() == stamps and hist.to_text() == text
+        assert stamps_of(reg) == stamps and hist.to_text() == text
 
 
 class TestLogText:
@@ -172,13 +173,16 @@ class TestLogText:
             log_from_text("BEGIN -\n")
         with pytest.raises(InvalidLogError):
             log_from_text("HOP 1 0\n")
-        with pytest.raises(InvalidLogError) as err:
-            log_from_text("R 1 -5\n")
-        assert str(err.value) == "line 1: rel_ts must be >= 0, got -5"
         with pytest.raises(InvalidLogError, match="line 1"):
             log_from_text("R x 5\n")
         with pytest.raises(InvalidLogError, match="line 1"):
             log_from_text("R 1.5 3\n")
+
+    def test_a_negative_rel_ts_parses_and_the_server_refuses_it(self):
+        # the parser checks the text's form; the log's rules are log_validate's
+        log = log_from_text("BEGIN - 0\nR 1 -5\nCOMMIT - 0\n")
+        assert [(r.op, r.rel_ts) for r in log.records] == [(BEGIN, 0), (read(1), -5), (COMMIT, 0)]
+        assert_the_server_refuses(log, "record 1 has rel_ts -5, which must be >= 0")
 
     def test_comments_and_blank_lines_ignored(self):
         log = log_from_text("# fixture header\n\nBEGIN - 0\nR 2 7\n\nCOMMIT - 1\n")
@@ -189,13 +193,13 @@ class TestLogText:
 class TestRegistry:
     def test_initial_state(self):
         reg = ItemRegistry(3)
-        assert len(reg) == 3
+        assert reg.n_items == 3
         for item in range(3):
             assert reg.get(item) == (0, 0)
 
     @pytest.mark.parametrize("n", [1000, 10000])
     def test_table_sizes(self, n):
-        assert len(ItemRegistry(n)) == n
+        assert ItemRegistry(n).n_items == n
 
     def test_zero_items_invalid(self):
         with pytest.raises(ConfigError):
@@ -224,7 +228,7 @@ class TestRegistry:
         assert reg.get(0) == (0, 0) and reg.held == {3: (0, 0)}
 
     def test_stamps_match_an_eagerly_built_table(self):
-        # only stamped items are held, but stamps() lists every item as a
+        # only stamped items are held, but stamps_of lists every item as a
         # table holding all of them up front would
         reg = ItemRegistry(5)
         eager = dict.fromkeys(range(5), (0, 0))
@@ -233,8 +237,8 @@ class TestRegistry:
             eager[item] = (t_read, t_write)
         assert sorted(reg.held) == [0, 3]
         assert reg.get(4) == eager[4]
-        assert reg.stamps() == eager
-        assert list(reg.stamps()) == list(range(5))
+        assert stamps_of(reg) == eager
+        assert list(stamps_of(reg)) == list(range(5))
 
     @pytest.mark.parametrize("update, message", [
         ((0, 5, 20), "t_read of item 0 would move backwards (10 -> 5)"),
@@ -250,10 +254,10 @@ class TestRegistry:
         assert str(err.value) == message
         # the refused item keeps both stamps; the items before it took theirs,
         # and the items after it were never reached
-        assert reg.stamps() == {0: (10, 20), 1: (0, 0), 2: (1, 1)}
+        assert stamps_of(reg) == {0: (10, 20), 1: (0, 0), 2: (1, 1)}
         reg.apply_updates([(0, 10, 20)])  # equal is fine
         reg.apply_updates([])
-        assert reg.stamps()[0] == (10, 20)
+        assert stamps_of(reg)[0] == (10, 20)
 
     def test_updates_hold_stamps_and_refuse_unknown_items(self):
         reg = ItemRegistry(2)

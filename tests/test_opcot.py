@@ -39,6 +39,14 @@ def log_of(text, txn_id=0):
     return log_from_text(text, txn_id)
 
 
+def stamps_of(registry):
+    """(t_read, t_write) per item of the registry, in item order, with (0, 0)
+    for an item no commit stamped: the table as if it held every item."""
+    stamps = dict.fromkeys(range(registry.n_items), (0, 0))
+    stamps.update(registry.held)
+    return stamps
+
+
 def total_span(log):
     """Sum of all relative timestamps (client-side duration of the log)."""
     return sum(r.rel_ts for r in log.records)
@@ -115,11 +123,11 @@ def assert_the_server_refuses(log, message):
     reg, hist = ItemRegistry(8), History()
     earlier = log_of("BEGIN - 0\nR 7 1\nW 1 3\nCOMMIT - 2\n", 2)
     assert commit_transaction(reg, earlier, 50, hist).committed
-    stamps, text = reg.stamps(), hist.to_text()
+    stamps, text = stamps_of(reg), hist.to_text()
     with pytest.raises(InvalidLogError) as err:
         commit_transaction(reg, log, 100, hist)
     assert str(err.value) == message
-    assert reg.stamps() == stamps and hist.to_text() == text
+    assert stamps_of(reg) == stamps and hist.to_text() == text
 
 
 def _random_ops(rng, n, shape_faults):
@@ -282,10 +290,10 @@ class TestValidateCommit:
 
     def test_empty_data_log_commits_vacuously(self):
         reg = registry_with(0, t_read=99, t_write=98)
-        before = reg.stamps()
+        before = stamps_of(reg)
         dec = validate(reg, "BEGIN - 0\nCOMMIT - 1\n", 6)
         assert dec.committed and dec.updates == []
-        assert reg.stamps() == before
+        assert stamps_of(reg) == before
 
     def test_ties_pass(self):
         # conditions are strict comparisons, so equal instants validate
@@ -302,7 +310,7 @@ class TestValidateCommit:
         dec = validate(reg, "BEGIN - 0\nW 0 0\nR 0 3\nCOMMIT - 2\n", 80)
         assert dec.committed
         assert dec.updates == [(0, 78, 75)]
-        assert reg.stamps()[0] == (0, 0)
+        assert stamps_of(reg)[0] == (0, 0)
 
     def test_unknown_item_is_an_error_not_an_abort(self):
         reg = ItemRegistry(1)
@@ -362,15 +370,15 @@ class TestCommitTransaction:
     def test_abort_leaves_registry_bit_identical(self):
         reg = ItemRegistry(3)
         commit_transaction(reg, log_of("BEGIN - 0\nW 0 2\nW 1 2\nCOMMIT - 2\n", 1), 40)
-        before, held = reg.stamps(), dict(reg.held)
+        before, held = stamps_of(reg), dict(reg.held)
         dec = commit_transaction(reg, log_of("BEGIN - 0\nR 0 1\nW 2 1\nCOMMIT - 1\n", 2), 20)
         assert not dec.committed
         assert not dec.updates
-        assert reg.stamps() == before
+        assert stamps_of(reg) == before
         # an abort that read an unheld item first holds nothing either
         dec = commit_transaction(reg, log_of("BEGIN - 0\nR 2 1\nR 0 1\nCOMMIT - 1\n", 3), 20)
         assert not dec.committed
-        assert reg.stamps() == before and reg.held == held == {0: (0, 36), 1: (0, 38)}
+        assert stamps_of(reg) == before and reg.held == held == {0: (0, 36), 1: (0, 38)}
 
     def test_history_events_use_rebased_instants(self):
         reg = ItemRegistry(1)
@@ -394,7 +402,7 @@ class TestCommitTransaction:
             log = OperatorLog(txn, records)
             receipt = max(receipt + 1, total_span(log) + rng.randrange(50))
             commit_transaction(reg, log, receipt)
-            for item, (t_r, t_w) in reg.stamps().items():
+            for item, (t_r, t_w) in stamps_of(reg).items():
                 old_r, old_w = low_water[item]
                 assert t_r >= old_r and t_w >= old_w
                 low_water[item] = (t_r, t_w)
@@ -507,7 +515,7 @@ def test_in_place_commit_matches_the_reference():
                 continue
             receipt = max(receipt, total_span(log)) + rng.randrange(12)
             instants = rebase_to_server_time(log, receipt)
-            stamps = registries[1].stamps()
+            stamps = stamps_of(registries[1])
             seen["tie"] += any(
                 rec.op.is_data and t in stamps[rec.op.item_id]
                 for rec, t in zip(log.records, instants))
@@ -518,7 +526,7 @@ def test_in_place_commit_matches_the_reference():
             assert got.reason == expected.reason
             assert got.abort_index == expected.abort_index
             assert got.updates == expected.updates
-            assert registries[1].stamps() == registries[0].stamps()
+            assert stamps_of(registries[1]) == stamps_of(registries[0])
             seen[got.outcome.value.lower()] += 1
         assert histories[1].to_text() == histories[0].to_text()
     assert min(seen.values()) >= 20, seen

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_opcot import stamps_of
 
 import ccarena.simkit as simkit
 from ccarena import core
@@ -587,11 +588,13 @@ class _ReferenceS2pl(simkit._S2pl):
 _REFERENCE_POLICIES = {"opcot": _ReferenceOpcot, "occ": _ReferenceOcc, "s2pl": _ReferenceS2pl}
 
 
-def reference_txn_process(sim, ops, run, rng, offset):
+def reference_txn_process(sim, ops, run, state, offset):
     """The client loop drawing through DetRng methods, rolling for a
     disconnect before each operator and counting into `run` as it goes, with
     policies that take each operator's local effect as it runs; kept as the
     reference the inline one must equal."""
+    rng = DetRng.__new__(DetRng)
+    rng._state = state
     cfg = sim.cfg
     new_policy = _REFERENCE_POLICIES[cfg.protocol]
     random, uniform_ms = rng.random, rng.uniform_ms
@@ -724,7 +727,7 @@ class TestServerStateAfterRun:
                 slot = 0 if ev.op.kind is OpKind.READ else 1
                 stamps = expected[ev.op.item_id]
                 stamps[slot] = max(stamps[slot], ev.instant)
-        assert sim.registry.stamps() == {i: tuple(s) for i, s in expected.items()}
+        assert stamps_of(sim.registry) == {i: tuple(s) for i, s in expected.items()}
 
     @pytest.mark.parametrize("n_items, aborts_alone", [
         (100, True), (10**6, False), (10**9, False)])
@@ -893,3 +896,21 @@ def test_a_client_process_fits_the_small_object_allocator(protocol, monkeypatch)
     monkeypatch.setattr(simkit, "_txn_process", sized)
     run_simulation(quiet_cfg(protocol=protocol))
     assert len(sizes) == 20 and max(sizes) <= 512, sizes
+
+
+@pytest.mark.parametrize("protocol", ["opcot", "occ", "s2pl"])
+def test_a_client_process_holds_no_stream_object(protocol, monkeypatch):
+    # the process steps its stream's state inline, so it is handed the bare
+    # state: a DetRng per transaction would stay alive for the whole run
+    frames = []
+    txn_process = simkit._txn_process
+
+    def kept(*args):
+        gen = txn_process(*args)  # unstarted, as run_simulation queues it
+        frames.append(dict(gen.gi_frame.f_locals))
+        return gen
+
+    monkeypatch.setattr(simkit, "_txn_process", kept)
+    run_simulation(quiet_cfg(protocol=protocol))
+    assert len(frames) == 20
+    assert not any(isinstance(value, DetRng) for f in frames for value in f.values())
